@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import entire
-from .entire import CoefficientSequence, log_max_function
+from .entire import CoefficientSequence, log_max_function, log_series
 from .errors import (
     InputError,
     InvalidGrowthError,
@@ -25,10 +25,6 @@ from .errors import (
 )
 from .legendre import conjugate_of_callable, conjugate_point
 
-_TAIL_RUN = 50
-_TAIL_LOG = 45.0
-_N_DIV_CHECK = 10_000
-_SUM_HARD_CAP = 10 ** 6
 DEFAULT_EPS_POINTS = 199
 
 
@@ -140,67 +136,30 @@ def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     return -table.gstars
 
 
-def _log_series(term_fn: Callable[[np.ndarray], np.ndarray],
-                block: int = 256) -> float:
-    """ln sum exp(term_fn(n)) over n >= 0 with divergence detection.
-
-    Converged when 50 consecutive terms sit 45 log-units under the running
-    sum.  Declared divergent (+inf) when terms fail to decay for 50
-    consecutive indices past n = 10^4, or the hard cap is hit.
-    """
-    total = -np.inf
-    tail_run = 0
-    nondec_run = 0
-    prev = np.inf
-    n = 0
-    while n < _SUM_HARD_CAP:
-        ns = np.arange(n, n + block, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = np.asarray(term_fn(ns), dtype=float)
-        t = np.where(np.isnan(t), -np.inf, t)
-        if np.any(t == np.inf):
-            return np.inf
-        finite = t[np.isfinite(t)]
-        if finite.size:
-            m = max(total, float(np.max(finite)))
-            total = m + math.log(math.exp(total - m) + float(np.sum(np.exp(finite - m))))
-        for term in t:
-            tail_run = tail_run + 1 if term < total - _TAIL_LOG else 0
-            nondec_run = nondec_run + 1 if term >= prev else 0
-            prev = term
-        n += block
-        if tail_run >= _TAIL_RUN:
-            return total
-        if n > _N_DIV_CHECK and nondec_run >= _TAIL_RUN:
-            return np.inf
-    return np.inf
+def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]) -> float:
+    """ln sum_{n >= 0} exp(term_fn(n)); +inf unless log_series converged."""
+    total, _, converged = log_series(term_fn)
+    return total if converged else np.inf
 
 
 def k_sum(decay: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
     """K(eps) = sum_n exp(-eps * decay(n)); +inf marks divergence."""
     if not 0 < eps < 1:
         raise InputError("eps must lie in (0, 1)")
-    log_k = _log_series(lambda ns: -eps * np.asarray(decay(ns), float))
-    return float(np.exp(log_k)) if np.isfinite(log_k) else np.inf
+    return float(np.exp(_log_sum(lambda ns: -eps * np.asarray(decay(ns), float))))
 
 
 def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
     """U(eps) = sum_n exp(decay((1-eps) n) - decay(n)); +inf marks divergence."""
     if not 0 < eps < 1:
         raise InputError("eps must lie in (0, 1)")
-
-    def terms(ns):
-        d1 = np.asarray(decay((1.0 - eps) * ns), dtype=float)
-        d2 = np.asarray(decay(ns), dtype=float)
-        return d1 - d2
-
-    log_u = _log_series(terms)
-    return float(np.exp(log_u)) if np.isfinite(log_u) else np.inf
+    return float(np.exp(_log_sum(lambda ns: np.asarray(decay((1.0 - eps) * ns), float)
+                                 - np.asarray(decay(ns), float))))
 
 
 def r_sum(Q: GrowthFunction, v: float) -> float:
     """ln R_Q(v) = ln sum_n exp(n v - Q(n)): the sharp summation reference."""
-    return _log_series(lambda ns: ns * v - np.asarray(Q.fn(ns), float))
+    return _log_sum(lambda ns: ns * v - np.asarray(Q.fn(ns), float))
 
 
 @dataclass(frozen=True)

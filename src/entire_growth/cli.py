@@ -120,8 +120,10 @@ class FunctionSpec:
                 raise ConfigError(f"[{self.name}] family {fam} needs key {key!r}")
         if fam == "custom_coeff_csv":
             path = os.path.join(self.config_dir, p["path"])
-            if not os.path.exists(path):
-                raise ConfigError(f"[{self.name}] coefficient file not found: {path}")
+            try:
+                self.table = entire.coefficients_from_csv(path, name=self.name)
+            except (OSError, EntireGrowthError) as exc:
+                raise ConfigError(f"[{self.name}] coefficient table: {exc}")
         allowed = self._allowed_analyses()
         for a in self.analyses:
             if a not in allowed:
@@ -136,7 +138,7 @@ class FunctionSpec:
                             "order_type") + common,
             "log_power_growth": ("example_31",) + common,
             "double_exp": ("example_33",) + common,
-            "custom_coeff_csv": ("coeff_bound", "tauberian", "order_type") + common,
+            "custom_coeff_csv": ("coeff_bound", "order_type") + common,
             "poisson": ("coeff_bound", "tauberian") + common,
             "factorized": ("factorized",),
         }[self.family]
@@ -151,8 +153,7 @@ class FunctionSpec:
             return entire.gamma_order_coefficients(float(p["rho"]),
                                                    float(p.get("c", "1.0")))
         if fam == "custom_coeff_csv":
-            return entire.coefficients_from_csv(
-                os.path.join(self.config_dir, p["path"]), name=self.name)
+            return self.table
         if fam == "poisson":
             return probgen.poisson(float(p["lam"])).as_coefficients()
         raise ConfigError(f"[{self.name}] family {fam} has no coefficient model")
@@ -329,8 +330,7 @@ def _run_factorized(spec: FunctionSpec, ctx, others: Dict[str, "FunctionSpec"]):
 
 
 class _Ctx:
-    def __init__(self, max_terms: int, eps_points: int):
-        self.max_terms = max_terms
+    def __init__(self, eps_points: int):
         self.eps_points = eps_points
 
 
@@ -376,7 +376,6 @@ def _thread_count() -> int:
 
 
 def run(config_path: str, output_dir: str, quiet: bool = False,
-        max_terms: int = entire.DEFAULT_MAX_TERMS,
         eps_points: int = bounds.DEFAULT_EPS_POINTS) -> int:
     """Execute a config; returns the process exit status (0, 2 or 3)."""
     parser = configparser.ConfigParser()
@@ -412,7 +411,7 @@ def run(config_path: str, output_dir: str, quiet: bool = False,
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return 2
 
-    ctx = _Ctx(max_terms, eps_points)
+    ctx = _Ctx(eps_points)
     names = list(specs)
     workers = min(_thread_count(), len(names))
     if workers > 1:
@@ -461,13 +460,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="output directory for CSV reports")
     ap.add_argument("--quiet", action="store_true",
                     help="suppress the summary on stdout")
-    ap.add_argument("--max-terms", type=int, default=entire.DEFAULT_MAX_TERMS,
-                    metavar="N", help="series truncation cap")
     ap.add_argument("--eps-points", type=int, default=bounds.DEFAULT_EPS_POINTS,
                     metavar="N", help="epsilon grid resolution for bounds")
     args = ap.parse_args(argv)
-    return run(args.config, args.out, quiet=args.quiet,
-               max_terms=args.max_terms, eps_points=args.eps_points)
+    return run(args.config, args.out, quiet=args.quiet, eps_points=args.eps_points)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,10 @@ from .errors import (
 #: log-domain marker for a vanishing coefficient (ln 0)
 ZERO = float("-inf")
 
-# series truncation: stop once this many consecutive terms fall below the
-# running log-sum by more than _TAIL_LOG (relative tail < e^-45)
+# series truncation (see log_series)
 _TAIL_RUN = 50
 _TAIL_LOG = 45.0
-DEFAULT_MAX_TERMS = 10 ** 6
+MAX_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -149,63 +148,101 @@ def polynomial_coefficients(coeffs, name: str = "polynomial") -> CoefficientSequ
 
 
 def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequence:
-    """Load a coefficient table: CSV columns (n, ln_abs_c), "ZERO" allowed."""
+    """Load a table of `index, ln value` rows; "ZERO" marks ln 0.
+
+    A first cell "n", "k" or empty marks a header or blank row; later rows
+    for the same index win and missing indices are ZERO.  Any other row
+    that is not an integer index in [0, MAX_TERMS] and a number below +inf
+    (or ZERO) raises InputError naming the file and line.
+    """
     entries = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("n", ""):
-                continue
-            n = int(row[0])
-            v = row[1].strip()
-            entries[n] = ZERO if v.upper() == "ZERO" else float(v)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or row[0].strip().lower() in ("n", "k", ""):
+                    continue
+                try:
+                    n, v = int(row[0]), row[1].strip()
+                    v = ZERO if v.upper() == "ZERO" else float(v)
+                    if not 0 <= n <= MAX_TERMS or not v < math.inf:
+                        raise ValueError
+                except (ValueError, IndexError):
+                    raise InputError(
+                        f"{path} line {reader.line_num}: malformed row {row!r}; want an "
+                        f"index in [0, {MAX_TERMS}] and a ln value or ZERO") from None
+                entries[n] = v
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: unreadable table ({exc})") from None
     if not entries:
-        raise InputError(f"no coefficient rows in {path}")
-    top = max(entries)
-    vals = np.full(top + 1, ZERO)
+        raise InputError(f"no table rows in {path}")
+    vals = np.full(max(entries) + 1, ZERO)
     for n, v in entries.items():
         vals[n] = v
     return table_coefficients(vals, name=name or str(path))
 
 
-def _stream_logsumexp(term_fn, n_max: int, block: int = 256):
-    """Log-sum of term_fn(n) over n = 0..n_max with tail-based early stop."""
-    total = -np.inf
+def log_series(term_fn: Callable[[np.ndarray], np.ndarray], n_max: int = MAX_TERMS,
+               block: int = 256, finite: bool = False):
+    """ln sum_{n=0}^{n_max} exp(term_fn(n)), summed in blocks of `block` terms.
+
+    Returns (log_sum, terms_summed, converged).  The sum stops, converged,
+    after the first block that ends with 50 consecutive terms more than 45
+    nats under the running log-sum; otherwise it runs to n_max, which
+    defaults to the cap MAX_TERMS = 10^6.  A `finite` series (n_max is its
+    last term) has no stop rule: every term is summed and the sum counts as
+    converged.  A +inf term makes the sum +inf (converged); a NaN term
+    counts as -inf.
+    """
+    total = -math.inf
     run = 0
     n = 0
     while n <= n_max:
-        ns = np.arange(n, min(n + block, n_max + 1))
-        t = term_fn(ns)
-        finite = t[np.isfinite(t)]
-        if finite.size:
-            m = max(total, float(np.max(finite)))
-            total = m + math.log(math.exp(total - m) + float(np.sum(np.exp(finite - m))))
-        # count trailing terms that are negligible w.r.t. the running sum
-        small = t < total - _TAIL_LOG
-        for s in small:
-            run = run + 1 if s else 0
-        n += block
-        if run >= _TAIL_RUN:
-            return total, True
-    return total, False
+        ns = np.arange(n, min(n + block, n_max + 1), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.asarray(term_fn(ns), dtype=float)
+        n += ns.size
+        t = np.where(np.isnan(t), -math.inf, t)
+        if (t == math.inf).any():
+            return math.inf, n, True
+        live = t[np.isfinite(t)]
+        if live.size:
+            m = max(total, float(np.max(live)))
+            total = m + math.log(math.exp(total - m) + float(np.sum(np.exp(live - m))))
+        # length of the block's trailing run of negligible terms
+        big = np.flatnonzero(t >= total - _TAIL_LOG)
+        run = run + t.size if big.size == 0 else t.size - 1 - int(big[-1])
+        if run >= _TAIL_RUN and not finite:
+            return total, n, True
+    return total, n, finite
 
 
-def log_max_function(f: CoefficientSequence, r: float,
-                     max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def log_max_function(f: CoefficientSequence, r: float) -> float:
     """ln of the coefficient-sum majorant sum_n |c_n| r^n at radius r.
 
     Exact equal to ln M_f(r) when all coefficients are nonnegative; an upper
-    bound on it otherwise (flagged by f.sign_nonnegative).
+    bound on it otherwise (flagged by f.sign_nonnegative).  f must pass the
+    entirety check; see log_majorant for the sum itself.
+    """
+    f.assert_entire()
+    return log_majorant(f, r)
+
+
+def log_majorant(f: CoefficientSequence, r: float) -> float:
+    """ln sum_n |c_n| r^n for a series that converges at r.
+
+    Raises TruncationError when an infinite series has not converged
+    within MAX_TERMS terms.
     """
     if r <= 0:
         raise InputError("r must be positive")
-    f.assert_entire()
     lr = math.log(r)
-    n_max = f.max_index if f.max_index is not None else max_terms
-    total, converged = _stream_logsumexp(
-        lambda ns: f.log_abs_array(ns) + ns * lr, n_max)
-    if not converged and f.max_index is None:
+    total, terms, converged = log_series(
+        lambda ns: f.log_abs_array(ns) + ns * lr,
+        f.max_index if f.is_polynomial else MAX_TERMS, finite=f.is_polynomial)
+    if not converged:
         raise TruncationError(
-            f"series for {f.name} at r={r} not converged within {max_terms} terms")
+            f"series for {f.name} at r={r} not converged within {terms} terms")
     return total
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import EpsilonReport, GrowthFunction, DEFAULT_EPS_POINTS
-from .entire import CoefficientSequence, ZERO, log_max_function
+from .entire import CoefficientSequence, ZERO, log_max_function, log_series
 from .errors import (
     InputError,
     NoFiniteBoundError,
@@ -28,8 +28,7 @@ from .legendre import (
     conjugate_point,
 )
 
-_TAIL_LOG = 45.0
-_AXIS_CAP = 4096
+_AXIS_CAP = 4096  # per-axis limit on the truncated multi-index box
 
 
 def _check_dim(d: int) -> None:
@@ -134,20 +133,10 @@ def multi_coeff_bound(Lambda: MultiGrowthFunction, k,
 
 
 def _axis_truncation(decay_1d: Callable[[np.ndarray], np.ndarray], eps: float) -> int:
-    """Per-axis cap: first index past which eps-damped terms are negligible."""
-    n = 0
-    run = 0
-    best = -np.inf
-    while n < _AXIS_CAP:
-        ns = np.arange(n, n + 64, dtype=float)
-        t = -eps * np.asarray(decay_1d(ns), dtype=float)
-        best = max(best, float(np.max(t)))
-        for term in t:
-            run = run + 1 if term < best - _TAIL_LOG else 0
-        n += 64
-        if run >= 50:
-            return n
-    return _AXIS_CAP
+    """Per-axis cap: the number of eps-damped terms log_series sums."""
+    _, terms, _ = log_series(lambda ns: -eps * np.asarray(decay_1d(ns), dtype=float),
+                             _AXIS_CAP - 1, block=64)
+    return terms
 
 
 def _multi_index_logsum(term_fn: Callable[[np.ndarray], np.ndarray],

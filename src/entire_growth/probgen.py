@@ -10,7 +10,6 @@ Tauberian report rather than silently truncated.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -19,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .bounds import GrowthFunction, TauberianReport, tauberian_report
-from .entire import CoefficientSequence, ZERO
+from .entire import CoefficientSequence, ZERO, coefficients_from_csv, log_majorant
 from .errors import DivergenceError, InputError, NotEntireError
 
 _MASS_TOL = 1e-12
@@ -98,72 +97,29 @@ def degenerate(k0: int) -> DiscreteDistribution:
 
 
 def distribution_from_csv(path, name: Optional[str] = None) -> DiscreteDistribution:
-    """Load a mass table: CSV columns (k, ln_mass), "ZERO" allowed.
+    """Load a mass table: `k, ln_mass` rows read by coefficients_from_csv.
 
     Normalization sum_k P = 1 is checked to 1e-12 by direct summation.
     """
-    entries = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("k", ""):
-                continue
-            k = int(row[0])
-            v = row[1].strip()
-            entries[k] = ZERO if v.upper() == "ZERO" else float(v)
-    if not entries:
-        raise InputError(f"no mass rows in {path}")
-    top = max(entries)
-    vals = np.full(top + 1, ZERO)
-    for k, v in entries.items():
-        vals[k] = v
+    table = coefficients_from_csv(path, name)
+    vals = table.log_abs_array(np.arange(table.max_index + 1))
     total = float(np.exp(logsumexp(vals[np.isfinite(vals)])))
     if abs(total - 1.0) > _MASS_TOL:
         raise InputError(f"masses in {path} sum to {total}, not 1")
-
-    def lm(ks):
-        ks = np.asarray(ks, dtype=float)
-        idx = np.clip(ks.astype(int), 0, top)
-        return np.where(ks <= top, vals[idx], ZERO)
-
-    return DiscreteDistribution(name or str(path), lm, entire=True, max_support=top)
+    return DiscreteDistribution(table.name, table.log_abs_fn, entire=True,
+                                max_support=table.max_index)
 
 
-def generating_function_log(dist: DiscreteDistribution, r: float,
-                            max_terms: int = 10 ** 6) -> float:
+def generating_function_log(dist: DiscreteDistribution, r: float) -> float:
     """ln E r^xi = ln sum_k P(xi = k) r^k.
 
     Coefficients are nonnegative, so this is exactly ln M_g(r).  Radii at or
     beyond the convergence radius raise (geometric-type laws).
     """
-    if r <= 0:
-        raise InputError("r must be positive")
     if r >= dist.radius:
         raise DivergenceError(
             f"{dist.name}: series diverges at r={r} (radius {dist.radius})")
-    lr = math.log(r)
-    n_max = dist.max_support if dist.max_support is not None else max_terms
-    ks = np.arange(0, n_max + 1, dtype=float)
-    if ks.size <= 300_000:
-        t = dist.log_mass_array(ks) + ks * lr
-        t = t[np.isfinite(t)]
-        return float(logsumexp(t)) if t.size else -math.inf
-    # stream in blocks with the usual tail rule
-    total = -math.inf
-    run = 0
-    n = 0
-    while n <= n_max:
-        ns = np.arange(n, min(n + 1024, n_max + 1), dtype=float)
-        t = dist.log_mass_array(ns) + ns * lr
-        finite = t[np.isfinite(t)]
-        if finite.size:
-            m = max(total, float(np.max(finite)))
-            total = m + math.log(math.exp(total - m) + float(np.sum(np.exp(finite - m))))
-        for term in t:
-            run = run + 1 if term < total - 45.0 else 0
-        if run >= 50:
-            return total
-        n += 1024
-    return total
+    return log_majorant(dist.as_coefficients(), r)
 
 
 def prob_tauberian_report(dist: DiscreteDistribution, LambdaP: GrowthFunction,

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from entire_growth.bounds import (
     GrowthFunction,
@@ -82,7 +82,11 @@ class TestAuxiliarySeries:
             ref, rel=1e-12)
 
     def test_k_sum_divergent(self):
-        assert k_sum(lambda n: np.zeros_like(np.asarray(n, float)), 0.5) == math.inf
+        zero = lambda n: np.zeros_like(np.asarray(n, float))
+        log_decay = lambda n: np.log1p(np.asarray(n, float))
+        assert k_sum(zero, 0.5) == math.inf
+        assert u_sum(zero, 0.5) == math.inf
+        assert u_sum(log_decay, 0.5) == math.inf
 
     def test_u_sum_linear_matches_k(self):
         # linear decay: U-terms e^((1-eps)n - n) = e^(-eps n), same series
@@ -110,6 +114,14 @@ class TestAuxiliarySeries:
         for v in (0.0, 1.0, 3.0):
             ref = math.log(float(np.sum(np.exp(ns * v - 0.5 * ns ** 2))))
             assert r_sum(Q, v) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [9.5, 10.0])
+    def test_r_sum_increasing_past_ten_thousand_terms(self, v):
+        # Stirling-decay terms n v - (n ln n - n) grow up to n = e^v > 10^4;
+        # the series still converges and must not be called divergent
+        ns = np.arange(1, 10 ** 5 + 1, dtype=float)
+        ref = float(logsumexp(np.concatenate([[0.0], ns * v - (ns * np.log(ns) - ns)])))
+        assert r_sum(stirling_decay(), v) == pytest.approx(ref, rel=1e-12)
 
 
 class TestMaxFunctionUpperBound:

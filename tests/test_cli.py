@@ -114,10 +114,28 @@ class TestErrorPaths:
                    quiet=True) == 2
 
     def test_unsupported_analysis_for_family(self, tmp_path):
+        # every coefficient table is a polynomial: tauberian cannot run on it
+        (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,0.0\n1,-1.0\n")
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[x]\nfamily = log_power_growth\nm = 2\n"
-                       "analyses = coeff_bound\n")
-        assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 2
+        for text in ("[x]\nfamily = log_power_growth\nm = 2\n"
+                     "analyses = coeff_bound\n",
+                     "[x]\nfamily = custom_coeff_csv\npath = c.csv\n"
+                     "analyses = coeff_bound, tauberian, order_type\n"):
+            cfg.write_text(text)
+            assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 2
+
+    def test_malformed_table_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[x]\nfamily = custom_coeff_csv\npath = c.csv\n"
+                       "analyses = coeff_bound\nn_grid = 0:1\n")
+        out = tmp_path / "out"
+        for bad_row in ("1,np.float64(-0.0)", "1"):
+            (tmp_path / "c.csv").write_text(f"n,ln_abs_c\n0,0.0\n{bad_row}\n")
+            assert run(str(cfg), str(out), quiet=True) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert "config error" in err and "c.csv line 3" in err
+            assert "Traceback" not in err
 
     def test_module_error_exit_three_with_partial_flush(self, tmp_path):
         # gamma requires v >= 1; coeff_bound before it still lands on disk

@@ -39,6 +39,15 @@ class TestLogMaxFunction:
         f = polynomial_coefficients([1.0, 1.0])
         assert log_max_function(f, 2.0) == pytest.approx(math.log(3.0), abs=1e-12)
 
+    def test_polynomial_past_a_gap(self):
+        # c_0 = c_300 = 1: the 299 zero coefficients between them must not
+        # end the sum before the top term
+        vals = np.full(301, ZERO)
+        vals[[0, 300]] = 0.0
+        f = table_coefficients(vals)
+        assert log_max_function(f, 2.0) == pytest.approx(
+            300 * math.log(2.0) + math.log1p(2.0 ** -300), rel=1e-14)
+
     def test_monotone_in_r(self):
         rng = np.random.default_rng(17)
         for f in (exp_coefficients(), gaussian_coefficients(),
@@ -174,4 +183,12 @@ class TestCsvRoundTrip:
         p = tmp_path / "empty.csv"
         p.write_text("n,ln_abs_c\n")
         with pytest.raises(InputError):
+            coefficients_from_csv(p)
+
+    @pytest.mark.parametrize("row", ["1,np.float64(-0.0)", "1", "x,0.0", "-1,0.0",
+                                     "1,nan", "1,inf", "1.5,0.0"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        p = tmp_path / "coeffs.csv"
+        p.write_text("n,ln_abs_c\n0,0.0\n" + row + "\n2,-1.0\n")
+        with pytest.raises(InputError, match="coeffs.csv line 3"):
             coefficients_from_csv(p)

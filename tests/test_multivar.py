@@ -64,6 +64,22 @@ class TestMultiMaxBound:
             assert ln_m <= bound + 1e-9
             assert 0.0 < rep.eps_star < 1.0
 
+    def test_truncated_tail_negligible(self, monkeypatch):
+        # non-separable Q: doubling every per-axis cap of the K and U boxes
+        # must not move K, U or the bound
+        from entire_growth import multivar
+        from entire_growth.bounds import stirling_decay
+        s = stirling_decay().fn
+        Q = MultiGrowthFunction(
+            2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
+        bound, rep = multi_max_bound(Q, (1.0, 2.0), eps_points=9)
+        cap = multivar._axis_truncation
+        monkeypatch.setattr(multivar, "_axis_truncation", lambda *a: 2 * cap(*a))
+        big, big_rep = multi_max_bound(Q, (1.0, 2.0), eps_points=9)
+        assert big == pytest.approx(bound, rel=1e-12)
+        np.testing.assert_allclose(big_rep.K_vals, rep.K_vals, rtol=1e-12)
+        np.testing.assert_allclose(big_rep.U_vals, rep.U_vals, rtol=1e-12)
+
 
 def _decay_pair():
     """Separable decay Q(k1, k2) = sum of n ln n - n per axis."""

@@ -10,6 +10,7 @@ from entire_growth.errors import (
     DivergenceError,
     InputError,
     NotEntireError,
+    TruncationError,
 )
 from entire_growth.probgen import (
     degenerate,
@@ -46,6 +47,12 @@ class TestPoisson:
         la = d.log_mass_array(ks)
         conj = ks * np.log(ks) - ks + 1.0
         assert np.all(la <= -conj + 1e-9)
+
+    def test_unconverged_series_raises(self):
+        # the mass peaks near k = r = 2e6, past the series cap of 10^6 terms;
+        # the exact value lam (r - 1) = 1999999 is out of reach
+        with pytest.raises(TruncationError):
+            generating_function_log(poisson(1.0), 2e6)
 
     def test_bad_lambda(self):
         with pytest.raises(InputError):
@@ -96,6 +103,14 @@ class TestCsvDistribution:
         assert d.log_mass(0) == pytest.approx(math.log(0.25))
         assert d.log_mass(2) == -math.inf
         assert generating_function_log(d, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_gapped_table_sums_every_term(self, tmp_path):
+        # masses 1/2 at k = 0 and k = 300: E 2^xi = (1 + 2^300) / 2
+        p = tmp_path / "gap.csv"
+        p.write_text("k,ln_mass\n0,%r\n300,%r\n" % (math.log(0.5), math.log(0.5)))
+        d = distribution_from_csv(p)
+        assert generating_function_log(d, 2.0) == pytest.approx(
+            math.log(0.5) + 300 * math.log(2.0), rel=1e-14)
 
     def test_unnormalized_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
