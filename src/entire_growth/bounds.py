@@ -23,9 +23,14 @@ from .errors import (
     PolynomialInputError,
     WindowSaturationWarning,
 )
-from .legendre import conjugate_of_callable, conjugate_point
+from .legendre import _lower_hull_indices, conjugate_of_callable
 
 DEFAULT_EPS_POINTS = 199
+# Refinement of eps* around the grid minimum: each stage evaluates
+# ZOOM_POINTS points of its bracket (Q* in one batched call) and narrows the
+# bracket to the neighbours of its best point, a factor (ZOOM_POINTS-1)/2.
+ZOOM_POINTS = 33
+ZOOM_STAGES = 5
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,28 @@ def quadratic_decay(a: float = 0.5) -> GrowthFunction:
                           lambda n: a * np.asarray(n, float) ** 2, domain_min=0.0)
 
 
+def table_decay(f: CoefficientSequence) -> GrowthFunction:
+    """Convex decay of a finite table: the lower convex envelope of -ln|c_n|.
+
+    Piecewise linear between the hull vertices of the rows, +inf outside
+    them (the domain starts at the first nonzero row).  It lies below
+    -ln|c_n| at every row, so |c_n| <= exp(-Q(n)) holds, and it is convex,
+    as the reverse bound requires.
+    """
+    ns = np.arange(f.max_index + 1, dtype=float)
+    q = -f.log_abs_array(ns)
+    hull = _lower_hull_indices(ns, q)
+    if len(hull) < 2:
+        raise InputError(f"{f.name}: need at least two nonzero coefficients")
+    hx, hq = ns[hull], q[hull]
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= hx[0]) & (x <= hx[-1]), np.interp(x, hx, hq), np.inf)
+
+    return GrowthFunction(f"decay({f.name})", fn, domain_min=hx[0])
+
+
 def coeff_upper_bound(Lambda: GrowthFunction, n: int) -> float:
     """Log upper bound on |c_n|: returns -Lambda*(n).
 
@@ -119,11 +146,7 @@ def coeff_upper_bound(Lambda: GrowthFunction, n: int) -> float:
     """
     if n < 0:
         raise InputError("n must be >= 0")
-    cp = conjugate_point(Lambda.fn, float(n), x_min=Lambda.domain_min)
-    if cp.saturated:
-        warnings.warn(f"conjugate window saturated at n={n} for {Lambda.name}",
-                      WindowSaturationWarning)
-    return -cp.value
+    return float(coeff_upper_bound_many(Lambda, [float(n)])[0])
 
 
 def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
@@ -164,7 +187,12 @@ def r_sum(Q: GrowthFunction, v: float) -> float:
 
 @dataclass(frozen=True)
 class EpsilonReport:
-    """K/U/Y values over the eps grid and the minimizing eps for the bound."""
+    """K/U/Y values over the eps grid and the minimizing eps for the bound.
+
+    qstar_saturated: the Q* window hit its cap at v/(1 - eps_star), so
+    Q*(v/(1 - eps_star)) may fall short and the bound may be too low (set
+    by max_function_upper_bound; multi_max_bound leaves it False).
+    """
 
     eps_grid: np.ndarray
     K_vals: np.ndarray
@@ -174,6 +202,7 @@ class EpsilonReport:
     S0: float
     bound: float
     normalization_shift: float = 0.0
+    qstar_saturated: bool = False
 
     @property
     def c_eff(self) -> float:
@@ -225,45 +254,28 @@ def max_function_upper_bound(Q: GrowthFunction, v: float,
     if not np.any(np.isfinite(Y_vals)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {Q.name}")
 
-    qstar_args = v / (1.0 - eps_grid)
-    qstar_vals, _sat = Q.conjugate_at(qstar_args)
-    with np.errstate(divide="ignore"):
-        objective = np.where(np.isfinite(Y_vals),
-                             np.log(Y_vals) + qstar_vals, np.inf)
-    j = int(np.argmin(objective))
+    def objective(eps, Y):
+        qstar, _ = Q.conjugate_at(v / (1.0 - eps))
+        with np.errstate(divide="ignore"):
+            return np.where(np.isfinite(Y), np.log(Y) + qstar, np.inf)
 
-    # golden-section refinement around the best grid point
-    def obj(e: float) -> float:
-        y = min(k_sum(decay, e), u_sum(decay, e))
-        if not np.isfinite(y):
-            return np.inf
-        qs = conjugate_point(Q.fn, v / (1.0 - e), x_min=Q.domain_min).value
-        return math.log(y) + qs
-
-    lo = eps_grid[max(j - 1, 0)]
-    hi = eps_grid[min(j + 1, eps_grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = obj(c), obj(d)
-    for _ in range(24):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = obj(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = obj(d)
-    eps_star = 0.5 * (lo + hi)
-    bound = obj(eps_star)
-    if bound > objective[j]:
-        eps_star = float(eps_grid[j])
-        bound = float(objective[j])
-    s0 = min(k_sum(decay, eps_star), u_sum(decay, eps_star))
+    obj = objective(eps_grid, Y_vals)
+    j = int(np.argmin(obj))
+    eps_star, bound, s0 = eps_grid[j], obj[j], Y_vals[j]
+    # zoom into the grid neighbours of the minimum; never above the grid value
+    pts = eps_grid[max(j - 1, 0):j + 2]
+    for _ in range(ZOOM_STAGES):
+        pts = np.linspace(pts[0], pts[-1], ZOOM_POINTS)
+        Y = np.array([min(k_sum(decay, e), u_sum(decay, e)) for e in pts])
+        obj = objective(pts, Y)
+        i = int(np.argmin(obj))
+        if obj[i] < bound:
+            eps_star, bound, s0 = pts[i], obj[i], Y[i]
+        pts = pts[max(i - 1, 0):i + 2]
+    _, saturated = Q.conjugate_at([v / (1.0 - eps_star)])
     report = EpsilonReport(eps_grid, K_vals, U_vals, Y_vals,
                            float(eps_star), float(s0), float(bound),
-                           normalization_shift=a)
+                           normalization_shift=a, qstar_saturated=saturated)
     return float(bound), report
 
 

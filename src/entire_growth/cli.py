@@ -23,7 +23,6 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -175,10 +174,12 @@ class FunctionSpec:
         return multivar.growth_of(self.coefficients(), name=self.name)
 
     def decay(self) -> bounds.GrowthFunction:
-        """Decay profile Q(n) = -ln|c_n|, or the growth conjugate if no
-        coefficient model exists."""
+        """Decay profile Q(n) = -ln|c_n|, its lower convex envelope for a
+        table, or the growth conjugate if no coefficient model exists."""
         if self.family in ("log_power_growth", "double_exp"):
             return self.growth().conjugate()
+        if self.family == "custom_coeff_csv":
+            return bounds.table_decay(self.table)
         f = self.coefficients()
 
         def q(ns):
@@ -234,7 +235,8 @@ def _run_upper_bound(spec: FunctionSpec, ctx):
     for v in spec.v_grid:
         b, rep = bounds.max_function_upper_bound(Q, float(v),
                                                  eps_points=ctx.eps_points)
-        rows.append([v, b, rep.eps_star, rep.c_eff, rep.S0])
+        rows.append([v, b, rep.eps_star, rep.c_eff, rep.S0,
+                     1 if rep.qstar_saturated else 0])
         eps_rows = rep
     notes.append(f"upper_bound: bound {_fmt(rows[-1][1])} at "
                  f"v={_fmt(spec.v_grid[-1])}, eps* {_fmt(eps_rows.eps_star)}")
@@ -242,7 +244,8 @@ def _run_upper_bound(spec: FunctionSpec, ctx):
              [[e, k, u, y] for e, k, u, y in
               zip(eps_rows.eps_grid, eps_rows.K_vals,
                   eps_rows.U_vals, eps_rows.Y_vals)])
-    return (["v", "log_bound", "eps_star", "c_eff", "s0"], rows, notes, extra)
+    return (["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"],
+            rows, notes, extra)
 
 
 def _run_gamma(spec: FunctionSpec, ctx):
@@ -364,17 +367,6 @@ def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
     return artifacts, notes, None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ENTIRE_GROWTH_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def run(config_path: str, output_dir: str, quiet: bool = False,
         eps_points: int = bounds.DEFAULT_EPS_POINTS) -> int:
     """Execute a config; returns the process exit status (0, 2 or 3)."""
@@ -412,18 +404,11 @@ def run(config_path: str, output_dir: str, quiet: bool = False,
         return 2
 
     ctx = _Ctx(eps_points)
-    names = list(specs)
-    workers = min(_thread_count(), len(names))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda n: _run_spec(specs[n], specs, ctx),
-                                    names))
-    else:
-        results = [_run_spec(specs[n], specs, ctx) for n in names]
+    results = [(name, _run_spec(spec, specs, ctx)) for name, spec in specs.items()]
 
     os.makedirs(output_dir, exist_ok=True)
     manifest, summary, errors = [], [], []
-    for name, (artifacts, notes, error) in zip(names, results):
+    for name, (artifacts, notes, error) in results:
         for relpath, header, rows in artifacts:
             count = _write_csv(os.path.join(output_dir, relpath), header, rows)
             digest = hashlib.sha256(

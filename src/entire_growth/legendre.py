@@ -246,9 +246,13 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
     """Conjugate sup_x (x*y - fn(x)) of a convex callable on expanding windows.
 
     The window is doubled until every argmax is strictly interior or the hard
-    cap is reached; a boundary argmax at the cap sets the saturated flag.
-    x_min pins the left edge of Dom[fn] (e.g. 0 for index-domain functions).
-    Returns a ConjugateTable (ys need not be sorted).
+    cap is reached.  A boundary argmax at the cap sets the saturated flag
+    while x*y - fn(x) still rises across the last unit before the cap by
+    more than 1e-12 (1 + |value|); a supremum approached only at infinity
+    (e.g. sup_x -e^x = 0) is not flagged.  x_min pins the left edge of
+    Dom[fn] (e.g. 0 for index-domain functions).  Elementwise in ys: one
+    batched call equals a loop of one-query calls bit for bit.  Returns a
+    ConjugateTable (ys need not be sorted).
     """
     ys_arr = np.atleast_1d(np.asarray(ys, dtype=float))
 
@@ -263,7 +267,7 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
     lo = np.full(ys_arr.shape, x_min if left_fixed else -1.0)
     hi = np.maximum(lo + 2.0, 1.0)
     h = h_of(ys_arr)
-    saturated = np.zeros(ys_arr.shape, dtype=bool)
+    at_right = at_left = np.zeros(ys_arr.shape, dtype=bool)
     for _ in range(max_doublings):
         arg, _val = _golden_max(h, lo, hi)
         width = hi - lo
@@ -271,7 +275,8 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
         need_left = np.zeros_like(need_right) if left_fixed else ((arg - lo) < 0.01 * width)
         grow_right = need_right & (hi < hard_cap)
         grow_left = need_left & (lo > -hard_cap)
-        saturated = (need_right & (hi >= hard_cap)) | (need_left & (lo <= -hard_cap))
+        at_right = need_right & (hi >= hard_cap)
+        at_left = need_left & (lo <= -hard_cap)
         if not np.any(grow_right | grow_left):
             break
         old_lo, old_hi = lo, hi
@@ -279,6 +284,10 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
         lo = np.where(grow_left, np.maximum(old_hi - 2.0 * width, -hard_cap), old_lo)
     arg, val = _golden_max(h, lo, hi, iters=120)
     # polish: the window interior maximum of a concave function
+    tol = 1e-12 * (1.0 + np.abs(val))
+    with np.errstate(invalid="ignore"):  # -inf - -inf past Dom[fn]: not rising
+        saturated = (at_right & (h(hi) - h(hi - 1.0) > tol)) | \
+            (at_left & (h(lo) - h(lo + 1.0) > tol))
     return ConjugateTable(ys_arr, val, arg, window_saturated=bool(np.any(saturated)))
 
 

@@ -22,11 +22,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedDimensionError,
 )
-from .legendre import (
-    SampledFunctionND,
-    conjugate_nd,
-    conjugate_point,
-)
+from .legendre import SampledFunctionND, conjugate_nd
 
 _AXIS_CAP = 4096  # per-axis limit on the truncated multi-index box
 
@@ -117,10 +113,8 @@ def multi_coeff_bound(Lambda: MultiGrowthFunction, k,
     if len(k) != Lambda.dimension or any(x < 0 for x in k):
         raise InputError("multi-index must be nonnegative of matching dimension")
     if Lambda.separable:
-        total = 0.0
-        for part, kj in zip(Lambda.separable_parts, k):
-            total += conjugate_point(part.fn, kj, x_min=part.domain_min).value
-        return -total
+        return -sum(float(part.conjugate_at([kj])[0][0])
+                    for part, kj in zip(Lambda.separable_parts, k))
     lo, hi = window
     axes = [np.linspace(lo, hi, samples_per_axis)] * Lambda.dimension
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -165,18 +159,20 @@ def _multi_normalization(Q: MultiGrowthFunction, caps: Sequence[int]) -> float:
     return max(0.0, -qmin)
 
 
-def _multi_conjugate(Q: MultiGrowthFunction, y: np.ndarray) -> float:
-    """Q*(y) = sup_x (x.y - Q(x)); exact per-axis for separable Q."""
+def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray) -> np.ndarray:
+    """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys.
+
+    Separable Q: one batched, exact per-axis conjugate per axis.
+    """
     if Q.separable:
-        return sum(conjugate_point(p.fn, float(yj), x_min=p.domain_min).value
-                   for p, yj in zip(Q.separable_parts, y))
+        return sum(p.conjugate_at(ys[:, j])[0] for j, p in enumerate(Q.separable_parts))
     # brute force over a nonnegative box (decay profiles live on k >= 0)
     axes = [np.linspace(0.0, 64.0, 257)] * Q.dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
     vals = np.asarray(Q.fn(pts), dtype=float)
-    inner = sum(mesh[j] * y[j] for j in range(Q.dimension))
-    return float(np.max(inner - vals))
+    return np.array([np.max(sum(mesh[j] * y[j] for j in range(Q.dimension)) - vals)
+                     for y in ys])
 
 
 def multi_max_bound(Q: MultiGrowthFunction, v,
@@ -218,7 +214,7 @@ def multi_max_bound(Q: MultiGrowthFunction, v,
     Y_vals = np.minimum(K_vals, U_vals)
     if not np.any(np.isfinite(Y_vals)):
         raise NoFiniteBoundError("Y(eps) infinite across the grid")
-    qstar = np.array([_multi_conjugate(Q, v / (1.0 - e)) for e in eps_grid])
+    qstar = _multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
     with np.errstate(divide="ignore"):
         objective = np.where(np.isfinite(Y_vals), np.log(Y_vals) + qstar, np.inf)
     j = int(np.argmin(objective))

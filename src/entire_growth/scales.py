@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import GrowthFunction, coeff_upper_bound_many, exp_of_exp, power_log
 from .errors import InputError
-from .legendre import conjugate_point
+from .legendre import conjugate_of_callable
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ def conjugate_numeric(scale: RegVarScale, x: float) -> float:
     The scale argument is lambda itself (not a log-radius), so the window
     cap is widened well past the log-domain default.
     """
-    return conjugate_point(scale, float(x), x_min=scale.domain_min,
-                           hard_cap=1e9).value
+    return float(conjugate_of_callable(scale, [float(x)], x_min=scale.domain_min,
+                                       hard_cap=1e9).gstars[0])
 
 
 def conjugate_ratio(scale: RegVarScale, x: float) -> float:
@@ -184,13 +184,7 @@ def example_33_check(C5: float, C6: float, C7: float, n_grid) -> DoubleExpReport
     n = np.asarray(n_grid, dtype=float)
     if np.any(n < 3):
         raise InputError("n_grid must lie in [3, inf)")
-    Lambda = exp_of_exp(C5=C5, C6=C6)
-    saturated = False
-    lam_star = np.empty(n.size)
-    for i, ni in enumerate(n):
-        cp = conjugate_point(Lambda.fn, float(ni))
-        lam_star[i] = cp.value
-        saturated = saturated or cp.saturated
+    lam_star, saturated = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
     leading = n * np.log(np.log(n))
     ratios = lam_star / leading
     return DoubleExpReport(n, lam_star, leading, ratios, math.log(C7), saturated)

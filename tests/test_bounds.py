@@ -58,8 +58,16 @@ class TestCoeffUpperBound:
                 -n * n / 4.0, rel=1e-9)
 
     def test_saturation_warns(self):
+        # Lambda(v) = v^2: the argmax n/2 = 1000 lies past the window cap
         with pytest.warns(WindowSaturationWarning):
-            coeff_upper_bound(power_of_exp(), 0)
+            coeff_upper_bound(power_log(C=1.0, m=2.0), 2000)
+
+    def test_zero_index_does_not_warn(self):
+        # sup_v -e^v = 0 is not attained; the bound 0 is exact, not loose
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WindowSaturationWarning)
+            assert coeff_upper_bound(power_of_exp(), 0) == pytest.approx(0.0, abs=1e-300)
+            coeff_upper_bound_many(power_of_exp(C=1.0, rho=2.0), np.arange(0.0, 50.0))
 
     def test_negative_n_rejected(self):
         with pytest.raises(InputError):
@@ -157,6 +165,29 @@ class TestMaxFunctionUpperBound:
         coarse, _ = max_function_upper_bound(Q, 2.0, eps_points=19)
         fine, _ = max_function_upper_bound(Q, 2.0, eps_points=199)
         assert fine <= coarse + 1e-12
+
+    def test_qstar_saturation_flag(self):
+        # v = 7: Q*(v/(1-eps*)) has its argmax past the window cap
+        _, rep = max_function_upper_bound(stirling_decay(), 7.0)
+        assert rep.qstar_saturated
+        _, rep = max_function_upper_bound(stirling_decay(), 2.0)
+        assert not rep.qstar_saturated
+
+    @pytest.mark.parametrize("Q, v, golden", [
+        (stirling_decay(), 2.0, 10.37967265198181),
+        (GrowthFunction("exp_decay", lambda n: gammaln(np.maximum(n, 0.0) + 1.0),
+                        domain_min=0.0), 2.5, 13.444256222356106),
+    ])
+    def test_refinement_not_above_golden_search(self, Q, v, golden):
+        # golden: the bound a 24-step golden-section refinement of the same
+        # bracket gives; the zoom must not exceed it by more than 1e-12, nor
+        # the minimum over the eps grid at all
+        bound, rep = max_function_upper_bound(Q, v)
+        assert bound <= golden + 1e-12
+        qstar, _ = Q.conjugate_at(v / (1.0 - rep.eps_grid))
+        assert bound <= np.min(np.log(rep.Y_vals) + qstar)
+        assert rep.S0 == min(k_sum(lambda n: Q.fn(n) + rep.normalization_shift, rep.eps_star),
+                             u_sum(lambda n: Q.fn(n) + rep.normalization_shift, rep.eps_star))
 
     def test_hypothesis_violation_rejected(self):
         # coefficients decaying slower than exp(-Q) must be refused

@@ -1,9 +1,12 @@
 """CLI plumbing: config parsing, exit codes, CSV contract, determinism."""
 
+import csv
 import hashlib
 import os
 
+import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from entire_growth.cli import main, run
 
@@ -87,6 +90,72 @@ class TestRunHappyPath:
         lines = (out / "parab" / "example_31.csv").read_text().splitlines()
         fit = float(lines[-1].split(",")[-1])
         assert fit == pytest.approx(2.0, abs=1e-3)
+
+
+class TestBatchedConjugates:
+    def test_no_scalar_conjugate_calls(self, tmp_path, monkeypatch):
+        # every closed-form conjugate goes through one batched call per query
+        # set; the one-query helper must not be reached from any analysis
+        import entire_growth
+        from entire_growth import (bounds, cli, entire, legendre, multivar, probgen,
+                                   scales)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("conjugate_point called")
+
+        for mod in (entire_growth, legendre, entire, bounds, scales, multivar,
+                    probgen, cli):
+            if hasattr(mod, "conjugate_point"):
+                monkeypatch.setattr(mod, "conjugate_point", scalar)
+        cfg = tmp_path / "batched.cfg"
+        cfg.write_text("[exp]\nfamily = exp\nanalyses = coeff_bound, upper_bound\n"
+                       "n_grid = 0:20\nv_grid = 1.0, 3.0\n\n"
+                       "[order2]\nfamily = power_order\nrho = 2\n"
+                       "analyses = coeff_bound\nn_grid = 0:20\n\n"
+                       "[dexp]\nfamily = double_exp\nanalyses = example_33\n"
+                       "n_grid = 10, 100\n\n"
+                       "[prod]\nfamily = factorized\nparts = exp, order2\n"
+                       "analyses = factorized\nn_grid = 0:9\nr_grid = 2.0, 3.0\n")
+        assert run(str(cfg), str(tmp_path / "out"), quiet=True, eps_points=19) == 0
+        pair = multivar.MultiGrowthFunction.from_separable(
+            [bounds.stirling_decay(), bounds.quadratic_decay(0.5)])
+        multivar.multi_max_bound(pair, (1.0, 2.0), eps_points=9)
+        multivar.multi_coeff_bound(multivar.MultiGrowthFunction.from_separable(
+            [bounds.power_of_exp(), bounds.power_of_exp()]), (3, 4))
+        bounds.coeff_upper_bound(bounds.power_of_exp(), 5)
+        scales.conjugate_numeric(scales.psi_scale(2.0, 1.0), 10.0)
+
+
+class TestUpperBoundTable:
+    @pytest.mark.parametrize("rho, s, zeros", [(1.5, 0.5, 0), (2.0, 0.0, 3)])
+    def test_table_bound_dominates_series(self, tmp_path, rho, s, zeros):
+        # a log-concave table, ln|c_n| = -(ln Gamma(n/rho + 1) + s n), whose
+        # first `zeros` coefficients vanish
+        ns = np.arange(300, dtype=float)
+        ln_c = -(gammaln(ns / rho + 1.0) + s * ns)
+        ln_c[:zeros] = -np.inf
+        (tmp_path / "c.csv").write_text("n,ln_abs_c\n" + "".join(
+            f"{int(n)},{'ZERO' if v == -np.inf else repr(float(v))}\n"
+            for n, v in zip(ns, ln_c)))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("[t]\nfamily = custom_coeff_csv\npath = c.csv\n"
+                       "analyses = upper_bound\nv_grid = 1, 2, 4\n")
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 0
+        with open(out / "t" / "upper_bound.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"]
+        for row in rows[1:]:
+            v, bound = float(row[0]), float(row[1])
+            assert bound >= logsumexp(ln_c + ns * v)
+            assert row[5] in ("0", "1")
+
+    def test_single_row_table_refused(self, tmp_path):
+        (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,ZERO\n1,0.0\n")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("[t]\nfamily = custom_coeff_csv\npath = c.csv\n"
+                       "analyses = upper_bound\nv_grid = 1\n")
+        assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 3
 
 
 class TestErrorPaths:

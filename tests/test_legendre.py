@@ -193,6 +193,17 @@ class TestAdaptiveConjugate:
         # linear fn: argmax runs off to the cap for y above the slope
         cp = conjugate_point(lambda x: 2.0 * np.asarray(x, float), 3.0)
         assert cp.saturated
+        # Stirling decay at y = 7: argmax e^7 > 700 lies past the cap
+        stirling = lambda n: np.where(n > 0, n * np.log(np.maximum(n, 1e-300)) - n, 0.0)
+        assert conjugate_point(stirling, 7.0, x_min=0.0).saturated
+        # v^2 at n = 2000: argmax n/2 = 1000 lies past the cap
+        assert conjugate_point(lambda v: np.asarray(v, float) ** 2, 2000.0).saturated
+
+    def test_supremum_at_infinity_not_flagged(self):
+        # sup_x -e^x = 0 is approached only as x -> -inf: nothing is lost at the cap
+        cp = conjugate_point(np.exp, 0.0)
+        assert not cp.saturated
+        assert cp.value == pytest.approx(0.0, abs=1e-300)
 
     def test_x_min_pins_left_edge(self):
         # sup over x >= 0 of x*y - x^2 is 0 for y <= 0

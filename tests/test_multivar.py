@@ -80,6 +80,21 @@ class TestMultiMaxBound:
         np.testing.assert_allclose(big_rep.K_vals, rep.K_vals, rtol=1e-12)
         np.testing.assert_allclose(big_rep.U_vals, rep.U_vals, rtol=1e-12)
 
+    def test_batched_qstar_matches_scalar_reference(self):
+        # one batched conjugate per axis over every eps row equals, bit for
+        # bit, the per-eps, per-axis scalar conjugates it replaced
+        from entire_growth import multivar
+        from entire_growth.bounds import quadratic_decay, stirling_decay
+        from entire_growth.legendre import conjugate_point
+        Q = MultiGrowthFunction.from_separable([stirling_decay(), quadratic_decay(0.5)])
+        v = np.array([2.0, 4.0])
+        eps_grid = np.arange(1, 40) / 40.0
+        ref = np.array([sum(conjugate_point(p.fn, float(yj), x_min=p.domain_min).value
+                            for p, yj in zip(Q.separable_parts, v / (1.0 - e)))
+                        for e in eps_grid])
+        got = multivar._multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
+        np.testing.assert_array_equal(got, ref)
+
 
 def _decay_pair():
     """Separable decay Q(k1, k2) = sum of n ln n - n per axis."""
