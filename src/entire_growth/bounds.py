@@ -23,7 +23,7 @@ from .errors import (
     PolynomialInputError,
     WindowSaturationWarning,
 )
-from .legendre import _lower_hull_indices, conjugate_of_callable
+from .legendre import WINDOW_HARD_CAP, _lower_hull_indices, conjugate_of_callable
 
 DEFAULT_EPS_POINTS = 199
 # Refinement of eps* around the grid minimum: each stage evaluates
@@ -39,7 +39,9 @@ class GrowthFunction:
 
     domain_min pins the left edge of the domain used for conjugation
     (None means all of R); v_min is the validity threshold for ratio
-    diagnostics such as the gamma condition.
+    diagnostics such as the gamma condition.  The conjugate window is capped
+    in the profile's own units: WINDOW_HARD_CAP log-radius units on R, and
+    entire.MAX_TERMS (the series kernel's term bound) on an index domain.
     """
 
     name: str
@@ -56,7 +58,8 @@ class GrowthFunction:
 
     def conjugate_at(self, ys):
         """Adaptive-window conjugate values; returns (values, saturated flag)."""
-        table = conjugate_of_callable(self.fn, ys, x_min=self.domain_min)
+        cap = WINDOW_HARD_CAP if self.domain_min is None else entire.MAX_TERMS
+        table = conjugate_of_callable(self.fn, ys, x_min=self.domain_min, hard_cap=cap)
         return table.gstars, table.window_saturated
 
     def conjugate(self) -> "GrowthFunction":
@@ -151,12 +154,11 @@ def coeff_upper_bound(Lambda: GrowthFunction, n: int) -> float:
 
 def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     """Vectorized -Lambda*(n) over an index grid."""
-    table = conjugate_of_callable(Lambda.fn, np.asarray(ns, float),
-                                  x_min=Lambda.domain_min)
-    if table.window_saturated:
+    lstar, saturated = Lambda.conjugate_at(np.asarray(ns, float))
+    if saturated:
         warnings.warn(f"conjugate window saturated for {Lambda.name}",
                       WindowSaturationWarning)
-    return -table.gstars
+    return -lstar
 
 
 def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -212,16 +214,9 @@ class EpsilonReport:
 
 def _normalization_shift(Q: GrowthFunction) -> float:
     """Shift a making Q + a >= 0 with (Q + a)(0) >= 0 (convex Q)."""
-    lo = Q.domain_min if Q.domain_min is not None else -WINDOW_SCAN
-    vals = []
-    grid = np.linspace(lo, lo + 64.0, 2049)
-    vals.append(float(np.min(Q(grid))))
     # convex profiles are increasing past their minimum; 64 log-units suffice
-    qmin = min(vals)
-    return max(0.0, -qmin)
-
-
-WINDOW_SCAN = 64.0
+    lo = Q.domain_min if Q.domain_min is not None else -64.0
+    return max(0.0, -float(np.min(Q(np.linspace(lo, lo + 64.0, 2049)))))
 
 
 def max_function_upper_bound(Q: GrowthFunction, v: float,
@@ -349,8 +344,7 @@ def tauberian_report(f: CoefficientSequence, Lambda: GrowthFunction,
     if np.any(lam <= 0):
         raise InvalidGrowthError(f"{Lambda.name} must be positive on ln(r_grid)")
     lhs = np.array([log_max_function(f, ri) for ri in r]) / lam
-    table = conjugate_of_callable(Lambda.fn, n, x_min=Lambda.domain_min)
-    lstar = table.gstars
+    lstar, _ = Lambda.conjugate_at(n)
     ok = np.isfinite(lstar) & (lstar > 0)
     excluded = n[~ok]
     la = f.log_abs_array(n[ok])

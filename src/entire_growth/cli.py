@@ -80,6 +80,21 @@ def _parse_ints(text: str) -> np.ndarray:
     return np.asarray([int(t) for t in text.split(",") if t.strip()])
 
 
+def _parse_key(name: str, section, key: str, default: str, parse):
+    """Parse one key of a section; bad text, an empty grid or a value that
+    is not finite is a ConfigError."""
+    text = section.get(key, default)
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] bad {key} {text!r}: {exc}")
+    if isinstance(value, np.ndarray) and value.size == 0:
+        raise ConfigError(f"[{name}] {key} {text!r} is empty")
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"[{name}] {key} {text!r} is not finite")
+    return value
+
+
 class FunctionSpec:
     """One parsed config section: a family plus its analysis requests."""
 
@@ -97,14 +112,14 @@ class FunctionSpec:
                 raise ConfigError(f"[{name}] unknown analysis {a!r}")
         self.params = dict(section)
         self.config_dir = config_dir
-        self.n_grid = _parse_ints(section.get("n_grid", "1:200"))
-        self.r_grid = _parse_floats(section.get("r_grid",
-                                                "2.718281828459045,7.389056098930650,"
-                                                "20.085536923187668,54.598150033144236"))
-        self.v_grid = _parse_floats(section.get("v_grid", "0.5:4.0:8"))
-        self.eps0 = float(section.get("eps0", "0.5"))
-        self.n_min = int(section.get("n_min", "100"))
-        self.n_max = int(section.get("n_max", "1000"))
+        self.n_grid = _parse_key(name, section, "n_grid", "1:200", _parse_ints)
+        self.r_grid = _parse_key(name, section, "r_grid",
+                                 "2.718281828459045,7.389056098930650,"
+                                 "20.085536923187668,54.598150033144236", _parse_floats)
+        self.v_grid = _parse_key(name, section, "v_grid", "0.5:4.0:8", _parse_floats)
+        self.eps0 = _parse_key(name, section, "eps0", "0.5", float)
+        self.n_min = _parse_key(name, section, "n_min", "100", int)
+        self.n_max = _parse_key(name, section, "n_max", "1000", int)
         self.parts = [p.strip() for p in section.get("parts", "").split(",")
                       if p.strip()]
         self._validate()
@@ -128,6 +143,14 @@ class FunctionSpec:
             if a not in allowed:
                 raise ConfigError(
                     f"[{self.name}] analysis {a!r} unsupported for family {fam}")
+        # build the family's models now, so a bad parameter is a config error
+        try:
+            if fam in ("exp", "power_order", "custom_coeff_csv", "poisson"):
+                self.coefficients()
+            if fam != "factorized":
+                self.growth()
+        except (ValueError, EntireGrowthError) as exc:
+            raise ConfigError(f"[{self.name}] family {fam}: {exc}")
 
     def _allowed_analyses(self) -> Tuple[str, ...]:
         common = ("upper_bound", "gamma")

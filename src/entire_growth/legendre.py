@@ -218,16 +218,18 @@ class ConjugatePoint:
     saturated: bool
 
 
-def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-                iters: int = 90):
-    """Vectorized golden-section maximization of a concave h on [lo, hi]."""
+def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """Vectorized golden-section maximization of a concave h on [lo, hi].
+
+    120 steps shrink the bracket by 0.618^120 ~ 1e-25 of its width.
+    """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     hc = h(c)
     hd = h(d)
-    for _ in range(iters):
+    for _ in range(120):
         left = hc >= hd  # keep smaller x on ties
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
@@ -241,53 +243,47 @@ def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
 
 def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
                           x_min: Optional[float] = None,
-                          hard_cap: float = WINDOW_HARD_CAP,
-                          max_doublings: int = 40):
-    """Conjugate sup_x (x*y - fn(x)) of a convex callable on expanding windows.
+                          hard_cap: float = WINDOW_HARD_CAP):
+    """Conjugate sup_x (x*y - fn(x)) of a convex callable: expand, then search.
 
-    The window is doubled until every argmax is strictly interior or the hard
-    cap is reached.  A boundary argmax at the cap sets the saturated flag
-    while x*y - fn(x) still rises across the last unit before the cap by
-    more than 1e-12 (1 + |value|); a supremum approached only at infinity
-    (e.g. sup_x -e^x = 0) is not flagged.  x_min pins the left edge of
-    Dom[fn] (e.g. 0 for index-domain functions).  Elementwise in ys: one
-    batched call equals a loop of one-query calls bit for bit.  Returns a
-    ConjugateTable (ys need not be sorted).
+    Each window edge doubles while h(x) = x*y - fn(x) still rises across the
+    edge's last unit, up to the hard cap.  h is concave, so an edge where it
+    no longer rises proves the argmax lies inside; one golden-section search
+    on the final window then finds it.  An edge at the cap sets the saturated
+    flag while h still rises there by more than 1e-12 (1 + |value|); a
+    supremum approached only at infinity (e.g. sup_x -e^x = 0) is not
+    flagged.  x_min pins the left edge of Dom[fn] (e.g. 0 for index-domain
+    functions).  Elementwise in ys: one batched call equals a loop of
+    one-query calls bit for bit.  Returns a ConjugateTable (ys need not be
+    sorted).
     """
     ys_arr = np.atleast_1d(np.asarray(ys, dtype=float))
 
-    def h_of(y):
-        def h(v):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = y * v - np.asarray(fn(v), dtype=float)
-            return np.where(np.isnan(out), -np.inf, out)
-        return h
+    def h(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ys_arr * v - np.asarray(fn(v), dtype=float)
+        return np.where(np.isnan(out), -np.inf, out)
+
+    def rise(edge, inner):
+        with np.errstate(invalid="ignore"):  # -inf - -inf past Dom[fn]: not rising
+            return h(edge) - h(inner)
 
     left_fixed = x_min is not None
     lo = np.full(ys_arr.shape, x_min if left_fixed else -1.0)
     hi = np.maximum(lo + 2.0, 1.0)
-    h = h_of(ys_arr)
-    at_right = at_left = np.zeros(ys_arr.shape, dtype=bool)
-    for _ in range(max_doublings):
-        arg, _val = _golden_max(h, lo, hi)
-        width = hi - lo
-        need_right = (hi - arg) < 0.01 * width
-        need_left = np.zeros_like(need_right) if left_fixed else ((arg - lo) < 0.01 * width)
-        grow_right = need_right & (hi < hard_cap)
-        grow_left = need_left & (lo > -hard_cap)
-        at_right = need_right & (hi >= hard_cap)
-        at_left = need_left & (lo <= -hard_cap)
+    while True:
+        rise_right = rise(hi, hi - 1.0)
+        rise_left = np.full(ys_arr.shape, -np.inf) if left_fixed else rise(lo, lo + 1.0)
+        grow_right = (rise_right > 0) & (hi < hard_cap)
+        grow_left = (rise_left > 0) & (lo > -hard_cap)
         if not np.any(grow_right | grow_left):
             break
-        old_lo, old_hi = lo, hi
-        hi = np.where(grow_right, np.minimum(old_lo + 2.0 * width, hard_cap), old_hi)
-        lo = np.where(grow_left, np.maximum(old_hi - 2.0 * width, -hard_cap), old_lo)
-    arg, val = _golden_max(h, lo, hi, iters=120)
-    # polish: the window interior maximum of a concave function
+        width = hi - lo
+        hi, lo = (np.where(grow_right, np.minimum(lo + 2.0 * width, hard_cap), hi),
+                  np.where(grow_left, np.maximum(hi - 2.0 * width, -hard_cap), lo))
+    arg, val = _golden_max(h, lo, hi)
     tol = 1e-12 * (1.0 + np.abs(val))
-    with np.errstate(invalid="ignore"):  # -inf - -inf past Dom[fn]: not rising
-        saturated = (at_right & (h(hi) - h(hi - 1.0) > tol)) | \
-            (at_left & (h(lo) - h(lo + 1.0) > tol))
+    saturated = (rise_right > tol) | (rise_left > tol)
     return ConjugateTable(ys_arr, val, arg, window_saturated=bool(np.any(saturated)))
 
 

@@ -167,10 +167,33 @@ class TestMaxFunctionUpperBound:
         assert fine <= coarse + 1e-12
 
     def test_qstar_saturation_flag(self):
-        # v = 7: Q*(v/(1-eps*)) has its argmax past the window cap
-        _, rep = max_function_upper_bound(stirling_decay(), 7.0)
+        # v = 7: the argmax e^(v/(1-eps*)) of Q* lies inside the index window
+        bound, rep = max_function_upper_bound(stirling_decay(), 7.0)
+        assert not rep.qstar_saturated
+        assert bound >= r_sum(stirling_decay(), 7.0)
+        # v = 14: e^14 > 10^6 = MAX_TERMS, past the cap of an index domain
+        _, rep = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
         assert rep.qstar_saturated
         _, rep = max_function_upper_bound(stirling_decay(), 2.0)
+        assert not rep.qstar_saturated
+
+    @pytest.mark.parametrize("family, v", [("stirling", 7.0), ("stirling", 9.0),
+                                           ("order2", 3.25), ("order2", 3.5),
+                                           ("order2", 4.0)])
+    def test_sandwich_argmax_past_log_cap(self, family, v):
+        # Q*(v/(1-eps)) has its argmax n* > 700: the window of an index
+        # domain reaches MAX_TERMS, so the bound stays above ln R_Q
+        if family == "stirling":
+            Q, f = stirling_decay(), exp_coefficients()
+        else:
+            Q = GrowthFunction("order2_decay", domain_min=0.0,
+                               fn=lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0))
+            f = gamma_order_coefficients(2.0)
+        ln_m = log_max_function(f, math.exp(v))
+        ln_r = r_sum(Q, v)
+        bound, rep = max_function_upper_bound(Q, v)
+        assert ln_m <= ln_r + 1e-12 * (1.0 + abs(ln_r))
+        assert ln_r <= bound
         assert not rep.qstar_saturated
 
     @pytest.mark.parametrize("Q, v, golden", [

@@ -206,6 +206,19 @@ class TestErrorPaths:
             assert "config error" in err and "c.csv line 3" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["n_grid = 1:abc", "n_grid = 5:1", "v_grid = 1:2:x",
+                                      "eps0 = abc", "rho = -1", "v_grid = 1, nan"])
+    def test_hostile_key_exit_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        rho = "" if line.startswith("rho") else "rho = 2\n"
+        cfg.write_text(f"[x]\nfamily = power_order\n{rho}"
+                       f"analyses = coeff_bound, gamma\n{line}\n")
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_module_error_exit_three_with_partial_flush(self, tmp_path):
         # gamma requires v >= 1; coeff_bound before it still lands on disk
         cfg = tmp_path / "half.cfg"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entire_growth.entire import MAX_TERMS
 from entire_growth.errors import (
     DomainDegenerateError,
     ExtrapolationError,
@@ -209,6 +210,33 @@ class TestAdaptiveConjugate:
         # sup over x >= 0 of x*y - x^2 is 0 for y <= 0
         cp = conjugate_point(lambda x: np.asarray(x, float) ** 2, -1.0, x_min=0.0)
         assert cp.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_argmax_past_log_cap_on_index_domain(self):
+        # Stirling decay at y = 7: argmax e^7 ~ 1097; the window expands to
+        # the index cap and one golden search finds Q*(7) = e^7
+        calls = []
+
+        def stirling(n):
+            calls.append(1)
+            n = np.asarray(n, dtype=float)
+            return np.where(n > 0, n * np.log(np.maximum(n, 1e-300)) - n, 0.0)
+
+        t = conjugate_of_callable(stirling, [7.0], x_min=0.0, hard_cap=MAX_TERMS)
+        assert t.gstars[0] == pytest.approx(math.exp(7.0), rel=1e-12)
+        assert t.argmax_xs[0] == pytest.approx(math.exp(7.0), rel=1e-6)
+        assert not t.window_saturated
+        assert len(calls) <= 300
+
+    def test_one_golden_search_per_call(self, monkeypatch):
+        from entire_growth import legendre
+        searches = []
+        golden = legendre._golden_max
+        monkeypatch.setattr(legendre, "_golden_max",
+                            lambda *a: searches.append(1) or golden(*a))
+        ys = np.array([0.0, 0.5, 3.0, 50.0, 600.0])
+        t = conjugate_of_callable(lambda x: np.asarray(x, float) ** 2, ys)
+        np.testing.assert_allclose(t.gstars, ys ** 2 / 4.0, rtol=1e-12, atol=1e-12)
+        assert len(searches) == 1
 
     def test_unsorted_query_grid(self):
         ys = np.array([5.0, 1.0, 3.0])

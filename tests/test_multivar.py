@@ -85,11 +85,13 @@ class TestMultiMaxBound:
         # bit, the per-eps, per-axis scalar conjugates it replaced
         from entire_growth import multivar
         from entire_growth.bounds import quadratic_decay, stirling_decay
+        from entire_growth.entire import MAX_TERMS
         from entire_growth.legendre import conjugate_point
         Q = MultiGrowthFunction.from_separable([stirling_decay(), quadratic_decay(0.5)])
         v = np.array([2.0, 4.0])
         eps_grid = np.arange(1, 40) / 40.0
-        ref = np.array([sum(conjugate_point(p.fn, float(yj), x_min=p.domain_min).value
+        ref = np.array([sum(conjugate_point(p.fn, float(yj), x_min=p.domain_min,
+                                            hard_cap=MAX_TERMS).value
                             for p, yj in zip(Q.separable_parts, v / (1.0 - e)))
                         for e in eps_grid])
         got = multivar._multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
