@@ -58,8 +58,6 @@ from .scales import (
     conjugate_numeric,
     conjugate_ratio,
     example_31_check,
-    example_31_closed_form,
-    example_32_bound,
     example_33_check,
     phi_scale,
     psi_scale,

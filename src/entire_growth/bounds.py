@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import lambertw, xlogy
 
 from . import entire
 from .entire import CoefficientSequence, log_max_function, log_series
@@ -35,20 +36,20 @@ ZOOM_STAGES = 5
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """Evaluable growth (or decay) profile with convexity metadata.
+    """Convex growth (or decay) profile, with its exact conjugate when known.
 
-    domain_min pins the left edge of the domain used for conjugation
-    (None means all of R); v_min is the validity threshold for ratio
-    diagnostics such as the gamma condition.  The conjugate window is capped
-    in the profile's own units: WINDOW_HARD_CAP log-radius units on R, and
-    entire.MAX_TERMS (the series kernel's term bound) on an index domain.
+    domain_min pins the left edge of the domain (None means all of R).  conj
+    is the conjugate sup_x (x y - fn(x)) over that domain as a vectorized
+    callable, +inf where the sup is infinite; every named constructor sets
+    it.  Without it, conjugate_at runs the adaptive search, whose window is
+    capped in the profile's own units: WINDOW_HARD_CAP log-radius units on R,
+    and entire.MAX_TERMS (the series kernel's term bound) on an index domain.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    convex: bool = True
     domain_min: Optional[float] = None
-    v_min: float = 1.0
+    conj: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -57,40 +58,57 @@ class GrowthFunction:
         return out if out.ndim else float(out)
 
     def conjugate_at(self, ys):
-        """Adaptive-window conjugate values; returns (values, saturated flag)."""
+        """Conjugate values at ys; returns (values, window saturated flag)."""
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        if self.conj is not None:
+            with np.errstate(over="ignore"):
+                return np.asarray(self.conj(ys), dtype=float), False
         cap = WINDOW_HARD_CAP if self.domain_min is None else entire.MAX_TERMS
         table = conjugate_of_callable(self.fn, ys, x_min=self.domain_min, hard_cap=cap)
         return table.gstars, table.window_saturated
 
     def conjugate(self) -> "GrowthFunction":
-        """Conjugate profile as a new evaluable GrowthFunction."""
-
-        def fn(ys):
-            vals, _ = self.conjugate_at(np.atleast_1d(ys))
-            return vals
-
-        return GrowthFunction(f"{self.name}*", fn, convex=True, domain_min=None,
-                              v_min=self.v_min)
+        """The conjugate profile.  Its conjugate is this profile (fn** = fn
+        for convex fn), +inf below domain_min, so no search runs inside
+        another."""
+        fn, lo = self.fn, self.domain_min
+        if lo is not None:
+            fn = lambda x: np.where(np.asarray(x, float) < lo, np.inf,
+                                    self.fn(np.maximum(x, lo)))
+        forward = self.conj or (lambda ys: self.conjugate_at(ys)[0])
+        return GrowthFunction(f"{self.name}*", forward, conj=fn)
 
 
 def power_of_exp(C: float = 1.0, rho: float = 1.0) -> GrowthFunction:
-    """Lambda(v) = C e^(rho v): order-rho growth."""
+    """Lambda(v) = C e^(rho v): order-rho growth.  Lambda*(n) = (n/rho)
+    (ln(n/(C rho)) - 1), Lambda*(0) = 0 (not attained), +inf for n < 0."""
     if C <= 0 or rho <= 0:
         raise InputError("C and rho must be positive")
+
+    def conj(n):
+        k = np.maximum(n, 0.0) / rho
+        return np.where(n < 0, np.inf, xlogy(k, k / C) - k)
+
     return GrowthFunction(f"power_of_exp(C={C:g},rho={rho:g})",
-                          lambda v: C * np.exp(rho * np.asarray(v, float)))
+                          lambda v: C * np.exp(rho * np.asarray(v, float)), conj=conj)
 
 
 def power_log(C: float = 1.0, m: float = 2.0) -> GrowthFunction:
-    """Lambda(v) = C |v|^m: logarithmic-power growth (m > 1)."""
+    """Lambda(v) = C |v|^m: logarithmic-power growth (m > 1).
+    Lambda*(n) = (m - 1) C (|n|/(m C))^(m/(m-1))."""
     if C <= 0 or m <= 1:
         raise InputError("need C > 0 and m > 1")
-    return GrowthFunction(f"power_log(C={C:g},m={m:g})",
-                          lambda v: C * np.abs(np.asarray(v, float)) ** m)
+    return GrowthFunction(
+        f"power_log(C={C:g},m={m:g})",
+        lambda v: C * np.abs(np.asarray(v, float)) ** m,
+        conj=lambda n: (m - 1.0) * C * (np.abs(n) / (m * C)) ** (m / (m - 1.0)))
 
 
 def exp_of_exp(C5: float = 1.0, C6: float = 1.0) -> GrowthFunction:
-    """Lambda(v) = C5 e^(C6 e^v): double-exponential growth."""
+    """Lambda(v) = C5 e^(C6 e^v): double-exponential growth.  Lambda*(n) =
+    n ln(u/C6) - n/u at C6 e^v = u = W(n/C5) (Lambert W; Corless et al.,
+    Adv. Comput. Math. 5, 1996), Lambda*(0) = -C5 (not attained), +inf for
+    n < 0."""
     if C5 <= 0 or C6 <= 0:
         raise InputError("C5 and C6 must be positive")
 
@@ -98,25 +116,33 @@ def exp_of_exp(C5: float = 1.0, C6: float = 1.0) -> GrowthFunction:
         with np.errstate(over="ignore"):
             return C5 * np.exp(C6 * np.exp(np.asarray(v, float)))
 
-    return GrowthFunction(f"exp_of_exp(C5={C5:g},C6={C6:g})", fn)
+    def conj(n):
+        k = np.where(n > 0, n, 1.0)  # keeps W, ln and 1/u finite off n > 0
+        u = lambertw(k / C5).real
+        return np.where(n > 0, k * np.log(u / C6) - k / u,
+                        np.where(n < 0, np.inf, -C5))
+
+    return GrowthFunction(f"exp_of_exp(C5={C5:g},C6={C6:g})", fn, conj=conj)
 
 
 def stirling_decay() -> GrowthFunction:
-    """Q(n) = n ln n - n (Q(0) = 0): the exp-family coefficient decay."""
+    """Q(n) = n ln n - n (Q(0) = 0): the exp-family coefficient decay.
+    Q*(y) = e^y."""
 
     def fn(n):
         n = np.asarray(n, dtype=float)
         return np.where(n > 0, n * np.log(np.maximum(n, 1e-300)) - n, 0.0)
 
-    return GrowthFunction("stirling_decay", fn, domain_min=0.0)
+    return GrowthFunction("stirling_decay", fn, domain_min=0.0, conj=np.exp)
 
 
 def quadratic_decay(a: float = 0.5) -> GrowthFunction:
-    """Q(n) = a n^2."""
+    """Q(n) = a n^2 on n >= 0; Q*(y) = max(y, 0)^2 / (4a)."""
     if a <= 0:
         raise InputError("a must be positive")
     return GrowthFunction(f"quadratic_decay(a={a:g})",
-                          lambda n: a * np.asarray(n, float) ** 2, domain_min=0.0)
+                          lambda n: a * np.asarray(n, float) ** 2, domain_min=0.0,
+                          conj=lambda y: np.maximum(y, 0.0) ** 2 / (4.0 * a))
 
 
 def table_decay(f: CoefficientSequence) -> GrowthFunction:
@@ -158,7 +184,7 @@ def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     if saturated:
         warnings.warn(f"conjugate window saturated for {Lambda.name}",
                       WindowSaturationWarning)
-    return -lstar
+    return 0.0 - lstar  # +0.0, not -0.0, where Lambda*(n) = 0
 
 
 def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -168,18 +194,19 @@ def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]) -> float:
 
 
 def k_sum(decay: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """K(eps) = sum_n exp(-eps * decay(n)); +inf marks divergence."""
+    """ln K(eps) = ln sum_n exp(-eps * decay(n)); +inf marks divergence."""
     if not 0 < eps < 1:
         raise InputError("eps must lie in (0, 1)")
-    return float(np.exp(_log_sum(lambda ns: -eps * np.asarray(decay(ns), float))))
+    return _log_sum(lambda ns: -eps * np.asarray(decay(ns), float))
 
 
 def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """U(eps) = sum_n exp(decay((1-eps) n) - decay(n)); +inf marks divergence."""
+    """ln U(eps) = ln sum_n exp(decay((1-eps) n) - decay(n)); +inf marks
+    divergence."""
     if not 0 < eps < 1:
         raise InputError("eps must lie in (0, 1)")
-    return float(np.exp(_log_sum(lambda ns: np.asarray(decay((1.0 - eps) * ns), float)
-                                 - np.asarray(decay(ns), float))))
+    return _log_sum(lambda ns: np.asarray(decay((1.0 - eps) * ns), float)
+                    - np.asarray(decay(ns), float))
 
 
 def r_sum(Q: GrowthFunction, v: float) -> float:
@@ -187,9 +214,21 @@ def r_sum(Q: GrowthFunction, v: float) -> float:
     return _log_sum(lambda ns: ns * v - np.asarray(Q.fn(ns), float))
 
 
+def _y_branches(eps, ln_k0, ln_u, qstar):
+    """(ln K, ln Y, ln Y + Q*(y)) at each eps, y = v/(1-eps).  Each term of R_Q(v)
+    splits two ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y - Q(n)) and
+    = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <=
+    ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U
+    sums.  ln K is +inf where Q*(y) is, so the bound there is +inf, not NaN."""
+    ln_k = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
+    ln_y = np.minimum(ln_k, ln_u)
+    return ln_k, ln_y, ln_y + qstar
+
+
 @dataclass(frozen=True)
 class EpsilonReport:
-    """K/U/Y values over the eps grid and the minimizing eps for the bound.
+    """ln K, ln U and ln Y over the eps grid (see _y_branches), and the
+    minimizing eps: bound = ln Y(eps*) + Q*(v/(1 - eps*)) and S0 = Y(eps*).
 
     qstar_saturated: the Q* window hit its cap at v/(1 - eps_star), so
     Q*(v/(1 - eps_star)) may fall short and the bound may be too low (set
@@ -197,13 +236,12 @@ class EpsilonReport:
     """
 
     eps_grid: np.ndarray
-    K_vals: np.ndarray
-    U_vals: np.ndarray
-    Y_vals: np.ndarray
+    ln_k: np.ndarray
+    ln_u: np.ndarray
+    ln_y: np.ndarray
     eps_star: float
     S0: float
     bound: float
-    normalization_shift: float = 0.0
     qstar_saturated: bool = False
 
     @property
@@ -212,25 +250,15 @@ class EpsilonReport:
         return 1.0 / (1.0 - self.eps_star)
 
 
-def _normalization_shift(Q: GrowthFunction) -> float:
-    """Shift a making Q + a >= 0 with (Q + a)(0) >= 0 (convex Q)."""
-    # convex profiles are increasing past their minimum; 64 log-units suffice
-    lo = Q.domain_min if Q.domain_min is not None else -64.0
-    return max(0.0, -float(np.min(Q(np.linspace(lo, lo + 64.0, 2049)))))
-
-
 def max_function_upper_bound(Q: GrowthFunction, v: float,
                              eps_points: int = DEFAULT_EPS_POINTS,
                              coeffs: Optional[CoefficientSequence] = None):
     """Upper bound on ln R_Q(v) (hence on ln M_f(e^v)) via the eps scan.
 
     Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  Returns (log_bound,
-    EpsilonReport).  The bound is min over eps of ln Y(eps) + Q*(v/(1-eps)),
-    where K and U are computed from the normalized decay Q + a and the
-    normalization cancels against the conjugate shift.
+    EpsilonReport).  The bound is min over eps of ln Y(eps) + Q*(v/(1-eps))
+    (see _y_branches).
     """
-    if not Q.convex:
-        raise InputError("Q must be convex (Q** = Q is used directly)")
     if coeffs is not None:
         ns = np.arange(0, 1001)
         la = coeffs.log_abs_array(ns)
@@ -239,38 +267,33 @@ def max_function_upper_bound(Q: GrowthFunction, v: float,
         if bad.size:
             raise InputError(
                 f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
-    a = _normalization_shift(Q)
-    decay = lambda ns: np.asarray(Q.fn(ns), dtype=float) + a
+
+    def scan(eps):
+        """ln K, ln U, ln Y and ln Y + Q*(v/(1-eps)) at each eps."""
+        ln_k0 = np.array([k_sum(Q.fn, e) for e in eps])
+        ln_u = np.array([u_sum(Q.fn, e) for e in eps])
+        qstar, _ = Q.conjugate_at(v / (1.0 - eps))
+        ln_k, ln_y, obj = _y_branches(eps, ln_k0, ln_u, qstar)
+        return ln_k, ln_u, ln_y, obj
 
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
-    K_vals = np.array([k_sum(decay, e) for e in eps_grid])
-    U_vals = np.array([u_sum(decay, e) for e in eps_grid])
-    Y_vals = np.minimum(K_vals, U_vals)
-    if not np.any(np.isfinite(Y_vals)):
+    ln_k, ln_u, ln_y, obj = scan(eps_grid)
+    if not np.any(np.isfinite(ln_y)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {Q.name}")
-
-    def objective(eps, Y):
-        qstar, _ = Q.conjugate_at(v / (1.0 - eps))
-        with np.errstate(divide="ignore"):
-            return np.where(np.isfinite(Y), np.log(Y) + qstar, np.inf)
-
-    obj = objective(eps_grid, Y_vals)
     j = int(np.argmin(obj))
-    eps_star, bound, s0 = eps_grid[j], obj[j], Y_vals[j]
+    eps_star, bound, ln_s0 = eps_grid[j], obj[j], ln_y[j]
     # zoom into the grid neighbours of the minimum; never above the grid value
     pts = eps_grid[max(j - 1, 0):j + 2]
     for _ in range(ZOOM_STAGES):
         pts = np.linspace(pts[0], pts[-1], ZOOM_POINTS)
-        Y = np.array([min(k_sum(decay, e), u_sum(decay, e)) for e in pts])
-        obj = objective(pts, Y)
-        i = int(np.argmin(obj))
-        if obj[i] < bound:
-            eps_star, bound, s0 = pts[i], obj[i], Y[i]
+        _, _, ln_y_z, obj_z = scan(pts)
+        i = int(np.argmin(obj_z))
+        if obj_z[i] < bound:
+            eps_star, bound, ln_s0 = pts[i], obj_z[i], ln_y_z[i]
         pts = pts[max(i - 1, 0):i + 2]
-    _, saturated = Q.conjugate_at([v / (1.0 - eps_star)])
-    report = EpsilonReport(eps_grid, K_vals, U_vals, Y_vals,
-                           float(eps_star), float(s0), float(bound),
-                           normalization_shift=a, qstar_saturated=saturated)
+    _, saturated = Q.conjugate_at(v / (1.0 - eps_star))
+    report = EpsilonReport(eps_grid, ln_k, ln_u, ln_y, float(eps_star),
+                           float(np.exp(ln_s0)), float(bound), saturated)
     return float(bound), report
 
 

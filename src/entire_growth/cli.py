@@ -72,12 +72,16 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _parse_ints(text: str) -> np.ndarray:
-    """Grid syntax: 'a, b, c' literal values or 'lo:hi' inclusive range."""
+    """Index grid: 'a, b, c' literal values or 'lo:hi' inclusive range, every
+    entry in [0, entire.MAX_TERMS] (checked before a range is built)."""
     text = text.strip()
-    if ":" in text and "," not in text:
-        lo, hi = text.split(":")
-        return np.arange(int(lo), int(hi) + 1)
-    return np.asarray([int(t) for t in text.split(",") if t.strip()])
+    is_range = ":" in text and "," not in text
+    ints = [int(t) for t in text.split(":" if is_range else ",") if t.strip()]
+    if is_range and len(ints) != 2:
+        raise ValueError("a range is 'lo:hi'")
+    if not all(0 <= n <= entire.MAX_TERMS for n in ints):
+        raise ValueError(f"entries must lie in [0, {entire.MAX_TERMS}]")
+    return np.arange(ints[0], ints[1] + 1) if is_range else np.asarray(ints)
 
 
 def _parse_key(name: str, section, key: str, default: str, parse):
@@ -116,6 +120,8 @@ class FunctionSpec:
         self.r_grid = _parse_key(name, section, "r_grid",
                                  "2.718281828459045,7.389056098930650,"
                                  "20.085536923187668,54.598150033144236", _parse_floats)
+        if np.any(self.r_grid <= 0):
+            raise ConfigError(f"[{name}] r_grid entries must be positive")
         self.v_grid = _parse_key(name, section, "v_grid", "0.5:4.0:8", _parse_floats)
         self.eps0 = _parse_key(name, section, "eps0", "0.5", float)
         self.n_min = _parse_key(name, section, "n_min", "100", int)
@@ -214,7 +220,8 @@ class FunctionSpec:
 # --- analyses ----------------------------------------------------------
 
 
-def _run_coeff_bound(spec: FunctionSpec, ctx) -> Tuple[List[str], List[List], List[str]]:
+def _run_coeff_bound(spec: FunctionSpec, ctx, label: str = "coeff_bound"
+                     ) -> Tuple[List[str], List[List], List[str]]:
     f = spec.coefficients()
     Lam = spec.growth()
     la = f.log_abs_array(spec.n_grid)
@@ -223,7 +230,7 @@ def _run_coeff_bound(spec: FunctionSpec, ctx) -> Tuple[List[str], List[List], Li
             for n, lav, bv in zip(spec.n_grid, la, bnd)]
     worst = float(np.min(bnd - la))
     return (["n", "ln_abs_c", "log_bound", "slack"], rows,
-            [f"coeff_bound: min slack {_fmt(worst)} over n in "
+            [f"{label}: min slack {_fmt(worst)} over n in "
              f"[{spec.n_grid[0]}, {spec.n_grid[-1]}]"])
 
 
@@ -264,9 +271,8 @@ def _run_upper_bound(spec: FunctionSpec, ctx):
     notes.append(f"upper_bound: bound {_fmt(rows[-1][1])} at "
                  f"v={_fmt(spec.v_grid[-1])}, eps* {_fmt(eps_rows.eps_star)}")
     extra = (["eps", "ln_k", "ln_u", "ln_y"],
-             [[e, k, u, y] for e, k, u, y in
-              zip(eps_rows.eps_grid, eps_rows.K_vals,
-                  eps_rows.U_vals, eps_rows.Y_vals)])
+             [list(row) for row in zip(eps_rows.eps_grid, eps_rows.ln_k,
+                                       eps_rows.ln_u, eps_rows.ln_y)])
     return (["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"],
             rows, notes, extra)
 
@@ -289,22 +295,6 @@ def _run_example_31(spec: FunctionSpec, ctx):
             [f"example_31: exponent fit {_fmt(rep.exponent_fit)} "
              f"(conjugate exponent {_fmt(m / (m - 1.0))}), "
              f"constant {_fmt(rep.constant_estimate)}"])
-
-
-def _run_example_32(spec: FunctionSpec, ctx):
-    rho = float(spec.params["rho"])
-    c4 = float(spec.params.get("c", "1.0"))
-    f = spec.coefficients()
-    rows = []
-    worst = math.inf
-    for n in spec.n_grid:
-        la = f.log_abs(int(n))
-        b = scales.example_32_bound(rho, c4, int(n))
-        rows.append([int(n), la, b, b - la])
-        if math.isfinite(la):
-            worst = min(worst, b - la)
-    return (["n", "ln_abs_c", "log_bound", "slack"], rows,
-            [f"example_32: min slack {_fmt(worst)}"])
 
 
 def _run_example_33(spec: FunctionSpec, ctx):
@@ -379,7 +369,7 @@ def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
                       "tauberian": _run_tauberian,
                       "gamma": _run_gamma,
                       "example_31": _run_example_31,
-                      "example_32": _run_example_32,
+                      "example_32": lambda s, c: _run_coeff_bound(s, c, "example_32"),
                       "example_33": _run_example_33,
                       "order_type": _run_order_type}[analysis]
                 header, rows, nts = fn(spec, ctx)
@@ -393,6 +383,9 @@ def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
 def run(config_path: str, output_dir: str, quiet: bool = False,
         eps_points: int = bounds.DEFAULT_EPS_POINTS) -> int:
     """Execute a config; returns the process exit status (0, 2 or 3)."""
+    if eps_points < 1:
+        print(f"config error: eps_points {eps_points} must be >= 1", file=sys.stderr)
+        return 2
     parser = configparser.ConfigParser()
     try:
         with open(config_path) as fh:

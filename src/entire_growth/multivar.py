@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import EpsilonReport, GrowthFunction, DEFAULT_EPS_POINTS
+from .bounds import DEFAULT_EPS_POINTS, EpsilonReport, GrowthFunction, _y_branches
 from .entire import CoefficientSequence, ZERO, log_max_function, log_series
 from .errors import (
     InputError,
@@ -151,14 +151,6 @@ def _multi_index_logsum(term_fn: Callable[[np.ndarray], np.ndarray],
     return m + math.log(float(np.sum(np.exp(t - m))))
 
 
-def _multi_normalization(Q: MultiGrowthFunction, caps: Sequence[int]) -> float:
-    grids = [np.arange(min(c, 256), dtype=float) for c in caps]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    qmin = float(np.min(np.asarray(Q.fn(pts), dtype=float)))
-    return max(0.0, -qmin)
-
-
 def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray) -> np.ndarray:
     """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys.
 
@@ -195,33 +187,23 @@ def multi_max_bound(Q: MultiGrowthFunction, v,
         return d
 
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
-    probe_caps = [_axis_truncation(diag_decay(j), float(eps_grid[0]))
-                  for j in range(Q.dimension)]
-    a = _multi_normalization(Q, probe_caps)
-
-    def norm_q(pts):
-        return np.asarray(Q.fn(pts), dtype=float) + a
-
-    K_vals = np.empty(eps_grid.size)
-    U_vals = np.empty(eps_grid.size)
+    ln_k0 = np.empty(eps_grid.size)
+    ln_u = np.empty(eps_grid.size)
     for i, e in enumerate(eps_grid):
-        caps = [_axis_truncation(lambda ns, j=j: diag_decay(j)(ns) + a, float(e))
-                for j in range(Q.dimension)]
-        lk = _multi_index_logsum(lambda p: -e * norm_q(p), caps)
-        lu = _multi_index_logsum(lambda p: norm_q((1.0 - e) * p) - norm_q(p), caps)
-        K_vals[i] = np.exp(lk) if np.isfinite(lk) else np.inf
-        U_vals[i] = np.exp(lu) if np.isfinite(lu) else np.inf
-    Y_vals = np.minimum(K_vals, U_vals)
-    if not np.any(np.isfinite(Y_vals)):
-        raise NoFiniteBoundError("Y(eps) infinite across the grid")
+        caps = [_axis_truncation(diag_decay(j), float(e)) for j in range(Q.dimension)]
+        lk = _multi_index_logsum(lambda p: -e * np.asarray(Q.fn(p), float), caps)
+        lu = _multi_index_logsum(lambda p: np.asarray(Q.fn((1.0 - e) * p), float)
+                                 - np.asarray(Q.fn(p), float), caps)
+        ln_k0[i] = lk if np.isfinite(lk) else np.inf
+        ln_u[i] = lu if np.isfinite(lu) else np.inf
     qstar = _multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
-    with np.errstate(divide="ignore"):
-        objective = np.where(np.isfinite(Y_vals), np.log(Y_vals) + qstar, np.inf)
+    ln_k, ln_y, objective = _y_branches(eps_grid, ln_k0, ln_u, qstar)
+    if not np.any(np.isfinite(ln_y)):
+        raise NoFiniteBoundError("Y(eps) infinite across the grid")
     j = int(np.argmin(objective))
     bound = float(objective[j])
-    eps_star = float(eps_grid[j])
-    report = EpsilonReport(eps_grid, K_vals, U_vals, Y_vals, eps_star,
-                           float(Y_vals[j]), bound, normalization_shift=a)
+    report = EpsilonReport(eps_grid, ln_k, ln_u, ln_y, float(eps_grid[j]),
+                           float(np.exp(ln_y[j])), bound)
     return bound, report
 
 

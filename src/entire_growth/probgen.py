@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from .bounds import GrowthFunction, TauberianReport, tauberian_report
 from .entire import CoefficientSequence, ZERO, coefficients_from_csv, log_majorant
@@ -67,9 +67,18 @@ def poisson(lam: float) -> DiscreteDistribution:
 
 
 def poisson_growth(lam: float) -> GrowthFunction:
-    """Closed-form growth profile of the Poisson g.f.: lambda (e^v - 1)."""
+    """Closed-form growth profile of the Poisson g.f.: lambda (e^v - 1).
+
+    Lambda*(n) = n ln(n/lambda) - n + lambda, at e^v = n/lambda;
+    Lambda*(0) = lambda (not attained) and +inf for n < 0.
+    """
+
+    def conj(n):
+        k = np.maximum(n, 0.0)
+        return np.where(n < 0, np.inf, xlogy(k, k / lam) - k + lam)
+
     return GrowthFunction(f"poisson_growth(lam={lam:g})",
-                          lambda v: lam * (np.exp(np.asarray(v, float)) - 1.0))
+                          lambda v: lam * (np.exp(np.asarray(v, float)) - 1.0), conj=conj)
 
 
 def geometric(p: float) -> DiscreteDistribution:

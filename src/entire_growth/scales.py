@@ -1,8 +1,9 @@
 """Regularly varying growth scales and the executable worked examples.
 
 Scales of the form C1 * lambda^m * (ln lambda)^q (m > 1, q >= 0), their
-conjugate asymptotics, and the three growth/decay correspondence checks:
-log-power growth, order-rho growth, and double-exponential growth.
+conjugate asymptotics, and the growth/decay correspondence checks for
+log-power and double-exponential growth.  The order-rho bound is the closed
+conjugate of bounds.power_of_exp.
 """
 
 from __future__ import annotations
@@ -131,28 +132,6 @@ def example_31_check(m: float, C3: float, n_grid) -> PowerLawFitReport:
                              float(consts[np.isfinite(consts)][-1]))
 
 
-def example_31_closed_form(m: float, C3: float, n) -> np.ndarray:
-    """Stationary-point value of sup_v (n v - C3 v^m): the oracle for 3.1."""
-    n = np.asarray(n, dtype=float)
-    mc = m / (m - 1.0)
-    return (m * C3) ** (1.0 - mc) / mc * n ** mc
-
-
-def example_32_bound(rho: float, C4: float, n: int) -> float:
-    """Log coefficient bound for order-rho growth: ln of [n/(C4 rho)]^(-n/rho) e^(n/rho).
-
-    Equals -Lambda*(n) for Lambda(v) = C4 e^(rho v) (stationary point
-    e^(rho v) = n/(C4 rho)).
-    """
-    if rho <= 0 or C4 <= 0:
-        raise InputError("rho and C4 must be positive")
-    if n < 0:
-        raise InputError("n must be >= 0")
-    if n == 0:
-        return 0.0
-    return -(n / rho) * math.log(n / (C4 * rho)) + n / rho
-
-
 def refined_decay_profile(rho: float, gamma: float, n_grid) -> np.ndarray:
     """Refined order/log-order decay rate: n ln n / rho + gamma n lnln n / rho - n / rho."""
     n = np.asarray(n_grid, dtype=float)
@@ -170,13 +149,12 @@ class DoubleExpReport:
     leading: np.ndarray
     ratios: np.ndarray
     log_c7: float
-    saturated: bool
 
 
 def example_33_check(C5: float, C6: float, C7: float, n_grid) -> DoubleExpReport:
     """Growth C5 e^(C6 r) vs coefficient decay C7 (ln n)^(-n).
 
-    Computes Lambda*(n) numerically for Lambda(v) = C5 e^(C6 e^v) and
+    Takes Lambda*(n) for Lambda(v) = C5 e^(C6 e^v) from its closed form and
     reports the ratio of -Lambda*(n) to the leading decay term -n ln ln n.
     """
     if C7 <= 0:
@@ -184,7 +162,7 @@ def example_33_check(C5: float, C6: float, C7: float, n_grid) -> DoubleExpReport
     n = np.asarray(n_grid, dtype=float)
     if np.any(n < 3):
         raise InputError("n_grid must lie in [3, inf)")
-    lam_star, saturated = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
+    lam_star, _ = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
     leading = n * np.log(np.log(n))
     ratios = lam_star / leading
-    return DoubleExpReport(n, lam_star, leading, ratios, math.log(C7), saturated)
+    return DoubleExpReport(n, lam_star, leading, ratios, math.log(C7))

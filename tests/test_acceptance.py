@@ -20,6 +20,7 @@ import pytest
 from scipy.special import gammaln
 
 from entire_growth.bounds import (
+    coeff_upper_bound_many,
     gamma_condition,
     max_function_upper_bound,
     power_log,
@@ -50,7 +51,7 @@ from entire_growth.probgen import (
     poisson_growth,
     prob_tauberian_report,
 )
-from entire_growth.scales import example_31_check, example_33_check, example_32_bound
+from entire_growth.scales import example_31_check, example_33_check
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "all.cfg")
 
@@ -108,7 +109,7 @@ def test_criterion_02_coefficient_bound_exp():
 
 def test_criterion_03_sandwich_exp():
     # Q(n) = n ln n - n has Q*(y) = e^y, so the reported bound is exactly
-    # ln S0 + e^{v/(1-eps*)}; the normalization shift a must cancel.
+    # ln S0 + e^{v/(1-eps*)}, with S0 = Y(eps*).
     Q = stirling_decay()
     f = exp_coefficients()
     sandwich_ok = True
@@ -179,7 +180,7 @@ def test_criterion_06_example_31():
 def test_criterion_07_example_32():
     n = np.arange(1, 1001)
     la = -gammaln(n / 2.0 + 1.0)
-    bound = np.array([example_32_bound(2.0, 1.0, int(k)) for k in n])
+    bound = coeff_upper_bound_many(power_of_exp(C=1.0, rho=2.0), n)
     holds = bool(np.all(la <= bound + 1e-9))
     slack = bound - la
     positive = bool(np.all(slack > 0))

@@ -24,6 +24,7 @@ from entire_growth.bounds import (
     u_sum,
 )
 from entire_growth.entire import (
+    MAX_TERMS,
     exp_coefficients,
     gamma_order_coefficients,
     log_max_function,
@@ -35,6 +36,8 @@ from entire_growth.errors import (
     PolynomialInputError,
     WindowSaturationWarning,
 )
+from entire_growth.legendre import WINDOW_HARD_CAP, conjugate_of_callable
+from entire_growth.probgen import poisson_growth
 
 
 class TestCoeffUpperBound:
@@ -58,9 +61,11 @@ class TestCoeffUpperBound:
                 -n * n / 4.0, rel=1e-9)
 
     def test_saturation_warns(self):
-        # Lambda(v) = v^2: the argmax n/2 = 1000 lies past the window cap
+        # a user-built Lambda(v) = v^2, without a closed conjugate: the
+        # argmax n/2 = 1000 of the adaptive search lies past the window cap
+        square = GrowthFunction("square", lambda v: np.asarray(v, float) ** 2)
         with pytest.warns(WindowSaturationWarning):
-            coeff_upper_bound(power_log(C=1.0, m=2.0), 2000)
+            coeff_upper_bound(square, 2000)
 
     def test_zero_index_does_not_warn(self):
         # sup_v -e^v = 0 is not attained; the bound 0 is exact, not loose
@@ -74,20 +79,76 @@ class TestCoeffUpperBound:
             coeff_upper_bound(power_of_exp(), -1)
 
 
+GROWTH = [power_of_exp(1.1, 0.9), power_log(1.5, 2.5), power_log(1.0, 2.0),
+          exp_of_exp(1.2, 0.8), poisson_growth(3.0)]
+DECAYS = [stirling_decay(), quadratic_decay(0.5)]
+
+
+class TestClosedConjugates:
+    @pytest.mark.parametrize("p", GROWTH + DECAYS, ids=lambda p: p.name)
+    def test_matches_adaptive_search(self, p):
+        # the oracle: the adaptive search on fn, wherever its argmax is
+        # inside the window (n <= 0 included: the closed forms must not warn)
+        on_r = p.domain_min is None
+        ys = np.linspace(-50.0, 2000.0, 821) if on_r else np.linspace(-5.0, 12.0, 69)
+        cap = WINDOW_HARD_CAP if on_r else MAX_TERMS
+        oracle = conjugate_of_callable(p.fn, ys, x_min=p.domain_min, hard_cap=cap)
+        inside = np.abs(oracle.argmax_xs) < cap - 1.0
+        assert np.count_nonzero(inside) > 10
+        closed, saturated = p.conjugate_at(ys)
+        np.testing.assert_allclose(closed[inside], oracle.gstars[inside],
+                                   rtol=1e-9, atol=1e-12)
+        assert not saturated
+
+    @pytest.mark.parametrize("p", [power_of_exp(1.1, 0.9), exp_of_exp(1.2, 0.8),
+                                   poisson_growth(3.0)], ids=lambda p: p.name)
+    def test_infinite_below_zero(self, p):
+        # Lambda bounded as v -> -inf: sup_v (n v - Lambda(v)) = +inf for n < 0
+        vals, _ = p.conjugate_at([-1e3, -1.0, -1e-12])
+        assert np.all(vals == np.inf)
+        assert np.isfinite(p.conjugate_at([0.0])[0][0])
+
+    def test_value_at_zero_not_attained(self):
+        # sup_v -Lambda(v) is Lambda's infimum: 0, -C5 and lambda
+        assert power_of_exp(2.0, 3.0).conjugate_at(0.0)[0][0] == 0.0
+        assert exp_of_exp(1.2, 0.8).conjugate_at(0.0)[0][0] == -1.2
+        assert poisson_growth(3.0).conjugate_at(0.0)[0][0] == 3.0
+
+    @pytest.mark.parametrize("p", GROWTH + DECAYS, ids=lambda p: p.name)
+    def test_biconjugate_is_the_profile(self, p):
+        # conjugate() swaps the pair: Lambda** = Lambda bit for bit on the
+        # domain, +inf below domain_min
+        v = np.linspace(-6.0, 6.0, 97)
+        back, saturated = p.conjugate().conjugate_at(v)
+        ok = v >= (p.domain_min if p.domain_min is not None else -np.inf)
+        assert np.array_equal(back[ok], p(v[ok]))
+        assert np.all(back[~ok] == np.inf)
+        assert not saturated
+        np.testing.assert_array_equal(p.conjugate().fn(v), p.conjugate_at(v)[0])
+
+    def test_user_profile_conjugate_pair(self):
+        # without conj, conjugate() searches once and carries fn back
+        square = GrowthFunction("square", lambda v: np.asarray(v, float) ** 2)
+        star = square.conjugate()
+        n = np.array([0.0, 2.0, 10.0])
+        np.testing.assert_allclose(star(n), n * n / 4.0, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(star.conjugate_at(n)[0], square(n))
+
+
 class TestAuxiliarySeries:
     def test_k_sum_geometric(self):
-        # decay(n) = n gives the geometric series 1/(1 - e^-eps)
+        # decay(n) = n gives the geometric series 1/(1 - e^-eps); k_sum is its ln
         lin = lambda n: np.asarray(n, float)
         for eps in (0.1, 0.3, 0.5, 0.9):
-            assert k_sum(lin, eps) == pytest.approx(1.0 / (1.0 - math.exp(-eps)),
-                                                    rel=1e-12)
+            assert math.exp(k_sum(lin, eps)) == pytest.approx(
+                1.0 / (1.0 - math.exp(-eps)), rel=1e-12)
 
     def test_k_sum_quadratic_oracle(self):
         # sum e^(-n^2/2), direct 64-term reference
         ns = np.arange(64, dtype=float)
         ref = float(np.sum(np.exp(-0.5 * ns ** 2)))
-        assert k_sum(lambda n: np.asarray(n, float) ** 2, 0.5) == pytest.approx(
-            ref, rel=1e-12)
+        ln_k = k_sum(lambda n: np.asarray(n, float) ** 2, 0.5)
+        assert math.exp(ln_k) == pytest.approx(ref, rel=1e-12)
 
     def test_k_sum_divergent(self):
         zero = lambda n: np.zeros_like(np.asarray(n, float))
@@ -105,8 +166,8 @@ class TestAuxiliarySeries:
     def test_u_sum_quadratic_oracle(self):
         ns = np.arange(64, dtype=float)
         ref = float(np.sum(np.exp((0.5 * ns) ** 2 - ns ** 2)))
-        assert u_sum(lambda n: np.asarray(n, float) ** 2, 0.5) == pytest.approx(
-            ref, rel=1e-12)
+        ln_u = u_sum(lambda n: np.asarray(n, float) ** 2, 0.5)
+        assert math.exp(ln_u) == pytest.approx(ref, rel=1e-12)
 
     def test_eps_range_enforced(self):
         lin = lambda n: np.asarray(n, float)
@@ -155,10 +216,13 @@ class TestMaxFunctionUpperBound:
         Q = stirling_decay()
         bound, rep = max_function_upper_bound(Q, 1.0)
         assert rep.bound == bound
-        assert rep.eps_grid.size == rep.Y_vals.size
-        np.testing.assert_array_equal(rep.Y_vals,
-                                      np.minimum(rep.K_vals, rep.U_vals))
+        assert rep.eps_grid.size == rep.ln_y.size
+        np.testing.assert_array_equal(rep.ln_y, np.minimum(rep.ln_k, rep.ln_u))
         assert rep.c_eff == pytest.approx(1.0 / (1.0 - rep.eps_star))
+        # the columns are logs: ln K = ln K0 - eps Q*(y), ln U = ln U(eps)
+        e, y = rep.eps_grid[0], 1.0 / (1.0 - rep.eps_grid[0])
+        assert rep.ln_k[0] == pytest.approx(k_sum(Q.fn, e) - e * math.exp(y), rel=1e-12)
+        assert rep.ln_u[0] == pytest.approx(u_sum(Q.fn, e), rel=1e-12)
 
     def test_grid_resolution_refines(self):
         Q = stirling_decay()
@@ -167,14 +231,20 @@ class TestMaxFunctionUpperBound:
         assert fine <= coarse + 1e-12
 
     def test_qstar_saturation_flag(self):
-        # v = 7: the argmax e^(v/(1-eps*)) of Q* lies inside the index window
-        bound, rep = max_function_upper_bound(stirling_decay(), 7.0)
+        # a user-built Stirling decay, without a closed conjugate, so Q* is
+        # the adaptive search; v = 7: its argmax e^(v/(1-eps*)) lies inside
+        # the index window
+        Q = GrowthFunction("stirling", stirling_decay().fn, domain_min=0.0)
+        bound, rep = max_function_upper_bound(Q, 7.0)
         assert not rep.qstar_saturated
-        assert bound >= r_sum(stirling_decay(), 7.0)
+        assert bound >= r_sum(Q, 7.0)
         # v = 14: e^14 > 10^6 = MAX_TERMS, past the cap of an index domain
-        _, rep = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
+        _, rep = max_function_upper_bound(Q, 14.0, eps_points=9)
         assert rep.qstar_saturated
-        _, rep = max_function_upper_bound(stirling_decay(), 2.0)
+        _, rep = max_function_upper_bound(Q, 2.0)
+        assert not rep.qstar_saturated
+        # the closed form Q*(y) = e^y has no window to saturate
+        _, rep = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
         assert not rep.qstar_saturated
 
     @pytest.mark.parametrize("family, v", [("stirling", 7.0), ("stirling", 9.0),
@@ -208,9 +278,33 @@ class TestMaxFunctionUpperBound:
         bound, rep = max_function_upper_bound(Q, v)
         assert bound <= golden + 1e-12
         qstar, _ = Q.conjugate_at(v / (1.0 - rep.eps_grid))
-        assert bound <= np.min(np.log(rep.Y_vals) + qstar)
-        assert rep.S0 == min(k_sum(lambda n: Q.fn(n) + rep.normalization_shift, rep.eps_star),
-                             u_sum(lambda n: Q.fn(n) + rep.normalization_shift, rep.eps_star))
+        assert bound <= np.min(rep.ln_y + qstar)
+        # bound = ln S0 + Q*(y*), S0 = Y(eps*) = min(K0 e^(-eps* Q*(y*)), U)
+        e = rep.eps_star
+        q_star = float(Q.conjugate_at(v / (1.0 - e))[0][0])
+        assert bound == pytest.approx(math.log(rep.S0) + q_star, rel=1e-14)
+        assert math.log(rep.S0) == pytest.approx(min(k_sum(Q.fn, e) - e * q_star,
+                                                     u_sum(Q.fn, e)), rel=1e-12)
+
+    @pytest.mark.parametrize("v", [-1.0, 0.0, 1.0])
+    def test_positive_decay(self, v):
+        # min Q = 4 > 0 and Q*(y) < 0 near y = 0: the K branch is
+        # ln K0 + (1 - eps) Q*(y), valid for either sign of Q*
+        Q = GrowthFunction("stirling+5", lambda n: stirling_decay().fn(n) + 5.0,
+                           domain_min=0.0)
+        bound, rep = max_function_upper_bound(Q, v, eps_points=39)
+        assert r_sum(Q, v) <= bound
+        assert np.all(np.isfinite(rep.ln_k))
+
+    def test_conjugate_decays(self):
+        # the CLI decays of log_power_growth and double_exp: conjugates of
+        # the growth profiles, whose own conjugates are closed forms
+        for v in (1.0, 2.0, 10.0, 50.0):
+            bound, _ = max_function_upper_bound(power_log(1.0, 2.0).conjugate(), v)
+            assert r_sum(quadratic_decay(0.25), v) <= bound
+        Q = exp_of_exp().conjugate()
+        for v in (0.5, 1.0, 2.0):
+            assert r_sum(Q, v) <= max_function_upper_bound(Q, v, eps_points=39)[0]
 
     def test_hypothesis_violation_rejected(self):
         # coefficients decaying slower than exp(-Q) must be refused

@@ -2,11 +2,12 @@
 
 import csv
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, lambertw, logsumexp
 
 from entire_growth.cli import main, run
 
@@ -158,6 +159,79 @@ class TestUpperBoundTable:
         assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 3
 
 
+SANDWICH_V = np.array([-1.0, 0.0, 1.0, 3.0])
+# table: ln|c_n| = -(ln Gamma(n/1.5 + 1) + n/2), a convex decay, so the CLI's
+# convex envelope meets every row and R_Q is the sum over the rows
+TABLE_LN_C = -(gammaln(np.arange(300) / 1.5 + 1.0) + 0.5 * np.arange(300))
+
+
+def _double_exp_decay(n):
+    """Lambda*(n) of Lambda(v) = e^(e^v), n >= 0."""
+    w = np.real(lambertw(np.maximum(n, 1e-300)))
+    return np.where(n > 0, n * np.log(w) - n / w, -1.0)
+
+
+def _ln_r(q, v, n_max=2000):
+    ns = np.arange(n_max + 1, dtype=float)
+    return float(logsumexp(ns * v - q(ns)))
+
+
+def _double_exp_ln_r(v):
+    # the terms peak near n = e^v e^(e^v): n = 41 at v = 1, 10^10 at v = 3.
+    # Past v = 1, n v - Lambda*(n) <= Lambda(v + d) - n d gives the upper
+    # estimate ln R_Q(v) <= Lambda(v + d) - ln(1 - e^-d), a stronger reference
+    if v <= 1.0:
+        return _ln_r(_double_exp_decay, v)
+    d = 0.01
+    return math.exp(math.exp(v + d)) - math.log(-math.expm1(-d))
+
+
+SANDWICH = {
+    "exp": ("family = exp", lambda v: math.exp(v)),
+    "order2": ("family = power_order\nrho = 2",
+               lambda v: math.exp(2 * v) + math.log1p(math.erf(math.exp(v)))),
+    "pois1": ("family = poisson\nlam = 1", lambda v: math.expm1(v)),
+    "pois5": ("family = poisson\nlam = 5", lambda v: 5.0 * math.expm1(v)),
+    "table": ("family = custom_coeff_csv\npath = c.csv",
+              lambda v: float(logsumexp(TABLE_LN_C + np.arange(300) * v))),
+    "logpower": ("family = log_power_growth\nm = 2",
+                 lambda v: _ln_r(lambda n: n * n / 4.0, v)),
+    "doubleexp": ("family = double_exp", _double_exp_ln_r),
+}
+
+
+@pytest.fixture(scope="module")
+def sandwich_out(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sandwich")
+    (root / "c.csv").write_text("n,ln_abs_c\n" + "".join(
+        f"{n},{float(v)!r}\n" for n, v in enumerate(TABLE_LN_C)))
+    (root / "s.cfg").write_text("".join(
+        f"[{name}]\n{family}\nanalyses = upper_bound\nv_grid = -1, 0, 1, 3\n\n"
+        for name, (family, _) in SANDWICH.items()))
+    assert run(str(root / "s.cfg"), str(root / "out"), quiet=True) == 0
+    return root / "out"
+
+
+class TestUpperBoundSandwich:
+    @pytest.mark.parametrize("name", list(SANDWICH))
+    def test_bound_above_series(self, sandwich_out, name):
+        # ln R_Q(v) <= log_bound for every family the CLI bounds, at v
+        # below, at and above 0
+        with open(sandwich_out / name / "upper_bound.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        np.testing.assert_array_equal([float(r[0]) for r in rows], SANDWICH_V)
+        ln_r = SANDWICH[name][1]
+        for row in rows:
+            v, bound = float(row[0]), float(row[1])
+            assert ln_r(v) <= bound, (v, bound)
+        # epsilon_report.csv holds logs, with ln_y = min(ln_k, ln_u)
+        with open(sandwich_out / name / "epsilon_report.csv", newline="") as fh:
+            eps_rows = np.array([[float(x) for x in r] for r in list(csv.reader(fh))[1:]])
+        np.testing.assert_array_equal(eps_rows[:, 3],
+                                      np.minimum(eps_rows[:, 1], eps_rows[:, 2]))
+        assert np.all(eps_rows[:, 2] >= 0.0)  # U >= its n = 0 term, 1
+
+
 class TestErrorPaths:
     def test_malformed_config_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -207,14 +281,20 @@ class TestErrorPaths:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["n_grid = 1:abc", "n_grid = 5:1", "v_grid = 1:2:x",
-                                      "eps0 = abc", "rho = -1", "v_grid = 1, nan"])
+                                      "eps0 = abc", "rho = -1", "v_grid = 1, nan",
+                                      "r_grid = -1, 2", "n_grid = -3:5",
+                                      "n_grid = 1:3000000", "--eps-points 0"])
     def test_hostile_key_exit_two(self, tmp_path, capsys, line):
+        # a config line, or a command-line flag after the valid config
+        flag = line.startswith("--")
         cfg = tmp_path / "bad.cfg"
         rho = "" if line.startswith("rho") else "rho = 2\n"
         cfg.write_text(f"[x]\nfamily = power_order\n{rho}"
-                       f"analyses = coeff_bound, gamma\n{line}\n")
+                       f"analyses = coeff_bound, gamma, tauberian\n"
+                       f"{'' if flag else line}\n")
         out = tmp_path / "out"
-        assert run(str(cfg), str(out), quiet=True) == 2
+        argv = ["--config", str(cfg), "--out", str(out), "--quiet"]
+        assert main(argv + (line.split() if flag else [])) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err

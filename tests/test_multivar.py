@@ -1,5 +1,6 @@
 """Several-variables extension: separable bounds and product functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,8 +78,9 @@ class TestMultiMaxBound:
         monkeypatch.setattr(multivar, "_axis_truncation", lambda *a: 2 * cap(*a))
         big, big_rep = multi_max_bound(Q, (1.0, 2.0), eps_points=9)
         assert big == pytest.approx(bound, rel=1e-12)
-        np.testing.assert_allclose(big_rep.K_vals, rep.K_vals, rtol=1e-12)
-        np.testing.assert_allclose(big_rep.U_vals, rep.U_vals, rtol=1e-12)
+        # logs to 1e-12 absolute: K and U to 1e-12 relative
+        np.testing.assert_allclose(big_rep.ln_k, rep.ln_k, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(big_rep.ln_u, rep.ln_u, rtol=0, atol=1e-12)
 
     def test_batched_qstar_matches_scalar_reference(self):
         # one batched conjugate per axis over every eps row equals, bit for
@@ -87,7 +89,10 @@ class TestMultiMaxBound:
         from entire_growth.bounds import quadratic_decay, stirling_decay
         from entire_growth.entire import MAX_TERMS
         from entire_growth.legendre import conjugate_point
-        Q = MultiGrowthFunction.from_separable([stirling_decay(), quadratic_decay(0.5)])
+        # user-built parts without their closed conjugates: the adaptive path
+        Q = MultiGrowthFunction.from_separable(
+            [dataclasses.replace(p, conj=None)
+             for p in (stirling_decay(), quadratic_decay(0.5))])
         v = np.array([2.0, 4.0])
         eps_grid = np.arange(1, 40) / 40.0
         ref = np.array([sum(conjugate_point(p.fn, float(yj), x_min=p.domain_min,

@@ -5,15 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from entire_growth.bounds import (
+    coeff_upper_bound,
+    coeff_upper_bound_many,
+    power_log,
+    power_of_exp,
+)
 from entire_growth.errors import InputError
+from entire_growth.legendre import conjugate_of_callable
 from entire_growth.scales import (
     RegVarScale,
     conjugate_asymptotic,
     conjugate_numeric,
     conjugate_ratio,
     example_31_check,
-    example_31_closed_form,
-    example_32_bound,
     example_33_check,
     phi_scale,
     psi_scale,
@@ -70,17 +75,15 @@ class TestConjugateAsymptotic:
 class TestExample31:
     def test_parabola_closed_form(self):
         n = np.arange(1, 1001, dtype=float)
-        np.testing.assert_allclose(example_31_closed_form(2.0, 1.0, n),
-                                   n * n / 4.0, rtol=1e-14)
+        np.testing.assert_allclose(power_log(1.0, 2.0).conj(n), n * n / 4.0, rtol=1e-14)
 
     def test_numeric_matches_closed_form(self):
         n = np.arange(2, 201, dtype=float)
         rep = example_31_check(2.0, 1.0, n)
-        np.testing.assert_allclose(rep.lam_star,
-                                   example_31_closed_form(2.0, 1.0, n), rtol=1e-9)
+        numeric = conjugate_of_callable(power_log(1.0, 2.0).fn, n).gstars
+        np.testing.assert_allclose(rep.lam_star, numeric, rtol=1e-9)
 
     def test_exponent_fit_is_conjugate_exponent(self):
-        # grids stay inside the default conjugation window (argmax < 700)
         for m, n_hi in ((1.5, 38), (2.0, 400), (3.0, 400)):
             rep = example_31_check(m, 1.0, np.arange(2, n_hi, 2, dtype=float))
             assert rep.exponent_fit == pytest.approx(m / (m - 1.0), abs=1e-3)
@@ -95,26 +98,29 @@ class TestExample31:
 
 
 class TestExample32:
+    # the order-rho bound [n/(C rho)]^(-n/rho) e^(n/rho) is -Lambda*(n) of
+    # Lambda(v) = C e^(rho v), taken from the profile's closed form
+
     def test_matches_conjugate_of_exponential_growth(self):
-        from entire_growth.bounds import coeff_upper_bound, power_of_exp
         Lam = power_of_exp(C=1.0, rho=2.0)
         for n in (2, 10, 100):
-            assert example_32_bound(2.0, 1.0, n) == pytest.approx(
-                coeff_upper_bound(Lam, n), rel=1e-9)
+            numeric = conjugate_of_callable(Lam.fn, [float(n)]).gstars[0]
+            assert coeff_upper_bound(Lam, n) == pytest.approx(-numeric, rel=1e-9)
 
     def test_zero_index(self):
-        assert example_32_bound(2.0, 1.0, 0) == 0.0
+        assert coeff_upper_bound(power_of_exp(C=1.0, rho=2.0), 0) == 0.0
 
     def test_bounds_gamma_coefficients(self):
         from scipy.special import gammaln
-        for n in range(1, 1001):
-            assert -gammaln(n / 2.0 + 1.0) <= example_32_bound(2.0, 1.0, n) + 1e-9
+        n = np.arange(1, 1001, dtype=float)
+        bound = coeff_upper_bound_many(power_of_exp(C=1.0, rho=2.0), n)
+        assert np.all(-gammaln(n / 2.0 + 1.0) <= bound + 1e-9)
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
-            example_32_bound(-1.0, 1.0, 5)
+            power_of_exp(C=1.0, rho=-1.0)
         with pytest.raises(InputError):
-            example_32_bound(2.0, 1.0, -5)
+            coeff_upper_bound(power_of_exp(C=1.0, rho=2.0), -5)
 
 
 class TestRefinedDecay:
