@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import lambertw, xlogy
@@ -27,8 +27,8 @@ from .errors import (
 from .legendre import WINDOW_HARD_CAP, _lower_hull_indices, conjugate_of_callable
 
 DEFAULT_EPS_POINTS = 199
-# Refinement of eps* around the grid minimum: each stage evaluates
-# ZOOM_POINTS points of its bracket (Q* in one batched call) and narrows the
+# Refinement of eps* around the grid minimum: each stage evaluates ZOOM_POINTS
+# points of its bracket (K, U and Q* one batched call each) and narrows the
 # bracket to the neighbours of its best point, a factor (ZOOM_POINTS-1)/2.
 ZOOM_POINTS = 33
 ZOOM_STAGES = 5
@@ -187,25 +187,33 @@ def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     return 0.0 - lstar  # +0.0, not -0.0, where Lambda*(n) = 0
 
 
-def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    """ln sum_{n >= 0} exp(term_fn(n)); +inf unless log_series converged."""
+def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]):
+    """ln sum_{n >= 0} exp(term_fn(n)), per row of a batch; +inf unless
+    log_series converged."""
     total, _, converged = log_series(term_fn)
-    return total if converged else np.inf
+    return np.where(converged, total, np.inf)[()]
 
 
-def k_sum(decay: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """ln K(eps) = ln sum_n exp(-eps * decay(n)); +inf marks divergence."""
-    if not 0 < eps < 1:
+def _eps_column(eps) -> np.ndarray:
+    """eps, each in (0, 1), as a column against the index axis."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((eps > 0) & (eps < 1)):
         raise InputError("eps must lie in (0, 1)")
-    return _log_sum(lambda ns: -eps * np.asarray(decay(ns), float))
+    return eps[..., None]
 
 
-def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """ln U(eps) = ln sum_n exp(decay((1-eps) n) - decay(n)); +inf marks
-    divergence."""
-    if not 0 < eps < 1:
-        raise InputError("eps must lie in (0, 1)")
-    return _log_sum(lambda ns: np.asarray(decay((1.0 - eps) * ns), float)
+def k_sum(decay: Callable[[np.ndarray], np.ndarray], eps):
+    """ln K(eps) = ln sum_n exp(-eps * decay(n)), elementwise in eps; +inf
+    marks divergence."""
+    e = _eps_column(eps)
+    return _log_sum(lambda ns: -e * np.asarray(decay(ns), float))
+
+
+def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps):
+    """ln U(eps) = ln sum_n exp(decay((1-eps) n) - decay(n)), elementwise in
+    eps; +inf marks divergence."""
+    e = _eps_column(eps)
+    return _log_sum(lambda ns: np.asarray(decay((1.0 - e) * ns), float)
                     - np.asarray(decay(ns), float))
 
 
@@ -214,25 +222,13 @@ def r_sum(Q: GrowthFunction, v: float) -> float:
     return _log_sum(lambda ns: ns * v - np.asarray(Q.fn(ns), float))
 
 
-def _y_branches(eps, ln_k0, ln_u, qstar):
-    """(ln K, ln Y, ln Y + Q*(y)) at each eps, y = v/(1-eps).  Each term of R_Q(v)
-    splits two ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y - Q(n)) and
-    = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <=
-    ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U
-    sums.  ln K is +inf where Q*(y) is, so the bound there is +inf, not NaN."""
-    ln_k = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
-    ln_y = np.minimum(ln_k, ln_u)
-    return ln_k, ln_y, ln_y + qstar
-
-
 @dataclass(frozen=True)
 class EpsilonReport:
-    """ln K, ln U and ln Y over the eps grid (see _y_branches), and the
+    """ln K, ln U and ln Y over the eps grid (see _eps_scan), and the
     minimizing eps: bound = ln Y(eps*) + Q*(v/(1 - eps*)) and S0 = Y(eps*).
 
     qstar_saturated: the Q* window hit its cap at v/(1 - eps_star), so
-    Q*(v/(1 - eps_star)) may fall short and the bound may be too low (set
-    by max_function_upper_bound; multi_max_bound leaves it False).
+    Q*(v/(1 - eps_star)) may fall short and the bound may be too low.
     """
 
     eps_grid: np.ndarray
@@ -250,36 +246,29 @@ class EpsilonReport:
         return 1.0 / (1.0 - self.eps_star)
 
 
-def max_function_upper_bound(Q: GrowthFunction, v: float,
-                             eps_points: int = DEFAULT_EPS_POINTS,
-                             coeffs: Optional[CoefficientSequence] = None):
-    """Upper bound on ln R_Q(v) (hence on ln M_f(e^v)) via the eps scan.
+def _eps_scan(sums, conj, eps_points: int, name: str):
+    """(bound, EpsilonReport): min over eps of ln Y(eps) + Q*(y), y = v/(1-eps).
 
-    Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  Returns (log_bound,
-    EpsilonReport).  The bound is min over eps of ln Y(eps) + Q*(v/(1-eps))
-    (see _y_branches).
+    sums(eps) gives (ln K0, ln U) and conj(eps) gives (Q*(y), saturated),
+    each elementwise over an array of eps.  Each term of R_Q(v) splits two
+    ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y - Q(n)) and
+    = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <=
+    ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U
+    sums.  ln K is +inf where Q*(y) is, so the bound there is +inf, not NaN.
     """
-    if coeffs is not None:
-        ns = np.arange(0, 1001)
-        la = coeffs.log_abs_array(ns)
-        qv = np.asarray(Q.fn(ns.astype(float)), dtype=float)
-        bad = np.flatnonzero(la > -qv + 1e-9)
-        if bad.size:
-            raise InputError(
-                f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
 
     def scan(eps):
-        """ln K, ln U, ln Y and ln Y + Q*(v/(1-eps)) at each eps."""
-        ln_k0 = np.array([k_sum(Q.fn, e) for e in eps])
-        ln_u = np.array([u_sum(Q.fn, e) for e in eps])
-        qstar, _ = Q.conjugate_at(v / (1.0 - eps))
-        ln_k, ln_y, obj = _y_branches(eps, ln_k0, ln_u, qstar)
-        return ln_k, ln_u, ln_y, obj
+        """ln K, ln U, ln Y and ln Y + Q*(y) at each eps."""
+        ln_k0, ln_u = sums(eps)
+        qstar, _ = conj(eps)
+        ln_k = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
+        ln_y = np.minimum(ln_k, ln_u)
+        return ln_k, ln_u, ln_y, ln_y + qstar
 
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
     ln_k, ln_u, ln_y, obj = scan(eps_grid)
     if not np.any(np.isfinite(ln_y)):
-        raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {Q.name}")
+        raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {name}")
     j = int(np.argmin(obj))
     eps_star, bound, ln_s0 = eps_grid[j], obj[j], ln_y[j]
     # zoom into the grid neighbours of the minimum; never above the grid value
@@ -291,10 +280,31 @@ def max_function_upper_bound(Q: GrowthFunction, v: float,
         if obj_z[i] < bound:
             eps_star, bound, ln_s0 = pts[i], obj_z[i], ln_y_z[i]
         pts = pts[max(i - 1, 0):i + 2]
-    _, saturated = Q.conjugate_at(v / (1.0 - eps_star))
+    _, saturated = conj(np.array([eps_star]))
     report = EpsilonReport(eps_grid, ln_k, ln_u, ln_y, float(eps_star),
                            float(np.exp(ln_s0)), float(bound), saturated)
     return float(bound), report
+
+
+def max_function_upper_bound(Q: GrowthFunction, v: float,
+                             eps_points: int = DEFAULT_EPS_POINTS,
+                             coeffs: Optional[CoefficientSequence] = None):
+    """Upper bound on ln R_Q(v) (hence on ln M_f(e^v)) via the eps scan.
+
+    Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  Returns (log_bound,
+    EpsilonReport).  The bound is min over eps of ln Y(eps) + Q*(v/(1-eps))
+    (see _eps_scan).
+    """
+    if coeffs is not None:
+        ns = np.arange(0, 1001)
+        la = coeffs.log_abs_array(ns)
+        qv = np.asarray(Q.fn(ns.astype(float)), dtype=float)
+        bad = np.flatnonzero(la > -qv + 1e-9)
+        if bad.size:
+            raise InputError(
+                f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
+    return _eps_scan(lambda eps: (k_sum(Q.fn, eps), u_sum(Q.fn, eps)),
+                     lambda eps: Q.conjugate_at(v / (1.0 - eps)), eps_points, Q.name)
 
 
 @dataclass(frozen=True)
@@ -366,7 +376,7 @@ def tauberian_report(f: CoefficientSequence, Lambda: GrowthFunction,
     lam = np.asarray(Lambda(np.log(r)), dtype=float)
     if np.any(lam <= 0):
         raise InvalidGrowthError(f"{Lambda.name} must be positive on ln(r_grid)")
-    lhs = np.array([log_max_function(f, ri) for ri in r]) / lam
+    lhs = log_max_function(f, r) / lam
     lstar, _ = Lambda.conjugate_at(n)
     ok = np.isfinite(lstar) & (lstar > 0)
     excluded = n[~ok]

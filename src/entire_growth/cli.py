@@ -323,12 +323,7 @@ def _run_order_type(spec: FunctionSpec, ctx):
 
 
 def _run_factorized(spec: FunctionSpec, ctx, others: Dict[str, "FunctionSpec"]):
-    if len(spec.parts) != 2:
-        raise ConfigError(f"[{spec.name}] factorized needs exactly two parts")
-    try:
-        s1, s2 = (others[p] for p in spec.parts)
-    except KeyError as exc:
-        raise ConfigError(f"[{spec.name}] unknown part section {exc}")
+    s1, s2 = (others[p] for p in spec.parts)  # checked by run() while parsing
     r1, r2 = (spec.r_grid[0], spec.r_grid[min(1, spec.r_grid.size - 1)])
     rep = multivar.factorizable_demo(s1.coefficients(), s2.coefficients(),
                                      float(r1), float(r2),

@@ -193,32 +193,41 @@ def log_series(term_fn: Callable[[np.ndarray], np.ndarray], n_max: int = MAX_TER
     last term) has no stop rule: every term is summed and the sum counts as
     converged.  A +inf term makes the sum +inf (converged); a NaN term
     counts as -inf.
+
+    term_fn may also return terms of shape (rows, block): a batch of series,
+    each row with its own stop rule and its result fixed once it stops.
+    The three results are then arrays over the rows.
     """
-    total = -math.inf
-    run = 0
     n = 0
-    while n <= n_max:
-        ns = np.arange(n, min(n + block, n_max + 1), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n <= n_max:
+            ns = np.arange(n, min(n + block, n_max + 1), dtype=float)
             t = np.asarray(term_fn(ns), dtype=float)
-        n += ns.size
-        t = np.where(np.isnan(t), -math.inf, t)
-        if (t == math.inf).any():
-            return math.inf, n, True
-        live = t[np.isfinite(t)]
-        if live.size:
-            m = max(total, float(np.max(live)))
-            total = m + math.log(math.exp(total - m) + float(np.sum(np.exp(live - m))))
-        # length of the block's trailing run of negligible terms
-        big = np.flatnonzero(t >= total - _TAIL_LOG)
-        run = run + t.size if big.size == 0 else t.size - 1 - int(big[-1])
-        if run >= _TAIL_RUN and not finite:
-            return total, n, True
-    return total, n, finite
+            if n == 0:
+                total = np.full(t.shape[:-1], -math.inf)
+                run = terms = np.zeros(total.shape, dtype=int)
+                stopped = np.zeros(total.shape, dtype=bool)
+            n += ns.size
+            live = ~stopped
+            terms = np.where(live, n, terms)
+            t = np.where(np.isnan(t), -math.inf, t)
+            top = t.max(axis=-1)
+            m = np.maximum(total, top)
+            summed = m + np.log(np.exp(total - m) + np.exp(t - m[..., None]).sum(axis=-1))
+            summed = np.where(top == math.inf, math.inf, summed)
+            total = np.where(live & (top > -math.inf), summed, total)
+            # length of each row's trailing run of negligible terms
+            big = t >= total[..., None] - _TAIL_LOG
+            run = np.where(big.any(axis=-1), np.argmax(big[..., ::-1], axis=-1),
+                           run + t.shape[-1])
+            stopped = stopped | (live & ((top == math.inf) | (run >= _TAIL_RUN) & (not finite)))
+            if stopped.all():
+                break
+    return total[()], terms[()], (stopped | finite)[()]  # scalars for one series
 
 
-def log_max_function(f: CoefficientSequence, r: float) -> float:
-    """ln of the coefficient-sum majorant sum_n |c_n| r^n at radius r.
+def log_max_function(f: CoefficientSequence, r):
+    """ln of the coefficient-sum majorant sum_n |c_n| r^n, elementwise in r.
 
     Exact equal to ln M_f(r) when all coefficients are nonnegative; an upper
     bound on it otherwise (flagged by f.sign_nonnegative).  f must pass the
@@ -228,21 +237,22 @@ def log_max_function(f: CoefficientSequence, r: float) -> float:
     return log_majorant(f, r)
 
 
-def log_majorant(f: CoefficientSequence, r: float) -> float:
-    """ln sum_n |c_n| r^n for a series that converges at r.
+def log_majorant(f: CoefficientSequence, r):
+    """ln sum_n |c_n| r^n for a series that converges at r, elementwise in r.
 
     Raises TruncationError when an infinite series has not converged
     within MAX_TERMS terms.
     """
-    if r <= 0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise InputError("r must be positive")
-    lr = math.log(r)
+    lr = np.log(r)[..., None]
     total, terms, converged = log_series(
         lambda ns: f.log_abs_array(ns) + ns * lr,
         f.max_index if f.is_polynomial else MAX_TERMS, finite=f.is_polynomial)
-    if not converged:
-        raise TruncationError(
-            f"series for {f.name} at r={r} not converged within {terms} terms")
+    if not np.all(converged):
+        raise TruncationError(f"series for {f.name} at r={r[~np.asarray(converged)][0]} "
+                              f"not converged within {np.max(terms)} terms")
     return total
 
 

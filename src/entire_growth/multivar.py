@@ -13,18 +13,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .bounds import DEFAULT_EPS_POINTS, EpsilonReport, GrowthFunction, _y_branches
+from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, k_sum, u_sum
 from .entire import CoefficientSequence, ZERO, log_max_function, log_series
-from .errors import (
-    InputError,
-    NoFiniteBoundError,
-    ResourceLimitError,
-    UnsupportedDimensionError,
-)
+from .errors import InputError, ResourceLimitError, UnsupportedDimensionError
 from .legendre import SampledFunctionND, conjugate_nd
 
 _AXIS_CAP = 4096  # per-axis limit on the truncated multi-index box
+_BOX_EDGE = 64.0  # far face of the box the brute-force Q* searches
 
 
 def _check_dim(d: int) -> None:
@@ -70,7 +67,6 @@ class MultiGrowthFunction:
     dimension: int
     fn: Callable[[np.ndarray], np.ndarray]  # (..., d) -> (...)
     separable_parts: Optional[Sequence[GrowthFunction]] = None
-    domain_min: Optional[float] = None
 
     def __post_init__(self):
         _check_dim(self.dimension)
@@ -81,16 +77,13 @@ class MultiGrowthFunction:
     def from_separable(cls, parts: Sequence[GrowthFunction]) -> "MultiGrowthFunction":
         parts = tuple(parts)
         _check_dim(len(parts))
-        dom = parts[0].domain_min
-        if any(p.domain_min != dom for p in parts):
-            raise InputError("separable parts must share their domain edge")
 
         def fn(v):
             v = np.asarray(v, dtype=float)
             return sum(np.asarray(p.fn(v[..., j]), dtype=float)
                        for j, p in enumerate(parts))
 
-        return cls(len(parts), fn, separable_parts=parts, domain_min=dom)
+        return cls(len(parts), fn, separable_parts=parts)
 
     def __call__(self, v):
         out = np.asarray(self.fn(np.asarray(v, dtype=float)), dtype=float)
@@ -126,85 +119,76 @@ def multi_coeff_bound(Lambda: MultiGrowthFunction, k,
     return -float(res.values.flat[0])
 
 
-def _axis_truncation(decay_1d: Callable[[np.ndarray], np.ndarray], eps: float) -> int:
-    """Per-axis cap: the number of eps-damped terms log_series sums."""
-    _, terms, _ = log_series(lambda ns: -eps * np.asarray(decay_1d(ns), dtype=float),
-                             _AXIS_CAP - 1, block=64)
-    return terms
+def _axis_truncation(Q: MultiGrowthFunction, axis: int, eps: np.ndarray):
+    """Caps along one axis, one per eps: the number of eps-damped terms of
+    Q on that axis (the other indices 0) that log_series sums."""
+
+    def terms(ns):
+        pts = np.zeros(ns.shape + (Q.dimension,))
+        pts[..., axis] = ns
+        return -eps[:, None] * np.asarray(Q.fn(pts), dtype=float)
+
+    return log_series(terms, _AXIS_CAP - 1, block=64)[1]
 
 
-def _multi_index_logsum(term_fn: Callable[[np.ndarray], np.ndarray],
-                        caps: Sequence[int]) -> float:
-    """ln sum over the truncated multi-index box of exp(term_fn(points))."""
-    grids = [np.arange(c, dtype=float) for c in caps]
-    total = int(np.prod([g.size for g in grids]))
-    if total > 20_000_000:
-        raise ResourceLimitError(f"multi-index sum over {total} points")
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, len(caps))
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.asarray(term_fn(pts), dtype=float).ravel()
-    t = t[np.isfinite(t)]
-    if t.size == 0:
-        return -np.inf
-    m = float(np.max(t))
-    return m + math.log(float(np.sum(np.exp(t - m))))
-
-
-def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray) -> np.ndarray:
-    """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys.
-
-    Separable Q: one batched, exact per-axis conjugate per axis.
-    """
+def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
+    """(ln K0, ln U) over multi-indices at each eps.  Separable Q: K0 and U
+    are products of the per-axis sums, so their logs are sums of the batched
+    k_sum / u_sum.  Otherwise both run over a box truncated per axis by
+    _axis_truncation, with Q evaluated once on the largest box."""
     if Q.separable:
-        return sum(p.conjugate_at(ys[:, j])[0] for j, p in enumerate(Q.separable_parts))
-    # brute force over a nonnegative box (decay profiles live on k >= 0)
-    axes = [np.linspace(0.0, 64.0, 257)] * Q.dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
+        return (sum(k_sum(p.fn, eps) for p in Q.separable_parts),
+                sum(u_sum(p.fn, eps) for p in Q.separable_parts))
+    caps = np.stack([_axis_truncation(Q, j, eps) for j in range(Q.dimension)], axis=-1)
+    outer = caps.max(axis=0)
+    if np.prod(outer) > 20_000_000:
+        raise ResourceLimitError(f"multi-index sum over {np.prod(outer)} points")
+    pts = np.stack(np.meshgrid(*[np.arange(c, dtype=float) for c in outer],
+                               indexing="ij"), axis=-1)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.asarray(Q.fn(pts), dtype=float)
+        for e, cap in zip(eps, caps):
+            box = tuple(slice(c) for c in cap)
+            terms = (-e * q[box], np.asarray(Q.fn((1.0 - e) * pts[box]), dtype=float) - q[box])
+            out.append([logsumexp(t[np.isfinite(t)]) for t in terms])  # -inf if none
+    out = np.array(out)
+    return tuple(np.where(np.isfinite(out), out, np.inf).T)
+
+
+def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray):
+    """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys, and a saturation flag.
+    Separable Q: one batched, exact conjugate per axis, saturated when any
+    axis is.  Otherwise brute force over the box [0, 64]^d (decays live on
+    k >= 0), saturated when an argmax lies on its far face."""
+    if Q.separable:
+        parts = [p.conjugate_at(ys[:, j]) for j, p in enumerate(Q.separable_parts)]
+        return sum(q for q, _ in parts), any(sat for _, sat in parts)
+    axes = [np.linspace(0.0, _BOX_EDGE, 257)] * Q.dimension
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, Q.dimension)
     vals = np.asarray(Q.fn(pts), dtype=float)
-    return np.array([np.max(sum(mesh[j] * y[j] for j in range(Q.dimension)) - vals)
-                     for y in ys])
+    out, saturated = np.empty(len(ys)), False
+    for i, y in enumerate(ys):
+        obj = sum(pts[:, j] * y[j] for j in range(Q.dimension)) - vals
+        best = int(np.argmax(obj))
+        out[i] = obj[best]
+        saturated = saturated or bool(np.any(pts[best] == _BOX_EDGE))
+    return out, saturated
 
 
 def multi_max_bound(Q: MultiGrowthFunction, v,
                     eps_points: int = DEFAULT_EPS_POINTS):
     """Upper bound on ln R(v) over multi-indices: min_eps ln Y(eps) + Q*(v/(1-eps)).
 
-    Multi-index K/U sums are truncated per-axis; for separable Q both sums
-    factor into products of the per-axis sums (consistency with the 1-D
-    bounds at the same eps).
+    The eps-scan of max_function_upper_bound (grid, zoom, saturation flag)
+    over the sums of _multi_sums and the conjugate of _multi_conjugate.
     """
     v = np.asarray(v, dtype=float)
     if v.size != Q.dimension:
         raise InputError("v must match the profile dimension")
-
-    def diag_decay(axis):
-        def d(ns):
-            pts = np.zeros(ns.shape + (Q.dimension,))
-            pts[..., axis] = ns
-            return np.asarray(Q.fn(pts), dtype=float)
-        return d
-
-    eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
-    ln_k0 = np.empty(eps_grid.size)
-    ln_u = np.empty(eps_grid.size)
-    for i, e in enumerate(eps_grid):
-        caps = [_axis_truncation(diag_decay(j), float(e)) for j in range(Q.dimension)]
-        lk = _multi_index_logsum(lambda p: -e * np.asarray(Q.fn(p), float), caps)
-        lu = _multi_index_logsum(lambda p: np.asarray(Q.fn((1.0 - e) * p), float)
-                                 - np.asarray(Q.fn(p), float), caps)
-        ln_k0[i] = lk if np.isfinite(lk) else np.inf
-        ln_u[i] = lu if np.isfinite(lu) else np.inf
-    qstar = _multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
-    ln_k, ln_y, objective = _y_branches(eps_grid, ln_k0, ln_u, qstar)
-    if not np.any(np.isfinite(ln_y)):
-        raise NoFiniteBoundError("Y(eps) infinite across the grid")
-    j = int(np.argmin(objective))
-    bound = float(objective[j])
-    report = EpsilonReport(eps_grid, ln_k, ln_u, ln_y, float(eps_grid[j]),
-                           float(np.exp(ln_y[j])), bound)
-    return bound, report
+    return _eps_scan(lambda eps: _multi_sums(Q, eps),
+                     lambda eps: _multi_conjugate(Q, v[None, :] / (1.0 - eps[:, None])),
+                     eps_points, f"the {Q.dimension}-d profile")
 
 
 @dataclass(frozen=True)
@@ -244,6 +228,7 @@ def factorizable_demo(f1: CoefficientSequence, f2: CoefficientSequence,
     t = t1[:, None] + t2[None, :]
     t = t[np.isfinite(t)]
     m = float(np.max(t))
+    # by hand: scipy's logsumexp would hold about five copies of this array
     log_max_product = m + math.log(float(np.sum(np.exp(t - m))))
     residual = abs(log_max_product - (m1 + m2))
 
@@ -264,11 +249,7 @@ def factorizable_demo(f1: CoefficientSequence, f2: CoefficientSequence,
 
 
 def growth_of(f: CoefficientSequence, name: Optional[str] = None) -> GrowthFunction:
-    """Growth profile ln M_f(e^v) evaluated from the coefficient series."""
-
-    def fn(v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.array([log_max_function(f, math.exp(vi)) for vi in v])
-        return out
-
-    return GrowthFunction(name or f"lnM[{f.name}]", fn)
+    """Growth profile ln M_f(e^v) from the coefficient series, one batched
+    series per call."""
+    return GrowthFunction(name or f"lnM[{f.name}]",
+                          lambda v: log_max_function(f, np.exp(np.asarray(v, dtype=float))))

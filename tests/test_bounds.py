@@ -169,6 +169,15 @@ class TestAuxiliarySeries:
         ln_u = u_sum(lambda n: np.asarray(n, float) ** 2, 0.5)
         assert math.exp(ln_u) == pytest.approx(ref, rel=1e-12)
 
+    def test_eps_batch_matches_scalar_calls(self):
+        # one batched K (U) series over an eps array equals, bit for bit, a
+        # loop of one-eps calls
+        eps = np.arange(1, 40) / 40.0
+        for decay in (stirling_decay().fn, quadratic_decay(0.5).fn,
+                      lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0)):
+            for fn in (k_sum, u_sum):
+                np.testing.assert_array_equal(fn(decay, eps), [fn(decay, e) for e in eps])
+
     def test_eps_range_enforced(self):
         lin = lambda n: np.asarray(n, float)
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -176,6 +185,8 @@ class TestAuxiliarySeries:
                 k_sum(lin, bad)
             with pytest.raises(InputError):
                 u_sum(lin, bad)
+        with pytest.raises(InputError):
+            k_sum(lin, np.array([0.5, 1.0]))
 
     def test_r_sum_direct_oracle(self):
         Q = quadratic_decay(0.5)

@@ -15,6 +15,7 @@ from entire_growth.entire import (
     gamma_order_coefficients,
     gaussian_coefficients,
     log_max_function,
+    log_series,
     order_estimate,
     polynomial_coefficients,
     power_decay_coefficients,
@@ -77,6 +78,32 @@ class TestLogMaxFunction:
         f = CoefficientSequence("ones", lambda n: np.zeros_like(np.asarray(n, float)))
         with pytest.raises(NotEntireError):
             log_max_function(f, 2.0)
+
+    def test_radii_batch_matches_scalar_calls(self):
+        # one batched series over the radii equals, bit for bit, the scalar calls
+        r = np.array([0.5, 1.0, 2.718281828459045, 20.0, 150.0])
+        for f in (exp_coefficients(), gamma_order_coefficients(2.0),
+                  polynomial_coefficients([1.0, 0.0, 3.0, 0.5])):
+            got = log_max_function(f, r)
+            assert got.shape == r.shape
+            np.testing.assert_array_equal(got, [log_max_function(f, ri) for ri in r])
+
+
+class TestLogSeries:
+    def test_batch_rows_are_independent_series(self):
+        # row 0 (terms -n) stops converged after its first block and equals
+        # the 1-D call bit for bit; row 1 (terms 0) never becomes negligible
+        ref = log_series(lambda ns: -ns, 1000)
+        total, terms, converged = log_series(lambda ns: np.stack([-ns, 0.0 * ns]), 1000)
+        assert (total[0], terms[0], converged[0]) == ref
+        assert ref[2] and ref[1] == 256
+        assert not converged[1] and terms[1] == 1001
+        assert total[1] == pytest.approx(math.log(1001.0), rel=1e-14)
+
+    def test_scalar_results_for_one_series(self):
+        out = log_series(lambda ns: -ns, 1000)
+        assert [np.ndim(x) for x in out] == [0, 0, 0]
+        assert isinstance(out[0], float)
 
 
 class TestOrderEstimate:

@@ -99,8 +99,45 @@ class TestMultiMaxBound:
                                             hard_cap=MAX_TERMS).value
                             for p, yj in zip(Q.separable_parts, v / (1.0 - e)))
                         for e in eps_grid])
-        got = multivar._multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
+        got, _ = multivar._multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
         np.testing.assert_array_equal(got, ref)
+
+    def test_separable_sums_match_box(self):
+        # K0 = prod K0_j and U = prod U_j for separable Q: the per-axis
+        # batched sums equal the truncated multi-index box sums
+        from entire_growth import multivar
+        from entire_growth.bounds import quadratic_decay, stirling_decay
+        Q = MultiGrowthFunction.from_separable([stirling_decay(), quadratic_decay(0.5)])
+        box = MultiGrowthFunction(2, Q.fn)
+        eps_grid = np.arange(1, 10) / 10.0
+        for axis_sum, box_sum in zip(multivar._multi_sums(Q, eps_grid),
+                                     multivar._multi_sums(box, eps_grid)):
+            np.testing.assert_allclose(axis_sum, box_sum, rtol=0, atol=1e-12)
+
+    def test_all_infinite_box(self):
+        # Q = +inf on the whole box: no K or U term is finite (the U terms
+        # are inf - inf), so both sums are +inf, with no RuntimeWarning
+        from entire_growth import multivar
+        Q = MultiGrowthFunction(1, lambda k: np.full(np.shape(k)[:-1], np.inf))
+        for s in multivar._multi_sums(Q, np.array([0.25, 0.5])):
+            np.testing.assert_array_equal(s, [np.inf, np.inf])
+
+    def test_qstar_saturation_flag(self):
+        from entire_growth.bounds import quadratic_decay, stirling_decay
+        # non-separable: the brute-force argmax near e^(v/(1-eps)) > 64
+        # lies on the far face of the [0, 64]^2 box
+        s = stirling_decay().fn
+        Q = MultiGrowthFunction(
+            2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
+        _, rep = multi_max_bound(Q, (5.0, 5.0), eps_points=9)
+        assert rep.qstar_saturated
+        # separable: a user-built Stirling decay searches an index window
+        # capped at MAX_TERMS = 10^6 < e^14; the closed form has no window
+        user = dataclasses.replace(stirling_decay(), conj=None)
+        for part, saturated in ((user, True), (stirling_decay(), False)):
+            Q = MultiGrowthFunction.from_separable([part, quadratic_decay(0.5)])
+            _, rep = multi_max_bound(Q, (14.0, 1.0), eps_points=9)
+            assert rep.qstar_saturated is saturated
 
 
 def _decay_pair():
