@@ -64,7 +64,6 @@ from .scales import (
     refined_decay_profile,
 )
 from .multivar import (
-    MultiCoefficientSequence,
     MultiGrowthFunction,
     factorizable_demo,
     growth_of,

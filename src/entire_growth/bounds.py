@@ -145,26 +145,39 @@ def quadratic_decay(a: float = 0.5) -> GrowthFunction:
                           conj=lambda y: np.maximum(y, 0.0) ** 2 / (4.0 * a))
 
 
-def table_decay(f: CoefficientSequence) -> GrowthFunction:
-    """Convex decay of a finite table: the lower convex envelope of -ln|c_n|.
+def index_decay(f: CoefficientSequence) -> GrowthFunction:
+    """Convex decay of a coefficient sequence, with its exact discrete
+    conjugate.
 
-    Piecewise linear between the hull vertices of the rows, +inf outside
-    them (the domain starts at the first nonzero row).  It lies below
-    -ln|c_n| at every row, so |c_n| <= exp(-Q(n)) holds, and it is convex,
-    as the reverse bound requires.
+    Q is the lower convex envelope of -ln|c_n| over the rows n = 0..N (a
+    table's last row, or entire.MAX_TERMS, the series kernel's term bound,
+    for a rule): piecewise linear between the hull vertices, +inf outside
+    them.  It lies below -ln|c_n| at every row, so |c_n| <= exp(-Q(n))
+    holds, and it is convex, as the reverse bound requires.  Q*(y) = n y -
+    Q(n) at the vertex n whose edge slopes bracket y, the discrete Legendre
+    transform (Lucet, Numer. Algorithms 16, 1997).  Past the last slope the
+    argmax is a table's last row, exact since c_n = 0 beyond it; for a rule
+    it lies past N, so Q* is +inf there.
     """
-    ns = np.arange(f.max_index + 1, dtype=float)
+    ns = np.arange((f.max_index if f.is_polynomial else entire.MAX_TERMS) + 1,
+                   dtype=float)
     q = -f.log_abs_array(ns)
     hull = _lower_hull_indices(ns, q)
     if len(hull) < 2:
         raise InputError(f"{f.name}: need at least two nonzero coefficients")
     hx, hq = ns[hull], q[hull]
+    slopes = np.diff(hq) / np.diff(hx)
 
     def fn(x):
         x = np.asarray(x, dtype=float)
         return np.where((x >= hx[0]) & (x <= hx[-1]), np.interp(x, hx, hq), np.inf)
 
-    return GrowthFunction(f"decay({f.name})", fn, domain_min=hx[0])
+    def conj(y):
+        k = np.searchsorted(slopes, y)
+        out = hx[k] * y - hq[k]
+        return out if f.is_polynomial else np.where(k == slopes.size, np.inf, out)
+
+    return GrowthFunction(f"decay({f.name})", fn, domain_min=hx[0], conj=conj)
 
 
 def coeff_upper_bound(Lambda: GrowthFunction, n: int) -> float:
@@ -255,12 +268,16 @@ def _eps_scan(sums, conj, eps_points: int, name: str):
     = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <=
     ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U
     sums.  ln K is +inf where Q*(y) is, so the bound there is +inf, not NaN.
+    Q*(y) = -inf means Q = +inf everywhere, so every coefficient vanishes
+    and there is nothing to bound: InputError.
     """
 
     def scan(eps):
         """ln K, ln U, ln Y and ln Y + Q*(y) at each eps."""
-        ln_k0, ln_u = sums(eps)
         qstar, _ = conj(eps)
+        if np.any(qstar == -np.inf):
+            raise InputError(f"Q* = -inf for {name}: its decay is +inf everywhere")
+        ln_k0, ln_u = sums(eps)
         ln_k = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
         ln_y = np.minimum(ln_k, ln_u)
         return ln_k, ln_u, ln_y, ln_y + qstar

@@ -23,7 +23,7 @@ import hashlib
 import math
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -203,18 +203,12 @@ class FunctionSpec:
         return multivar.growth_of(self.coefficients(), name=self.name)
 
     def decay(self) -> bounds.GrowthFunction:
-        """Decay profile Q(n) = -ln|c_n|, its lower convex envelope for a
-        table, or the growth conjugate if no coefficient model exists."""
+        """Decay profile: the convex envelope of Q(n) = -ln|c_n| with its
+        discrete conjugate, or the growth conjugate if no coefficient model
+        exists."""
         if self.family in ("log_power_growth", "double_exp"):
             return self.growth().conjugate()
-        if self.family == "custom_coeff_csv":
-            return bounds.table_decay(self.table)
-        f = self.coefficients()
-
-        def q(ns):
-            return -f.log_abs_array(np.maximum(np.asarray(ns, float), 0.0))
-
-        return bounds.GrowthFunction(f"decay({self.name})", q, domain_min=0.0)
+        return bounds.index_decay(self.coefficients())
 
 
 # --- analyses ----------------------------------------------------------

@@ -98,13 +98,18 @@ class ConjugateTable:
         return self.convexity_defect() >= -tol
 
 
-def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> list:
+def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of the finite sample points.
 
     Collinear points are kept, so exact ties on hull edges resolve to the
-    smallest x during the merge.
+    smallest x during the merge.  When the merge's pop test passes on every
+    consecutive triple, every finite point is a vertex and the merge is
+    skipped: the same indices, from the same arithmetic.
     """
     finite = np.flatnonzero(np.isfinite(gs))
+    dx, dg = np.diff(xs[finite]), np.diff(gs[finite])
+    if not np.any(dg[:-1] * dx[1:] > dg[1:] * dx[:-1]):
+        return finite
     hull: list = []
     for i in finite:
         while len(hull) >= 2:
@@ -115,7 +120,7 @@ def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> list:
             else:
                 break
         hull.append(i)
-    return hull
+    return np.asarray(hull, dtype=int)
 
 
 def conjugate_1d(g: SampledFunction1D, ys) -> ConjugateTable:
@@ -128,7 +133,7 @@ def conjugate_1d(g: SampledFunction1D, ys) -> ConjugateTable:
     ys = _as_increasing_array(np.atleast_1d(np.asarray(ys, dtype=float)), "ys") \
         if np.asarray(ys).size > 1 else np.atleast_1d(np.asarray(ys, dtype=float))
     xs, gs = g.xs, g.gs
-    hull = _lower_hull_indices(xs, gs)
+    hull = _lower_hull_indices(xs, gs).tolist()
     out = np.empty(ys.size)
     arg = np.empty(ys.size)
     j = 0

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, k_sum, u_sum
-from .entire import CoefficientSequence, ZERO, log_max_function, log_series
+from .entire import CoefficientSequence, log_max_function, log_series
 from .errors import InputError, ResourceLimitError, UnsupportedDimensionError
 from .legendre import SampledFunctionND, conjugate_nd
 
@@ -27,37 +27,6 @@ _BOX_EDGE = 64.0  # far face of the box the brute-force Q* searches
 def _check_dim(d: int) -> None:
     if not 1 <= d <= 3:
         raise UnsupportedDimensionError(f"dimension {d} not supported (d <= 3)")
-
-
-@dataclass(frozen=True)
-class MultiCoefficientSequence:
-    """Coefficients c_k indexed by multi-indices, optionally factorized."""
-
-    dimension: int
-    log_abs_fn: Callable[[Tuple[int, ...]], float]
-    factors: Optional[Sequence[CoefficientSequence]] = None
-
-    def __post_init__(self):
-        _check_dim(self.dimension)
-        if self.factors is not None and len(self.factors) != self.dimension:
-            raise InputError("one factor sequence per axis required")
-
-    @classmethod
-    def from_factors(cls, factors: Sequence[CoefficientSequence]) -> "MultiCoefficientSequence":
-        factors = tuple(factors)
-        _check_dim(len(factors))
-
-        def la(k):
-            parts = [f.log_abs(int(kj)) for f, kj in zip(factors, k)]
-            return ZERO if any(p == ZERO for p in parts) else float(sum(parts))
-
-        return cls(len(factors), la, factors=factors)
-
-    def log_abs(self, k) -> float:
-        k = tuple(int(x) for x in k)
-        if len(k) != self.dimension or any(x < 0 for x in k):
-            raise InputError("multi-index must be nonnegative of matching dimension")
-        return float(self.log_abs_fn(k))
 
 
 @dataclass(frozen=True)

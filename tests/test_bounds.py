@@ -13,6 +13,7 @@ from entire_growth.bounds import (
     coeff_upper_bound_many,
     exp_of_exp,
     gamma_condition,
+    index_decay,
     k_sum,
     max_function_upper_bound,
     power_log,
@@ -29,6 +30,7 @@ from entire_growth.entire import (
     gamma_order_coefficients,
     log_max_function,
     polynomial_coefficients,
+    table_coefficients,
 )
 from entire_growth.errors import (
     InputError,
@@ -37,7 +39,7 @@ from entire_growth.errors import (
     WindowSaturationWarning,
 )
 from entire_growth.legendre import WINDOW_HARD_CAP, conjugate_of_callable
-from entire_growth.probgen import poisson_growth
+from entire_growth.probgen import poisson, poisson_growth
 
 
 class TestCoeffUpperBound:
@@ -133,6 +135,72 @@ class TestClosedConjugates:
         n = np.array([0.0, 2.0, 10.0])
         np.testing.assert_allclose(star(n), n * n / 4.0, rtol=1e-12, atol=1e-12)
         assert np.array_equal(star.conjugate_at(n)[0], square(n))
+
+
+def _rows_conjugate(la, ys):
+    """max over the rows n of n y + ln|c_n|: Q* of the rows by brute force,
+    and the maximizing row per y."""
+    ns = np.flatnonzero(np.isfinite(la))
+    vals = [ns * y + la[ns] for y in ys]
+    return (np.array([np.max(t) for t in vals]),
+            np.array([ns[np.argmax(t)] for t in vals]))
+
+
+RULES = [exp_coefficients(), gamma_order_coefficients(2.0),
+         poisson(3.0).as_coefficients()]
+
+
+class TestIndexDecay:
+    def test_random_tables_match_rows(self):
+        # leading ZERO rows, gaps and non-convex rows: Q* of the envelope is
+        # the max over the rows, past the last row too (c_n = 0 there)
+        rng = np.random.default_rng(5)
+        ys = np.linspace(-5.0, 25.0, 61)
+        for _ in range(20):
+            size = int(rng.integers(20, 400))
+            ns = np.arange(size, dtype=float)
+            la = -(gammaln(ns / rng.uniform(0.5, 3.0) + 1.0)
+                   + rng.normal(0.0, rng.choice([0.0, 0.5, 3.0]), size))
+            la[:int(rng.integers(0, 6))] = -np.inf
+            la[rng.random(size) < 0.1] = -np.inf
+            Q = index_decay(table_coefficients(la))
+            got, saturated = Q.conjugate_at(ys)
+            np.testing.assert_allclose(got, _rows_conjugate(la, ys)[0],
+                                       rtol=1e-12, atol=1e-12)
+            assert not saturated
+            # the envelope lies below every row: |c_n| <= exp(-Q(n))
+            assert np.all(Q.fn(ns) <= -la)
+
+    @pytest.mark.parametrize("f", RULES, ids=lambda f: f.name)
+    def test_rules_match_rows_in_range(self, f):
+        # every row up to MAX_TERMS; y below the last hull slope keeps the
+        # argmax inside them
+        la = f.log_abs_array(np.arange(MAX_TERMS + 1, dtype=float))
+        ys = np.array([-2.0, 0.0, 0.5, 1.0, 3.0, 6.0])
+        want, arg = _rows_conjugate(la, ys)
+        assert np.all(arg < MAX_TERMS)
+        got, saturated = index_decay(f).conjugate_at(ys)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert not saturated
+
+    @pytest.mark.parametrize("f", RULES, ids=lambda f: f.name)
+    def test_rule_infinite_past_last_slope(self, f):
+        # the argmax lies past n = MAX_TERMS: Q* = +inf, a valid bound
+        la = f.log_abs_array(np.array([MAX_TERMS - 1.0, MAX_TERMS]))
+        last_slope = la[0] - la[1]
+        vals, saturated = index_decay(f).conjugate_at(
+            [last_slope - 1e-3, last_slope + 1e-3, 1e3])
+        assert np.isfinite(vals[0]) and np.all(vals[1:] == np.inf)
+        assert not saturated
+
+    def test_table_exact_past_last_row(self):
+        la = np.log([1.0, 0.5, 0.1, 0.02])
+        vals, _ = index_decay(table_coefficients(la)).conjugate_at([50.0, 1e6])
+        np.testing.assert_array_equal(vals, 3.0 * np.array([50.0, 1e6]) + la[3])
+
+    def test_single_nonzero_row_refused(self):
+        with pytest.raises(InputError):
+            index_decay(table_coefficients([-np.inf, 0.0, -np.inf]))
 
 
 class TestAuxiliarySeries:

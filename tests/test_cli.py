@@ -126,6 +126,22 @@ class TestBatchedConjugates:
         bounds.coeff_upper_bound(bounds.power_of_exp(), 5)
         scales.conjugate_numeric(scales.psi_scale(2.0, 1.0), 10.0)
 
+        # every coefficient family takes Q* of its decay in closed form: the
+        # adaptive search is not reached from upper_bound
+        def search(*args, **kwargs):
+            raise AssertionError("conjugate_of_callable called")
+
+        for mod in (entire_growth, legendre, bounds, scales):
+            monkeypatch.setattr(mod, "conjugate_of_callable", search)
+        (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,0.0\n1,-1.0\n2,-2.5\n3,-6.0\n")
+        cfg.write_text("".join(
+            f"[{name}]\n{family}\nanalyses = upper_bound\nv_grid = 1.0, 3.0\n\n"
+            for name, family in (("exp", "family = exp"),
+                                 ("order2", "family = power_order\nrho = 2"),
+                                 ("pois", "family = poisson\nlam = 1"),
+                                 ("table", "family = custom_coeff_csv\npath = c.csv"))))
+        assert run(str(cfg), str(tmp_path / "out2"), quiet=True, eps_points=19) == 0
+
 
 class TestUpperBoundTable:
     @pytest.mark.parametrize("rho, s, zeros", [(1.5, 0.5, 0), (2.0, 0.0, 3)])
@@ -150,6 +166,20 @@ class TestUpperBoundTable:
             v, bound = float(row[0]), float(row[1])
             assert bound >= logsumexp(ln_c + ns * v)
             assert row[5] in ("0", "1")
+
+    def test_bound_past_the_rows_of_a_rule(self, tmp_path):
+        # rho = 10 at v = 2: every y = v/(1-eps) lies past the last hull
+        # slope of the rows n <= MAX_TERMS, so the argmax of Q* is past them
+        # and the bound is +inf, or at least ln R_Q >= n v - ln Gamma(n/10 + 1)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("[r]\nfamily = power_order\nrho = 10\n"
+                       "analyses = upper_bound\nv_grid = 2\n")
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 0
+        with open(out / "r" / "upper_bound.csv", newline="") as fh:
+            (row,) = list(csv.reader(fh))[1:]
+        n = np.array([1e8, 1e9, 1e10])
+        assert float(row[1]) >= np.max(n * 2.0 - gammaln(n / 10.0 + 1.0))
 
     def test_single_row_table_refused(self, tmp_path):
         (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,ZERO\n1,0.0\n")

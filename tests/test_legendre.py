@@ -18,6 +18,7 @@ from entire_growth.errors import (
 from entire_growth.legendre import (
     SampledFunction1D,
     SampledFunctionND,
+    _lower_hull_indices,
     biconjugate_1d,
     conjugate_1d,
     conjugate_1d_bruteforce,
@@ -99,6 +100,38 @@ class TestConjugate1D:
         assert t.argmax_xs[0] == -2.0
         s = conjugate_1d_bruteforce(g, [0.0])
         assert s.argmax_xs[0] == -2.0
+
+
+def _hull_by_merge(xs, gs):
+    """The monotone-chain merge, pop by pop: the reference for the hull."""
+    hull = []
+    for i in np.flatnonzero(np.isfinite(gs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (gs[b] - gs[a]) * (xs[i] - xs[b]) > (gs[i] - gs[b]) * (xs[b] - xs[a]):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+class TestLowerHull:
+    @pytest.mark.parametrize("kind", ["convex", "collinear", "nonconvex", "gapped"])
+    def test_matches_merge(self, kind):
+        # the vectorized pass (every point a vertex) and the merge give the
+        # same indices
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            g = random_sampled(rng, convex=kind != "nonconvex")
+            xs, gs = g.xs, g.gs.copy()
+            if kind == "collinear":
+                xs = np.arange(xs.size, dtype=float)
+                gs = 3.0 * xs - 1.0
+            if kind == "gapped":
+                gs[rng.random(gs.size) < 0.3] = np.inf
+            np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
+                                          _hull_by_merge(xs, gs))
 
 
 class TestValidation:

@@ -14,7 +14,6 @@ from entire_growth.entire import (
 )
 from entire_growth.errors import UnsupportedDimensionError
 from entire_growth.multivar import (
-    MultiCoefficientSequence,
     MultiGrowthFunction,
     factorizable_demo,
     growth_of,
@@ -121,6 +120,14 @@ class TestMultiMaxBound:
         Q = MultiGrowthFunction(1, lambda k: np.full(np.shape(k)[:-1], np.inf))
         for s in multivar._multi_sums(Q, np.array([0.25, 0.5])):
             np.testing.assert_array_equal(s, [np.inf, np.inf])
+
+    def test_all_infinite_decay_refused(self):
+        # Q = +inf everywhere: Q* = -inf and ln Y = +inf, whose sum is NaN;
+        # the scan refuses the input instead of adding them
+        from entire_growth.errors import InputError
+        Q = MultiGrowthFunction(1, lambda k: np.full(np.shape(k)[:-1], np.inf))
+        with pytest.raises(InputError):
+            multi_max_bound(Q, [1.0])
 
     def test_qstar_saturation_flag(self):
         from entire_growth.bounds import quadratic_decay, stirling_decay
