@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import lambertw, xlogy
 
 from . import entire
 from .entire import CoefficientSequence, log_max_function, log_series
@@ -24,7 +23,7 @@ from .errors import (
     PolynomialInputError,
     WindowSaturationWarning,
 )
-from .legendre import WINDOW_HARD_CAP, _lower_hull_indices, conjugate_of_callable
+from .legendre import WINDOW_HARD_CAP, _hull, _vertex_conjugate, conjugate_of_callable
 
 DEFAULT_EPS_POINTS = 199
 # Refinement of eps* around the grid minimum: each stage evaluates ZOOM_POINTS
@@ -86,6 +85,7 @@ def power_of_exp(C: float = 1.0, rho: float = 1.0) -> GrowthFunction:
         raise InputError("C and rho must be positive")
 
     def conj(n):
+        from scipy.special import xlogy
         k = np.maximum(n, 0.0) / rho
         return np.where(n < 0, np.inf, xlogy(k, k / C) - k)
 
@@ -117,6 +117,7 @@ def exp_of_exp(C5: float = 1.0, C6: float = 1.0) -> GrowthFunction:
             return C5 * np.exp(C6 * np.exp(np.asarray(v, float)))
 
     def conj(n):
+        from scipy.special import lambertw
         k = np.where(n > 0, n, 1.0)  # keeps W, ln and 1/u finite off n > 0
         u = lambertw(k / C5).real
         return np.where(n > 0, k * np.log(u / C6) - k / u,
@@ -155,27 +156,24 @@ def index_decay(f: CoefficientSequence) -> GrowthFunction:
     them.  It lies below -ln|c_n| at every row, so |c_n| <= exp(-Q(n))
     holds, and it is convex, as the reverse bound requires.  Q*(y) = n y -
     Q(n) at the vertex n whose edge slopes bracket y, the discrete Legendre
-    transform (Lucet, Numer. Algorithms 16, 1997).  Past the last slope the
-    argmax is a table's last row, exact since c_n = 0 beyond it; for a rule
-    it lies past N, so Q* is +inf there.
+    transform (Lucet, Numer. Algorithms 16, 1997; legendre's vertex kernel).
+    Past the last slope the argmax is a table's last row, exact since c_n =
+    0 beyond it; for a rule it lies past N, so Q* is +inf there.
     """
     ns = np.arange((f.max_index if f.is_polynomial else entire.MAX_TERMS) + 1,
                    dtype=float)
     q = -f.log_abs_array(ns)
-    hull = _lower_hull_indices(ns, q)
-    if len(hull) < 2:
+    hx, hq, slopes = _hull(ns, q)
+    if hx.size < 2:
         raise InputError(f"{f.name}: need at least two nonzero coefficients")
-    hx, hq = ns[hull], q[hull]
-    slopes = np.diff(hq) / np.diff(hx)
 
     def fn(x):
         x = np.asarray(x, dtype=float)
         return np.where((x >= hx[0]) & (x <= hx[-1]), np.interp(x, hx, hq), np.inf)
 
     def conj(y):
-        k = np.searchsorted(slopes, y)
-        out = hx[k] * y - hq[k]
-        return out if f.is_polynomial else np.where(k == slopes.size, np.inf, out)
+        out, _ = _vertex_conjugate(hx, hq, slopes, y)
+        return out if f.is_polynomial else np.where(y > slopes[-1], np.inf, out)
 
     return GrowthFunction(f"decay({f.name})", fn, domain_min=hx[0], conj=conj)
 

@@ -50,16 +50,15 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _write_csv(path: str, header: List[str], rows: List[List]) -> int:
-    """Write a CSV with '\n' endings; returns the data row count."""
+def _write_csv(path: str, header: List[str], rows: List[List]) -> Tuple[int, str]:
+    """Write a CSV with '\n' endings; returns the data row count and the
+    sha-256 of the bytes written."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else
-                              (v if isinstance(v, str) else _fmt(v))
-                              for v in row) + "\n")
-    return len(rows)
+    data = "".join(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v))
+                            for v in row) + "\n" for row in [header] + rows).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return len(rows), hashlib.sha256(data).hexdigest()
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -237,15 +236,11 @@ def _run_tauberian(spec: FunctionSpec, ctx) -> Tuple[List[str], List[List], List
     else:
         rep = bounds.tauberian_report(spec.coefficients(), Lam,
                                       spec.r_grid, spec.n_grid)
-    rows = []
-    n_rows = max(rep.r_grid.size, rep.n_grid.size)
-    for i in range(n_rows):
-        rows.append([
-            _fmt(rep.r_grid[i]) if i < rep.r_grid.size else "",
-            _fmt(rep.lhs_ratios[i]) if i < rep.r_grid.size else "",
-            str(int(rep.n_grid[i])) if i < rep.n_grid.size else "",
-            _fmt(rep.rhs_ratios[i]) if i < rep.n_grid.size else "",
-        ])
+    rows = [[_fmt(rep.r_grid[i]) if i < rep.r_grid.size else "",
+             _fmt(rep.lhs_ratios[i]) if i < rep.r_grid.size else "",
+             str(int(rep.n_grid[i])) if i < rep.n_grid.size else "",
+             _fmt(rep.rhs_ratios[i]) if i < rep.n_grid.size else ""]
+            for i in range(max(rep.r_grid.size, rep.n_grid.size))]
     return (["r", "lhs_ratio", "n", "rhs_ratio"], rows,
             [f"tauberian: terminal lhs {_fmt(rep.terminal_lhs)}, "
              f"terminal rhs {_fmt(rep.terminal_rhs)}, "
@@ -415,9 +410,7 @@ def run(config_path: str, output_dir: str, quiet: bool = False,
     manifest, summary, errors = [], [], []
     for name, (artifacts, notes, error) in results:
         for relpath, header, rows in artifacts:
-            count = _write_csv(os.path.join(output_dir, relpath), header, rows)
-            digest = hashlib.sha256(
-                open(os.path.join(output_dir, relpath), "rb").read()).hexdigest()
+            count, digest = _write_csv(os.path.join(output_dir, relpath), header, rows)
             manifest.append((relpath, digest, count))
         summary.extend(f"[{name}] {note}" for note in notes)
         if error:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     InputError,
@@ -89,19 +88,22 @@ class CoefficientSequence:
 
 def exp_coefficients() -> CoefficientSequence:
     """c_n = 1/n!, the exponential function."""
-    return CoefficientSequence("exp", lambda n: -gammaln(n + 1.0))
+    return CoefficientSequence("exp", gamma_order_coefficients(1.0).log_abs_fn)
 
 
 def gamma_order_coefficients(rho: float, c4: float = 1.0) -> CoefficientSequence:
-    """c_n = (C4*rho/e)^{n/rho} ... simplified to c_n = 1/Gamma(n/rho + 1).
+    """c_n = c4^(n/rho) / Gamma(n/rho + 1), the Mittag-Leffler coefficients
+    of E_{1/rho}(c4^(1/rho) z), with ln M(r) ~ c4 r^rho.  Gamma(k+1) >= (k/e)^k
+    at k = n/rho gives ln|c_n| <= -Lambda*(n) for Lambda(v) = c4 e^(rho v)."""
+    if rho <= 0 or c4 <= 0:
+        raise InputError("rho and c4 must be positive")
 
-    Order-rho model matching ln M(r) ~ C4 r^rho for C4 = 1 (Mittag-Leffler
-    style coefficients).
-    """
-    if rho <= 0:
-        raise InputError("rho must be positive")
-    return CoefficientSequence(f"gamma_order(rho={rho:g})",
-                               lambda n: -gammaln(n / rho + 1.0))
+    def la(n):
+        from scipy.special import gammaln
+        k = n / rho
+        return -(gammaln(k + 1.0) - k * math.log(c4))  # -0.0 where gammaln = 0 at c4 = 1
+
+    return CoefficientSequence(f"gamma_order(rho={rho:g})", la)
 
 
 def power_decay_coefficients(alpha: float) -> CoefficientSequence:

@@ -66,9 +66,6 @@ class SampledFunction1D:
             gs = np.asarray(fn(xs), dtype=float)
         return cls(xs, gs)
 
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.gs)
-
 
 @dataclass(frozen=True)
 class ConjugateTable:
@@ -98,20 +95,14 @@ class ConjugateTable:
         return self.convexity_defect() >= -tol
 
 
-def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of the finite sample points.
+# Points the hull passes may visit, per sample; past it the merge finishes.
+_HULL_PASS_BUDGET = 4
 
-    Collinear points are kept, so exact ties on hull edges resolve to the
-    smallest x during the merge.  When the merge's pop test passes on every
-    consecutive triple, every finite point is a vertex and the merge is
-    skipped: the same indices, from the same arithmetic.
-    """
-    finite = np.flatnonzero(np.isfinite(gs))
-    dx, dg = np.diff(xs[finite]), np.diff(gs[finite])
-    if not np.any(dg[:-1] * dx[1:] > dg[1:] * dx[:-1]):
-        return finite
+
+def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Monotone-chain merge over the points idx (increasing x)."""
     hull: list = []
-    for i in finite:
+    for i in idx:
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # pop b when slope(a,b) > slope(b,i), i.e. b lies strictly above
@@ -123,50 +114,75 @@ def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return np.asarray(hull, dtype=int)
 
 
-def conjugate_1d(g: SampledFunction1D, ys) -> ConjugateTable:
-    """Discrete conjugate by linear-time merge over the lower hull.
+def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull of the finite sample points.
 
-    Equals the brute-force max over all samples of x*y - g(x), computed with
-    the same arithmetic (one multiply, one subtract per candidate).  Argmax
-    ties break toward the smallest x.
+    Each pass applies the merge's pop test to every consecutive triple of
+    survivors and drops all popped points, each strictly above a chord, at
+    once.  When nothing pops, the survivors are the merge's hull, collinear
+    points kept.  Past the pass budget the merge finishes the survivors.
     """
-    ys = _as_increasing_array(np.atleast_1d(np.asarray(ys, dtype=float)), "ys") \
-        if np.asarray(ys).size > 1 else np.atleast_1d(np.asarray(ys, dtype=float))
-    xs, gs = g.xs, g.gs
-    hull = _lower_hull_indices(xs, gs).tolist()
-    out = np.empty(ys.size)
-    arg = np.empty(ys.size)
-    j = 0
-    for k, y in enumerate(ys):
-        while j + 1 < len(hull):
-            i_cur, i_nxt = hull[j], hull[j + 1]
-            if xs[i_nxt] * y - gs[i_nxt] > xs[i_cur] * y - gs[i_cur]:
-                j += 1
-            else:
-                break
-        i = hull[j]
-        out[k] = xs[i] * y - gs[i]
-        arg[k] = xs[i]
-    return ConjugateTable(ys, out, arg)
+    idx = np.flatnonzero(np.isfinite(gs))
+    work = 0
+    while idx.size > 2:
+        work += idx.size
+        if work > _HULL_PASS_BUDGET * xs.size:
+            return _hull_by_merge(xs, gs, idx)
+        dx, dg = np.diff(xs[idx]), np.diff(gs[idx])
+        pop = dg[:-1] * dx[1:] > dg[1:] * dx[:-1]
+        if not pop.any():
+            break
+        idx = idx[np.concatenate(([True], ~pop, [True]))]
+    return idx
+
+
+def _hull(xs: np.ndarray, gs: np.ndarray):
+    """Lower hull vertices (hx, hg) of the finite samples and its edge slopes."""
+    idx = _lower_hull_indices(xs, gs)
+    hx, hg = xs[idx], gs[idx]
+    return hx, hg, np.diff(hg) / np.diff(hx)
+
+
+def _vertex_conjugate(hx: np.ndarray, hg: np.ndarray, slopes: np.ndarray, ys):
+    """max over hull vertices of x*y - g(x), elementwise in ys of any shape.
+
+    searchsorted on the edge slopes finds the vertex k whose edges bracket
+    y; vertices k-1, k and k+1 are compared in the brute force's arithmetic
+    and the first maximum (smallest x) wins.  Returns values and indices.
+    """
+    ys = np.asarray(ys, dtype=float)
+    k = np.searchsorted(slopes, ys)  # at most slopes.size = hx.size - 1
+    best = np.maximum(k - 1, 0)
+    val = hx[best] * ys - hg[best]
+    for cand in (k, np.minimum(k + 1, hx.size - 1)):
+        v = hx[cand] * ys - hg[cand]
+        up = v > val
+        best, val = np.where(up, cand, best), np.where(up, v, val)
+    return val, best
+
+
+def conjugate_1d(g: SampledFunction1D, ys) -> ConjugateTable:
+    """Discrete conjugate at the lower-hull vertex that each y selects.
+
+    Each value is x*y - g(x) at a sample, in the brute force's arithmetic
+    (one multiply, one subtract): never above the brute-force max, and
+    equal to it bit for bit where the hull slopes are well separated.  Ties
+    go to the smallest x.  Elementwise in ys, which may come in any order.
+    """
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    hx, hg, slopes = _hull(g.xs, g.gs)
+    vals, k = _vertex_conjugate(hx, hg, slopes, ys)
+    return ConjugateTable(ys, vals, hx[k])
 
 
 def conjugate_1d_bruteforce(g: SampledFunction1D, ys) -> ConjugateTable:
-    """O(n*m) reference conjugate; the oracle the merge must match exactly."""
+    """O(n*m) reference conjugate; the oracle for conjugate_1d."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     finite = np.isfinite(g.gs)
     xs, gs = g.xs[finite], g.gs[finite]
     t = xs[:, None] * ys[None, :] - gs[:, None]
     idx = np.argmax(t, axis=0)
     return ConjugateTable(ys, t[idx, np.arange(ys.size)], xs[idx])
-
-
-def _hull_slopes(g: SampledFunction1D):
-    xs, gs = g.xs, g.gs
-    hull = _lower_hull_indices(xs, gs)
-    hx = xs[hull]
-    hg = gs[hull]
-    slopes = np.diff(hg) / np.diff(hx)
-    return hx, hg, np.unique(slopes)
 
 
 def biconjugate_1d(g: SampledFunction1D, xs_out) -> ConjugateTable:
@@ -176,23 +192,12 @@ def biconjugate_1d(g: SampledFunction1D, xs_out) -> ConjugateTable:
     second conjugation exact for the sampled envelope.
     """
     xs_out = np.atleast_1d(np.asarray(xs_out, dtype=float))
-    hx, hg, slopes = _hull_slopes(g)
-    if slopes.size == 0:
-        raise DomainDegenerateError("hull has a single vertex")
-    first = conjugate_1d(g, slopes)
-    if slopes.size == 1:
-        s = slopes[0]
-        vals = xs_out * s - first.gstars[0]
-        return ConjugateTable(xs_out, vals, np.full(xs_out.size, s))
-    gstar = SampledFunction1D(slopes, first.gstars)
-    order = np.argsort(xs_out, kind="stable")
-    res = conjugate_1d(gstar, xs_out[order]) if np.all(np.diff(xs_out[order]) > 0) \
-        else conjugate_1d_bruteforce(gstar, xs_out[order])
-    vals = np.empty_like(xs_out)
-    args = np.empty_like(xs_out)
-    vals[order] = res.gstars
-    args[order] = res.argmax_xs
-    return ConjugateTable(xs_out, vals, args)
+    hx, hg, slopes = _hull(g.xs, g.gs)
+    ys = np.unique(slopes)
+    gstar, _ = _vertex_conjugate(hx, hg, slopes, ys)
+    hy, hs, breaks = _hull(ys, gstar)
+    vals, k = _vertex_conjugate(hy, hs, breaks, xs_out)
+    return ConjugateTable(xs_out, vals, hy[k])
 
 
 def young_gap(g: SampledFunction1D, x: float, y: float, gamma: float) -> float:
@@ -203,7 +208,7 @@ def young_gap(g: SampledFunction1D, x: float, y: float, gamma: float) -> float:
     """
     if gamma <= 0:
         raise InputError("gamma must be positive")
-    finite = g.finite_mask()
+    finite = np.isfinite(g.gs)
     xs, gs = g.xs[finite], g.gs[finite]
     q = gamma * x
     if q < xs[0] or q > xs[-1]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, k_sum, u_sum
 from .entire import CoefficientSequence, log_max_function, log_series
@@ -108,6 +107,7 @@ def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
     if Q.separable:
         return (sum(k_sum(p.fn, eps) for p in Q.separable_parts),
                 sum(u_sum(p.fn, eps) for p in Q.separable_parts))
+    from scipy.special import logsumexp
     caps = np.stack([_axis_truncation(Q, j, eps) for j in range(Q.dimension)], axis=-1)
     outer = caps.max(axis=0)
     if np.prod(outer) > 20_000_000:

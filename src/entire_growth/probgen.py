@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .bounds import GrowthFunction, TauberianReport, tauberian_report
 from .entire import CoefficientSequence, ZERO, coefficients_from_csv, log_majorant
@@ -60,6 +59,7 @@ def poisson(lam: float) -> DiscreteDistribution:
         raise InputError("lambda must be positive")
 
     def lm(k):
+        from scipy.special import gammaln
         k = np.asarray(k, dtype=float)
         return -lam + k * math.log(lam) - gammaln(k + 1.0)
 
@@ -74,6 +74,7 @@ def poisson_growth(lam: float) -> GrowthFunction:
     """
 
     def conj(n):
+        from scipy.special import xlogy
         k = np.maximum(n, 0.0)
         return np.where(n < 0, np.inf, xlogy(k, k / lam) - k + lam)
 
@@ -110,6 +111,7 @@ def distribution_from_csv(path, name: Optional[str] = None) -> DiscreteDistribut
 
     Normalization sum_k P = 1 is checked to 1e-12 by direct summation.
     """
+    from scipy.special import logsumexp
     table = coefficients_from_csv(path, name)
     vals = table.log_abs_array(np.arange(table.max_index + 1))
     total = float(np.exp(logsumexp(vals[np.isfinite(vals)])))

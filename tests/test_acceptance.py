@@ -253,8 +253,8 @@ def test_criterion_11_cli_determinism(tmp_path):
         for dirpath, _dirs, files in os.walk(root):
             for name in files:
                 p = os.path.join(dirpath, name)
-                table[os.path.relpath(p, root)] = hashlib.sha256(
-                    open(p, "rb").read()).hexdigest()
+                with open(p, "rb") as fh:
+                    table[os.path.relpath(p, root)] = hashlib.sha256(fh.read()).hexdigest()
         return table
 
     same = digest_tree(out_a) == digest_tree(out_b)

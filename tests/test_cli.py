@@ -32,8 +32,8 @@ def tree_digest(root):
     for dirpath, _dirs, files in os.walk(root):
         for name in files:
             p = os.path.join(dirpath, name)
-            out[os.path.relpath(p, root)] = hashlib.sha256(
-                open(p, "rb").read()).hexdigest()
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -187,6 +187,23 @@ class TestUpperBoundTable:
         cfg.write_text("[t]\nfamily = custom_coeff_csv\npath = c.csv\n"
                        "analyses = upper_bound\nv_grid = 1\n")
         assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 3
+
+
+def test_power_order_type_below_one(tmp_path):
+    # rho = 2, c = 0.5: Lambda(v) = 0.5 e^(2v) bounds the coefficients
+    # c_n = 0.5^(n/2) / Gamma(n/2 + 1) at every n, so every slack is >= 0
+    # and every Tauberian rhs ratio |ln|c_n|| / Lambda*(n) is >= 1
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[half]\nfamily = power_order\nrho = 2\nc = 0.5\n"
+                   "analyses = coeff_bound, tauberian\nn_grid = 1:200\n")
+    out = tmp_path / "out"
+    assert run(str(cfg), str(out), quiet=True) == 0
+    with open(out / "half" / "coeff_bound.csv", newline="") as fh:
+        slack = [float(row[3]) for row in list(csv.reader(fh))[1:]]
+    with open(out / "half" / "tauberian.csv", newline="") as fh:
+        rhs = [float(row[3]) for row in list(csv.reader(fh))[1:] if row[3]]
+    assert len(slack) == 200 and min(slack) >= 0.0
+    assert rhs and min(rhs) >= 1.0
 
 
 SANDWICH_V = np.array([-1.0, 0.0, 1.0, 3.0])

@@ -1,6 +1,9 @@
 """Coefficient sequences, maximal-function summation, order/type estimators."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +30,41 @@ from entire_growth.errors import (
     NotEntireError,
     UndefinedOrderError,
 )
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported where it is called, not by the package import
+    import entire_growth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entire_growth.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import entire_growth; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+class TestGammaOrderCoefficients:
+    def test_type_one_is_the_plain_rule(self):
+        # c4 = 1 leaves ln|c_n| = -ln Gamma(n/rho + 1) bit for bit, -0.0 included
+        ns = np.arange(0.0, 300.0)
+        for rho in (0.5, 1.0, 2.0, 3.7):
+            la = gamma_order_coefficients(rho).log_abs_array(ns)
+            ref = -gammaln(ns / rho + 1.0)
+            np.testing.assert_array_equal(la, ref)
+            assert np.array_equal(np.signbit(la), np.signbit(ref))
+        np.testing.assert_array_equal(exp_coefficients().log_abs_array(ns),
+                                      -gammaln(ns + 1.0))
+
+    def test_type_scales_the_coefficients(self):
+        # c_n = c4^(n/rho) / Gamma(n/rho + 1)
+        ns = np.arange(0.0, 50.0)
+        la = gamma_order_coefficients(2.0, 0.5).log_abs_array(ns)
+        np.testing.assert_allclose(la, ns / 2.0 * math.log(0.5) - gammaln(ns / 2.0 + 1.0),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_type_must_be_positive(self):
+        with pytest.raises(InputError):
+            gamma_order_coefficients(2.0, 0.0)
 
 
 class TestLogMaxFunction:

@@ -93,6 +93,38 @@ class TestConjugate1D:
         table = conjugate_1d(SampledFunction1D(xs, gs), [2.0])
         assert table.gstars[0] == 2.0 * 1.0 - 1.0
 
+    def test_unsorted_and_repeated_queries(self):
+        # elementwise in ys: any order, repeats allowed, same values as sorted
+        rng = np.random.default_rng(23)
+        ys = np.linspace(-12, 12, 97)
+        shuffled = np.concatenate([rng.permutation(ys), ys[::7], ys[::-11]])
+        for trial in range(20):
+            g = random_sampled(rng, convex=bool(trial % 2))
+            ref = conjugate_1d(g, ys)
+            pos = np.searchsorted(ys, shuffled)
+            got = conjugate_1d(g, shuffled)
+            np.testing.assert_array_equal(got.gstars, ref.gstars[pos])
+            np.testing.assert_array_equal(got.argmax_xs, ref.argmax_xs[pos])
+            env = biconjugate_1d(g, g.xs)
+            pos = rng.permutation(np.arange(g.xs.size).repeat(2))
+            np.testing.assert_array_equal(biconjugate_1d(g, g.xs[pos]).gstars,
+                                          env.gstars[pos])
+
+    def test_near_collinear_edge_slopes(self):
+        # a steep line plus a 1e-12 bend: along the hull the values x*y - g(x)
+        # differ by little more than rounding, and each query sits on an edge
+        # slope; a walk from vertex to vertex can stop short there
+        xs = np.linspace(-10, 10, 1000)
+        for offset in (0.0, 7.3):
+            gs = 100.0 * xs + offset + 1e-12 * xs ** 2
+            g = SampledFunction1D(xs, gs)
+            hull = _lower_hull_indices(xs, gs)
+            ys = np.unique(np.diff(gs[hull]) / np.diff(xs[hull]))
+            fast = conjugate_1d(g, ys).gstars
+            slow = conjugate_1d_bruteforce(g, ys).gstars
+            assert np.all(fast <= slow)
+            assert np.all(slow - fast <= 1e-13 * (1.0 + np.abs(slow)))
+
     def test_argmax_tie_smallest_x(self):
         # flat function: every x ties at y=0; merge must pick the smallest
         g = SampledFunction1D(np.linspace(-2, 2, 9), np.zeros(9))
@@ -117,10 +149,10 @@ def _hull_by_merge(xs, gs):
 
 
 class TestLowerHull:
-    @pytest.mark.parametrize("kind", ["convex", "collinear", "nonconvex", "gapped"])
+    @pytest.mark.parametrize("kind", ["convex", "collinear", "nonconvex", "gapped",
+                                      "spiked"])
     def test_matches_merge(self, kind):
-        # the vectorized pass (every point a vertex) and the merge give the
-        # same indices
+        # the vectorized passes and the merge give the same indices
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_sampled(rng, convex=kind != "nonconvex")
@@ -130,8 +162,26 @@ class TestLowerHull:
                 gs = 3.0 * xs - 1.0
             if kind == "gapped":
                 gs[rng.random(gs.size) < 0.3] = np.inf
+            if kind == "spiked":  # a convex run with spikes, each popped in a pass
+                spikes = rng.random(gs.size) < 0.2
+                gs[spikes] += rng.exponential(5.0, np.count_nonzero(spikes))
             np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
                                           _hull_by_merge(xs, gs))
+
+    def test_flat_run_then_deep_drop(self, monkeypatch):
+        # each pass pops one point only, so the budget runs out and the
+        # merge finishes the survivors
+        from entire_growth import legendre
+        merges = []
+        merge = legendre._hull_by_merge
+        monkeypatch.setattr(legendre, "_hull_by_merge",
+                            lambda *a: merges.append(1) or merge(*a))
+        xs = np.arange(400, dtype=float)
+        gs = np.zeros(400)
+        gs[-1] = -1e6
+        np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
+                                      _hull_by_merge(xs, gs))
+        assert merges
 
 
 class TestValidation:
