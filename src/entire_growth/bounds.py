@@ -236,7 +236,8 @@ def r_sum(Q: GrowthFunction, v: float) -> float:
 @dataclass(frozen=True)
 class EpsilonReport:
     """ln K, ln U and ln Y over the eps grid (see _eps_scan), and the
-    minimizing eps: bound = ln Y(eps*) + Q*(v/(1 - eps*)) and S0 = Y(eps*).
+    minimizing eps: bound = ln Y(eps*) + Q*(v/(1 - eps*)) and S0 = Y(eps*),
+    both NaN when the bound is +inf at every eps.
 
     qstar_saturated: the Q* window hit its cap at v/(1 - eps_star), so
     Q*(v/(1 - eps_star)) may fall short and the bound may be too low.
@@ -296,6 +297,8 @@ def _eps_scan(sums, conj, eps_points: int, name: str):
             eps_star, bound, ln_s0 = pts[i], obj_z[i], ln_y_z[i]
         pts = pts[max(i - 1, 0):i + 2]
     _, saturated = conj(np.array([eps_star]))
+    if not np.isfinite(bound):  # no eps gives a finite bound: no eps* and no S0
+        eps_star = ln_s0 = np.nan
     report = EpsilonReport(eps_grid, ln_k, ln_u, ln_y, float(eps_star),
                            float(np.exp(ln_s0)), float(bound), saturated)
     return float(bound), report
@@ -394,6 +397,8 @@ def tauberian_report(f: CoefficientSequence, Lambda: GrowthFunction,
     lhs = log_max_function(f, r) / lam
     lstar, _ = Lambda.conjugate_at(n)
     ok = np.isfinite(lstar) & (lstar > 0)
+    if not np.any(ok):
+        raise InputError(f"no n in n_grid has 0 < {Lambda.name}*(n) < inf")
     excluded = n[~ok]
     la = f.log_abs_array(n[ok])
     rhs = np.abs(la) / lstar[ok]

@@ -8,8 +8,9 @@ marks points outside the domain of g; -inf is never a valid sample.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +19,6 @@ from .errors import (
     DomainDegenerateError,
     ExtrapolationError,
     InputError,
-    ResourceLimitError,
     UnsupportedDimensionError,
 )
 
@@ -96,14 +96,15 @@ class ConjugateTable:
 
 
 # Points the hull passes may visit, per sample; past it the merge finishes.
-_HULL_PASS_BUDGET = 4
+# A fibre of up to this many points never reaches the merge.
+_HULL_PASS_BUDGET = 256
 
 
-def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Monotone-chain merge over the points idx (increasing x)."""
+def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray, row=None) -> np.ndarray:
+    """Monotone-chain merge over the points idx (increasing x in each row)."""
     hull: list = []
     for i in idx:
-        while len(hull) >= 2:
+        while len(hull) >= 2 and (row is None or row[hull[-2]] == row[i]):
             a, b = hull[-2], hull[-1]
             # pop b when slope(a,b) > slope(b,i), i.e. b lies strictly above
             if (gs[b] - gs[a]) * (xs[i] - xs[b]) > (gs[i] - gs[b]) * (xs[b] - xs[a]):
@@ -114,22 +115,28 @@ def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray) -> np.ndarra
     return np.asarray(hull, dtype=int)
 
 
-def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray, row=None) -> np.ndarray:
     """Indices of the lower convex hull of the finite sample points.
 
     Each pass applies the merge's pop test to every consecutive triple of
     survivors and drops all popped points, each strictly above a chord, at
     once.  When nothing pops, the survivors are the merge's hull, collinear
     points kept.  Past the pass budget the merge finishes the survivors.
+    With row labels (nondecreasing, one per point, x increasing within a
+    row) a triple pops only inside one row, so one set of passes hulls
+    every row at once.
     """
     idx = np.flatnonzero(np.isfinite(gs))
     work = 0
     while idx.size > 2:
         work += idx.size
         if work > _HULL_PASS_BUDGET * xs.size:
-            return _hull_by_merge(xs, gs, idx)
+            return _hull_by_merge(xs, gs, idx, row)
         dx, dg = np.diff(xs[idx]), np.diff(gs[idx])
         pop = dg[:-1] * dx[1:] > dg[1:] * dx[:-1]
+        if row is not None:
+            r = row[idx]
+            pop &= r[:-2] == r[2:]
         if not pop.any():
             break
         idx = idx[np.concatenate(([True], ~pop, [True]))]
@@ -143,18 +150,20 @@ def _hull(xs: np.ndarray, gs: np.ndarray):
     return hx, hg, np.diff(hg) / np.diff(hx)
 
 
-def _vertex_conjugate(hx: np.ndarray, hg: np.ndarray, slopes: np.ndarray, ys):
+def _vertex_conjugate(hx: np.ndarray, hg: np.ndarray, slopes: np.ndarray, ys,
+                      k=None, first=0, last=None):
     """max over hull vertices of x*y - g(x), elementwise in ys of any shape.
 
     searchsorted on the edge slopes finds the vertex k whose edges bracket
-    y; vertices k-1, k and k+1 are compared in the brute force's arithmetic
+    y (or k comes precomputed, with each query's vertices first..last);
+    vertices k-1, k and k+1 are compared in the brute force's arithmetic
     and the first maximum (smallest x) wins.  Returns values and indices.
     """
     ys = np.asarray(ys, dtype=float)
-    k = np.searchsorted(slopes, ys)  # at most slopes.size = hx.size - 1
-    best = np.maximum(k - 1, 0)
+    k = np.searchsorted(slopes, ys) if k is None else k  # at most hx.size - 1
+    best = np.maximum(k - 1, first)
     val = hx[best] * ys - hg[best]
-    for cand in (k, np.minimum(k + 1, hx.size - 1)):
+    for cand in (k, np.minimum(k + 1, hx.size - 1 if last is None else last)):
         v = hx[cand] * ys - hg[cand]
         up = v > val
         best, val = np.where(up, cand, best), np.where(up, v, val)
@@ -310,7 +319,6 @@ class SampledFunctionND:
 
     grids: Sequence[np.ndarray]
     values: np.ndarray
-    separable_parts: Optional[Sequence[SampledFunction1D]] = field(default=None)
 
     def __post_init__(self):
         grids = [_as_increasing_array(ax, f"grid[{i}]", min_size=1)
@@ -331,43 +339,54 @@ class SampledFunctionND:
 
     @classmethod
     def from_separable(cls, parts: Sequence[SampledFunction1D]) -> "SampledFunctionND":
-        grids = [p.xs for p in parts]
-        total = parts[0].gs
-        for p in parts[1:]:
-            total = np.add.outer(total, p.gs)
-        return cls(grids, total, separable_parts=tuple(parts))
+        return cls([p.xs for p in parts], functools.reduce(np.add.outer, [p.gs for p in parts]))
 
 
-_ND_OPS_LIMIT = 500_000_000
+def _conjugate_rows(xs: np.ndarray, gs: np.ndarray, ys: np.ndarray):
+    """Conjugate of every row of gs (rows, xs.size) on the increasing ys: one
+    set of hull passes, then one searchsorted.  A vertex's key is row (m + 1)
+    + #{ys <= its edge slope} (+inf at a row's last vertex), query j's is
+    row (m + 1) + j + 1: the keys below it are the earlier rows' vertices and
+    its row's with slope < y_j, so the 1-D search's vertex k, exactly.
+    Returns values (-inf on a row with no finite sample) and argmax indices.
+    """
+    rows, n, m = gs.shape[0], xs.size, ys.size
+    idx = _lower_hull_indices(np.tile(xs, rows), gs.ravel(), np.repeat(np.arange(rows), n))
+    hr, hi = np.divmod(idx, n)
+    hx, hg = xs[hi], gs.ravel()[idx]
+    e = np.flatnonzero(hr[1:] == hr[:-1])  # vertices with a next one in their row
+    slopes = np.full(idx.size, np.inf)
+    slopes[e] = (hg[e + 1] - hg[e]) / (hx[e + 1] - hx[e])
+    keys = hr * (m + 1) + np.searchsorted(ys, slopes, "right")
+    counts = np.bincount(hr, minlength=rows)
+    has = np.flatnonzero(counts)
+    first = (np.cumsum(counts) - counts)[has, None]
+    k = np.searchsorted(keys, has[:, None] * (m + 1) + np.arange(1, m + 1))
+    vals, best = np.full((rows, m), -np.inf), np.zeros((rows, m), dtype=int)
+    vals[has], b = _vertex_conjugate(hx, hg, None, ys, k, first, first + counts[has, None] - 1)
+    best[has] = hi[b]
+    return vals, best
+
+
+def _conjugate_passes(grids, values: np.ndarray, query_grids):
+    """max over the sample grid of x.y - g(x) on the product of the increasing
+    query grids, as nested one-axis sups (Lucet, Numer. Algorithms 16, 1997):
+    the last axis first, each later pass on -(the previous result), all
+    fibres of an axis in one _conjugate_rows.  Returns the values and, per
+    axis, the argmax sample index."""
+    vals, args = values, []
+    for a in reversed(range(len(grids))):
+        g = np.moveaxis(vals if a == len(grids) - 1 else -vals, a, -1)
+        out, arg = _conjugate_rows(grids[a], g.reshape(-1, g.shape[-1]), query_grids[a])
+        shape = g.shape[:-1] + (query_grids[a].size,)
+        vals, arg = (np.moveaxis(x.reshape(shape), -1, a) for x in (out, arg))
+        args = [arg] + [np.take_along_axis(p, arg, axis=a) for p in args]
+    return vals, args
 
 
 def conjugate_nd(g: SampledFunctionND, query_grids) -> SampledFunctionND:
-    """d-dimensional conjugate on a product query grid.
-
-    Separable inputs factor into per-axis 1-D conjugates; general inputs fall
-    back to brute-force maximization over the sample product grid.
-    """
-    query_grids = [_as_increasing_array(q, f"query[{i}]", min_size=1)
-                   for i, q in enumerate(query_grids)]
-    if len(query_grids) != g.dimension:
+    """d-dimensional conjugate on a product query grid (_conjugate_passes)."""
+    qs = [_as_increasing_array(q, f"query[{i}]", min_size=1) for i, q in enumerate(query_grids)]
+    if len(qs) != g.dimension:
         raise InputError("query grid dimension mismatch")
-    if g.separable_parts is not None:
-        tables = [conjugate_1d(p, q) for p, q in zip(g.separable_parts, query_grids)]
-        total = tables[0].gstars
-        for t in tables[1:]:
-            total = np.add.outer(total, t.gstars)
-        return SampledFunctionND(query_grids, total)
-    n_x = int(np.prod([ax.size for ax in g.grids]))
-    n_y = int(np.prod([q.size for q in query_grids]))
-    if n_x * n_y > _ND_OPS_LIMIT:
-        raise ResourceLimitError(f"product-grid conjugate needs {n_x * n_y:.2e} ops")
-    finite = np.isfinite(g.values)
-    mesh = np.meshgrid(*g.grids, indexing="ij")
-    xs_flat = np.stack([m[finite] for m in mesh], axis=1)  # (n_finite, d)
-    gs_flat = g.values[finite]
-    out_shape = tuple(q.size for q in query_grids)
-    out = np.empty(out_shape)
-    for idx in np.ndindex(out_shape):
-        y = np.array([query_grids[a][idx[a]] for a in range(g.dimension)])
-        out[idx] = np.max(xs_flat @ y - gs_flat)
-    return SampledFunctionND(query_grids, out)
+    return SampledFunctionND(qs, _conjugate_passes(g.grids, g.values, qs)[0])

@@ -2,8 +2,8 @@
 
 Multi-index coefficient bounds through d-dimensional conjugates, K/U/Y sums
 over multi-indices, and the factorizable-function consistency checks.
-Dimension is capped at 3; non-separable profiles go through brute-force
-product-grid conjugation.
+Dimension is capped at 3; non-separable profiles are conjugated on a
+sampled product grid by the d-pass hull kernel of legendre.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ import numpy as np
 from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, k_sum, u_sum
 from .entire import CoefficientSequence, log_max_function, log_series
 from .errors import InputError, ResourceLimitError, UnsupportedDimensionError
-from .legendre import SampledFunctionND, conjugate_nd
+from .legendre import _conjugate_passes
 
 _AXIS_CAP = 4096  # per-axis limit on the truncated multi-index box
-_BOX_EDGE = 64.0  # far face of the box the brute-force Q* searches
-
-
-def _check_dim(d: int) -> None:
-    if not 1 <= d <= 3:
-        raise UnsupportedDimensionError(f"dimension {d} not supported (d <= 3)")
+_COEFF_AXIS = np.linspace(-12.0, 12.0, 241)  # per-axis samples of a growth Lambda
+_BOX_AXIS = np.linspace(0.0, 64.0, 257)  # per-axis samples of a decay Q on k >= 0
 
 
 @dataclass(frozen=True)
@@ -37,14 +33,14 @@ class MultiGrowthFunction:
     separable_parts: Optional[Sequence[GrowthFunction]] = None
 
     def __post_init__(self):
-        _check_dim(self.dimension)
+        if not 1 <= self.dimension <= 3:
+            raise UnsupportedDimensionError(f"dimension {self.dimension} not supported (d <= 3)")
         if self.separable_parts is not None and len(self.separable_parts) != self.dimension:
             raise InputError("one part per axis required")
 
     @classmethod
     def from_separable(cls, parts: Sequence[GrowthFunction]) -> "MultiGrowthFunction":
         parts = tuple(parts)
-        _check_dim(len(parts))
 
         def fn(v):
             v = np.asarray(v, dtype=float)
@@ -62,29 +58,13 @@ class MultiGrowthFunction:
         return self.separable_parts is not None
 
 
-def multi_coeff_bound(Lambda: MultiGrowthFunction, k,
-                      window: Tuple[float, float] = (-12.0, 12.0),
-                      samples_per_axis: int = 241) -> float:
-    """Log upper bound on |c_k|: returns -Lambda*(k).
-
-    Separable profiles use exact per-axis adaptive conjugation; general
-    profiles fall back to product-grid brute force on the given window.
-    """
+def multi_coeff_bound(Lambda: MultiGrowthFunction, k) -> float:
+    """Log upper bound on |c_k|: returns -Lambda*(k), by _multi_conjugate on
+    the window [-12, 12]^d."""
     k = tuple(float(x) for x in k)
     if len(k) != Lambda.dimension or any(x < 0 for x in k):
         raise InputError("multi-index must be nonnegative of matching dimension")
-    if Lambda.separable:
-        return -sum(float(part.conjugate_at([kj])[0][0])
-                    for part, kj in zip(Lambda.separable_parts, k))
-    lo, hi = window
-    axes = [np.linspace(lo, hi, samples_per_axis)] * Lambda.dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    values = np.asarray(Lambda.fn(pts), dtype=float)
-    g = SampledFunctionND(axes, values)
-    ks = [np.asarray([kj]) for kj in k]
-    res = conjugate_nd(g, ks)
-    return -float(res.values.flat[0])
+    return -float(_multi_conjugate(Lambda, np.array([k]), _COEFF_AXIS)[0][0])
 
 
 def _axis_truncation(Q: MultiGrowthFunction, axis: int, eps: np.ndarray):
@@ -125,24 +105,25 @@ def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
     return tuple(np.where(np.isfinite(out), out, np.inf).T)
 
 
-def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray):
+def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray, axis: np.ndarray):
     """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys, and a saturation flag.
-    Separable Q: one batched, exact conjugate per axis, saturated when any
-    axis is.  Otherwise brute force over the box [0, 64]^d (decays live on
-    k >= 0), saturated when an argmax lies on its far face."""
+
+    Separable Q: the exact sup over R^d (or the index domain), one batched
+    conjugate per axis, saturated when any axis is.  Otherwise the sup over
+    the sampled lattice axis^d only, which lower-bounds the real sup the U
+    split needs: _conjugate_passes on the product of the distinct query
+    coordinates, read off at each row, saturated when an argmax is the
+    last sample of an axis (the far face of the box).
+    """
     if Q.separable:
         parts = [p.conjugate_at(ys[:, j]) for j, p in enumerate(Q.separable_parts)]
         return sum(q for q, _ in parts), any(sat for _, sat in parts)
-    axes = [np.linspace(0.0, _BOX_EDGE, 257)] * Q.dimension
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, Q.dimension)
-    vals = np.asarray(Q.fn(pts), dtype=float)
-    out, saturated = np.empty(len(ys)), False
-    for i, y in enumerate(ys):
-        obj = sum(pts[:, j] * y[j] for j in range(Q.dimension)) - vals
-        best = int(np.argmax(obj))
-        out[i] = obj[best]
-        saturated = saturated or bool(np.any(pts[best] == _BOX_EDGE))
-    return out, saturated
+    axes = [axis] * Q.dimension
+    values = np.asarray(Q.fn(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)), dtype=float)
+    queries = [np.unique(ys[:, j]) for j in range(Q.dimension)]
+    vals, args = _conjugate_passes(axes, values, queries)
+    at = tuple(np.searchsorted(q, ys[:, j]) for j, q in enumerate(queries))
+    return vals[at], any(bool(np.any(a[at] == axis.size - 1)) for a in args)
 
 
 def multi_max_bound(Q: MultiGrowthFunction, v,
@@ -156,7 +137,7 @@ def multi_max_bound(Q: MultiGrowthFunction, v,
     if v.size != Q.dimension:
         raise InputError("v must match the profile dimension")
     return _eps_scan(lambda eps: _multi_sums(Q, eps),
-                     lambda eps: _multi_conjugate(Q, v[None, :] / (1.0 - eps[:, None])),
+                     lambda eps: _multi_conjugate(Q, v / (1.0 - eps[:, None]), _BOX_AXIS),
                      eps_points, f"the {Q.dimension}-d profile")
 
 

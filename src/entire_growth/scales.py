@@ -160,8 +160,8 @@ def example_33_check(C5: float, C6: float, C7: float, n_grid) -> DoubleExpReport
     if C7 <= 0:
         raise InputError("C7 must be positive")
     n = np.asarray(n_grid, dtype=float)
-    if np.any(n < 3):
-        raise InputError("n_grid must lie in [3, inf)")
+    if n.size == 0 or np.any(n < 3):
+        raise InputError("n_grid must be non-empty and lie in [3, inf)")
     lam_star, _ = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
     leading = n * np.log(np.log(n))
     ratios = lam_star / leading

@@ -180,6 +180,8 @@ class TestUpperBoundTable:
             (row,) = list(csv.reader(fh))[1:]
         n = np.array([1e8, 1e9, 1e10])
         assert float(row[1]) >= np.max(n * 2.0 - gammaln(n / 10.0 + 1.0))
+        if row[1] == "inf":  # no eps gives a finite bound: no eps*, c_eff or S0
+            assert row[2:5] == ["nan", "nan", "nan"]
 
     def test_single_row_table_refused(self, tmp_path):
         (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,ZERO\n1,0.0\n")
@@ -358,6 +360,22 @@ class TestErrorPaths:
         manifest = (out / "MANIFEST").read_text()
         assert "x/coeff_bound.csv" in manifest
         assert "gamma" not in manifest
+
+    @pytest.mark.parametrize("text, flushed", [
+        # every n of 1:2 lies below example_33's n >= 3
+        ("family = double_exp\nanalyses = gamma, example_33\nv_grid = 1, 2\n"
+         "n_grid = 1:2\n", "x/gamma.csv"),
+        # Lambda*(0) = 0: no n gives a Tauberian rhs ratio
+        ("family = exp\nanalyses = tauberian\nn_grid = 0\n", None)],
+        ids=["example_33", "tauberian"])
+    def test_empty_grid_exit_three(self, tmp_path, capsys, text, flushed):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[x]\n{text}")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = (out / "MANIFEST").read_text().splitlines()
+        assert [line.split(",")[0] for line in manifest] == ([flushed] if flushed else [])
 
 
 class TestMain:

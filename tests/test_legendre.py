@@ -12,7 +12,6 @@ from entire_growth.errors import (
     DomainDegenerateError,
     ExtrapolationError,
     InputError,
-    ResourceLimitError,
     UnsupportedDimensionError,
 )
 from entire_growth.legendre import (
@@ -169,19 +168,43 @@ class TestLowerHull:
                                           _hull_by_merge(xs, gs))
 
     def test_flat_run_then_deep_drop(self, monkeypatch):
-        # each pass pops one point only, so the budget runs out and the
-        # merge finishes the survivors
+        # each pass pops one point only, so the budget (256 visits per
+        # point) runs out before the 2000 points do and the merge finishes
         from entire_growth import legendre
         merges = []
         merge = legendre._hull_by_merge
         monkeypatch.setattr(legendre, "_hull_by_merge",
                             lambda *a: merges.append(1) or merge(*a))
-        xs = np.arange(400, dtype=float)
-        gs = np.zeros(400)
+        xs = np.arange(2000, dtype=float)
+        gs = np.zeros(2000)
         gs[-1] = -1e6
         np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
                                       _hull_by_merge(xs, gs))
         assert merges
+
+    def test_rows_match_merge_per_row(self):
+        # one labelled call hulls every row as the merge does row by row:
+        # convex, non-convex and gapped rows, and rows with 0 or 1 finite point
+        rng = np.random.default_rng(17)
+        xs, gs, rows = [], [], []
+        for r in range(40):
+            g = random_sampled(rng, convex=bool(r % 3 == 0), max_samples=64)
+            row_gs = g.gs.copy()
+            if r % 3 == 2:
+                row_gs[rng.random(row_gs.size) < 0.4] = np.inf
+            if r % 7 == 4:
+                row_gs[:] = np.inf
+            if r % 7 == 5:
+                row_gs[1:] = np.inf
+            xs.append(g.xs)
+            gs.append(row_gs)
+            rows.append(np.full(g.xs.size, r))
+        expect, offset = [], 0
+        for x, g in zip(xs, gs):
+            expect.extend(offset + i for i in _hull_by_merge(x, g))
+            offset += x.size
+        xs, gs, rows = (np.concatenate(a) for a in (xs, gs, rows))
+        np.testing.assert_array_equal(_lower_hull_indices(xs, gs, rows), expect)
 
 
 class TestValidation:
@@ -355,12 +378,28 @@ class TestConjugateND:
         with pytest.raises(UnsupportedDimensionError):
             SampledFunctionND([xs] * 4, np.zeros((3, 3, 3, 3)))
 
-    def test_resource_limit(self):
-        xs = np.linspace(0, 1, 128)
-        g = SampledFunctionND([xs, xs, xs], np.zeros((128,) * 3))
-        big = np.linspace(0, 1, 128)
-        with pytest.raises(ResourceLimitError):
-            conjugate_nd(g, [big, big, big])
+    def test_three_dimensions_at_scale(self):
+        # 64^3 non-separable samples with +inf gaps and 16^3 queries, past
+        # what a product-grid brute force can afford; 50 queries checked
+        rng = np.random.default_rng(29)
+        xs = np.linspace(-3, 3, 64)
+        vals = rng.normal(0, 4, (64,) * 3)
+        vals[rng.random(vals.shape) < 0.2] = np.inf
+        q = np.linspace(-2, 2, 16)
+        res = conjugate_nd(SampledFunctionND([xs] * 3, vals), [q] * 3).values
+        mesh = np.meshgrid(xs, xs, xs, indexing="ij")
+        for i, j, k in rng.integers(0, 16, (50, 3)):
+            ref = np.max(mesh[0] * q[i] + mesh[1] * q[j] + mesh[2] * q[k] - vals)
+            assert abs(res[i, j, k] - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_separable_three_dimensions(self):
+        rng = np.random.default_rng(31)
+        parts = [random_sampled(rng, convex=bool(a % 2), max_samples=40) for a in range(3)]
+        qs = [np.linspace(-3, 3, 7), np.linspace(-1, 2, 5), np.linspace(0, 4, 6)]
+        res = conjugate_nd(SampledFunctionND.from_separable(parts), qs).values
+        t = [conjugate_1d(p, q).gstars for p, q in zip(parts, qs)]
+        expect = t[0][:, None, None] + t[1][None, :, None] + t[2][None, None, :]
+        np.testing.assert_allclose(res, expect, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -98,8 +98,37 @@ class TestMultiMaxBound:
                                             hard_cap=MAX_TERMS).value
                             for p, yj in zip(Q.separable_parts, v / (1.0 - e)))
                         for e in eps_grid])
-        got, _ = multivar._multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]))
+        got, _ = multivar._multi_conjugate(Q, v[None, :] / (1.0 - eps_grid[:, None]),
+                                           multivar._BOX_AXIS)
         np.testing.assert_array_equal(got, ref)
+
+    def test_lattice_qstar_matches_query_loop(self):
+        # non-separable Q: the d-pass kernel equals a max over the sampled
+        # box [0, 64]^2 taken query by query, and flags the same rays
+        from entire_growth import multivar
+        from entire_growth.bounds import stirling_decay
+        s = stirling_decay().fn
+        Q = MultiGrowthFunction(
+            2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
+        axis = np.linspace(0.0, 64.0, 257)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = Q.fn(pts)
+        eps_grid = np.arange(1, 10) / 40.0
+        flags = []
+        for v in np.stack(np.meshgrid(np.arange(1, 7), np.arange(1, 7)), -1).reshape(-1, 2):
+            ys = v[None, :] / (1.0 - eps_grid[:, None])
+            ref, ref_sat = np.empty(len(ys)), False
+            for i, y in enumerate(ys):
+                obj = pts[:, 0] * y[0] + pts[:, 1] * y[1] - vals
+                best = int(np.argmax(obj))
+                ref[i] = obj[best]
+                ref_sat = ref_sat or bool(np.any(pts[best] == 64.0))
+            got, sat = multivar._multi_conjugate(Q, ys, multivar._BOX_AXIS)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            assert sat is ref_sat
+            flags.append(sat)
+        assert any(flags) and not all(flags)
+
 
     def test_separable_sums_match_box(self):
         # K0 = prod K0_j and U = prod U_j for separable Q: the per-axis
