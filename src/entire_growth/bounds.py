@@ -198,39 +198,40 @@ def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     return 0.0 - lstar  # +0.0, not -0.0, where Lambda*(n) = 0
 
 
-def _log_sum(term_fn: Callable[[np.ndarray], np.ndarray]):
-    """ln sum_{n >= 0} exp(term_fn(n)), per row of a batch; +inf unless
-    log_series converged."""
-    total, _, converged = log_series(term_fn)
+def _log_sum(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], shape=()):
+    """ln sum_{n >= 0} exp(term_fn(ns, rows)) per series of a batch (see
+    log_series); +inf unless log_series converged."""
+    total, _, converged = log_series(term_fn, shape=shape)
     return np.where(converged, total, np.inf)[()]
 
 
-def _eps_column(eps) -> np.ndarray:
-    """eps, each in (0, 1), as a column against the index axis."""
+def _eps_rows(eps) -> np.ndarray:
+    """eps, each in (0, 1), raveled: one series row per eps."""
     eps = np.asarray(eps, dtype=float)
     if not np.all((eps > 0) & (eps < 1)):
         raise InputError("eps must lie in (0, 1)")
-    return eps[..., None]
+    return eps.ravel()
 
 
 def k_sum(decay: Callable[[np.ndarray], np.ndarray], eps):
     """ln K(eps) = ln sum_n exp(-eps * decay(n)), elementwise in eps; +inf
     marks divergence."""
-    e = _eps_column(eps)
-    return _log_sum(lambda ns: -e * np.asarray(decay(ns), float))
+    e = _eps_rows(eps)
+    return _log_sum(lambda ns, rows: -e[rows, None] * np.asarray(decay(ns), float),
+                    np.shape(eps))
 
 
 def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps):
     """ln U(eps) = ln sum_n exp(decay((1-eps) n) - decay(n)), elementwise in
     eps; +inf marks divergence."""
-    e = _eps_column(eps)
-    return _log_sum(lambda ns: np.asarray(decay((1.0 - e) * ns), float)
-                    - np.asarray(decay(ns), float))
+    e = _eps_rows(eps)
+    return _log_sum(lambda ns, rows: np.asarray(decay((1.0 - e[rows, None]) * ns), float)
+                    - np.asarray(decay(ns), float), np.shape(eps))
 
 
 def r_sum(Q: GrowthFunction, v: float) -> float:
     """ln R_Q(v) = ln sum_n exp(n v - Q(n)): the sharp summation reference."""
-    return _log_sum(lambda ns: ns * v - np.asarray(Q.fn(ns), float))
+    return _log_sum(lambda ns, rows: ns * v - np.asarray(Q.fn(ns), float))
 
 
 @dataclass(frozen=True)

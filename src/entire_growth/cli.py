@@ -338,7 +338,9 @@ def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
     """Run all analyses of one section.  Returns (artifacts, notes, error).
 
     artifacts: list of (relative path, header, rows) completed before any
-    failure, so partial results can still be flushed.
+    failure, so partial results can still be flushed.  error: the first
+    failing analysis and its exception, named by type unless it is an
+    EntireGrowthError.
     """
     artifacts, notes = [], []
     for analysis in spec.analyses:
@@ -359,6 +361,8 @@ def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
                 header, rows, nts = fn(spec, ctx)
         except EntireGrowthError as exc:
             return artifacts, notes, f"[{spec.name}] {analysis}: {exc}"
+        except Exception as exc:  # a fault in the analysis: still no traceback
+            return artifacts, notes, f"[{spec.name}] {analysis}: {type(exc).__name__}: {exc}"
         artifacts.append((f"{spec.name}/{analysis}.csv", header, rows))
         notes.extend(nts)
     return artifacts, notes, None

@@ -184,48 +184,50 @@ def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequen
     return table_coefficients(vals, name=name or str(path))
 
 
-def log_series(term_fn: Callable[[np.ndarray], np.ndarray], n_max: int = MAX_TERMS,
-               block: int = 256, finite: bool = False):
-    """ln sum_{n=0}^{n_max} exp(term_fn(n)), summed in blocks of `block` terms.
+def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               n_max: int = MAX_TERMS, block: int = 256, finite: bool = False,
+               shape: tuple = ()):
+    """ln sum_{n=0}^{n_max} exp(term_fn(n)) for each series of a batch of
+    the given shape, summed in blocks of `block` terms.
 
-    Returns (log_sum, terms_summed, converged).  The sum stops, converged,
-    after the first block that ends with 50 consecutive terms more than 45
-    nats under the running log-sum; otherwise it runs to n_max, which
-    defaults to the cap MAX_TERMS = 10^6.  A `finite` series (n_max is its
-    last term) has no stop rule: every term is summed and the sum counts as
-    converged.  A +inf term makes the sum +inf (converged); a NaN term
-    counts as -inf.
+    term_fn(ns, rows) gives the terms at indices ns of the series still
+    running, rows being their flat indices into the batch: an array of
+    shape (rows.size, ns.size), or one row's terms when the batch holds
+    one series.  A series stops, converged, after the first block that
+    ends with 50 consecutive terms more than 45 nats under its running
+    log-sum, and term_fn is never asked for its terms again; otherwise it
+    runs to n_max, which defaults to the cap MAX_TERMS = 10^6.  A `finite`
+    series (n_max is its last term) has no stop rule: every term is summed
+    and the sum counts as converged.  A +inf term makes the sum +inf
+    (converged); a NaN term counts as -inf.
 
-    term_fn may also return terms of shape (rows, block): a batch of series,
-    each row with its own stop rule and its result fixed once it stops.
-    The three results are then arrays over the rows.
+    Returns (log_sum, terms_summed, converged), arrays of the batch's shape
+    (scalars for shape ()).
     """
+    total = np.full(shape, -math.inf).ravel()
+    run, terms = np.zeros((2, total.size), dtype=int)
+    live = np.arange(total.size)
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while n <= n_max:
+        while n <= n_max and live.size:
             ns = np.arange(n, min(n + block, n_max + 1), dtype=float)
-            t = np.asarray(term_fn(ns), dtype=float)
-            if n == 0:
-                total = np.full(t.shape[:-1], -math.inf)
-                run = terms = np.zeros(total.shape, dtype=int)
-                stopped = np.zeros(total.shape, dtype=bool)
+            t = np.asarray(term_fn(ns, live), dtype=float).reshape(live.size, ns.size)
             n += ns.size
-            live = ~stopped
-            terms = np.where(live, n, terms)
+            terms[live] = n
             t = np.where(np.isnan(t), -math.inf, t)
-            top = t.max(axis=-1)
-            m = np.maximum(total, top)
-            summed = m + np.log(np.exp(total - m) + np.exp(t - m[..., None]).sum(axis=-1))
+            top, tot = t.max(axis=-1), total[live]
+            m = np.maximum(tot, top)
+            summed = m + np.log(np.exp(tot - m) + np.exp(t - m[:, None]).sum(axis=-1))
             summed = np.where(top == math.inf, math.inf, summed)
-            total = np.where(live & (top > -math.inf), summed, total)
+            total[live] = tot = np.where(top > -math.inf, summed, tot)
             # length of each row's trailing run of negligible terms
-            big = t >= total[..., None] - _TAIL_LOG
-            run = np.where(big.any(axis=-1), np.argmax(big[..., ::-1], axis=-1),
-                           run + t.shape[-1])
-            stopped = stopped | (live & ((top == math.inf) | (run >= _TAIL_RUN) & (not finite)))
-            if stopped.all():
-                break
-    return total[()], terms[()], (stopped | finite)[()]  # scalars for one series
+            big = t >= tot[:, None] - _TAIL_LOG
+            run[live] = r = np.where(big.any(axis=-1), np.argmax(big[:, ::-1], axis=-1),
+                                     run[live] + ns.size)
+            live = live[(top < math.inf) & ((r < _TAIL_RUN) | finite)]
+    converged = np.ones(total.size, dtype=bool)
+    converged[live] = finite
+    return tuple(a.reshape(shape)[()] for a in (total, terms, converged))
 
 
 def log_max_function(f: CoefficientSequence, r):
@@ -248,10 +250,10 @@ def log_majorant(f: CoefficientSequence, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise InputError("r must be positive")
-    lr = np.log(r)[..., None]
+    lr = np.log(r).ravel()
     total, terms, converged = log_series(
-        lambda ns: f.log_abs_array(ns) + ns * lr,
-        f.max_index if f.is_polynomial else MAX_TERMS, finite=f.is_polynomial)
+        lambda ns, rows: f.log_abs_array(ns) + ns * lr[rows, None],
+        f.max_index if f.is_polynomial else MAX_TERMS, finite=f.is_polynomial, shape=r.shape)
     if not np.all(converged):
         raise TruncationError(f"series for {f.name} at r={r[~np.asarray(converged)][0]} "
                               f"not converged within {np.max(terms)} terms")

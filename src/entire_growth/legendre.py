@@ -240,7 +240,9 @@ class ConjugatePoint:
 def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """Vectorized golden-section maximization of a concave h on [lo, hi].
 
-    120 steps shrink the bracket by 0.618^120 ~ 1e-25 of its width.
+    120 steps shrink the bracket by 0.618^120 ~ 1e-25 of its width.  A
+    step's whole state is (lo, hi), so the search stops at the first step
+    that leaves every bracket bit for bit unchanged: the rest would too.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -250,8 +252,10 @@ def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     hd = h(d)
     for _ in range(120):
         left = hc >= hd  # keep smaller x on ties
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
+        new_lo, new_hi = np.where(left, lo, c), np.where(left, d, hi)
+        if new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes():
+            break
+        lo, hi = new_lo, new_hi
         c = hi - _INVPHI * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         hc = h(c)

@@ -58,25 +58,27 @@ class MultiGrowthFunction:
         return self.separable_parts is not None
 
 
-def multi_coeff_bound(Lambda: MultiGrowthFunction, k) -> float:
+def multi_coeff_bound(Lambda: MultiGrowthFunction, k):
     """Log upper bound on |c_k|: returns -Lambda*(k), by _multi_conjugate on
-    the window [-12, 12]^d."""
-    k = tuple(float(x) for x in k)
-    if len(k) != Lambda.dimension or any(x < 0 for x in k):
+    the window [-12, 12]^d.  k is one multi-index (a float comes back) or a
+    stack of shape (K, d), all conjugated in one call (an array of K)."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim not in (1, 2) or k.shape[-1] != Lambda.dimension or np.any(k < 0):
         raise InputError("multi-index must be nonnegative of matching dimension")
-    return -float(_multi_conjugate(Lambda, np.array([k]), _COEFF_AXIS)[0][0])
+    out = -_multi_conjugate(Lambda, k.reshape(-1, Lambda.dimension), _COEFF_AXIS)[0]
+    return float(out[0]) if k.ndim == 1 else out
 
 
 def _axis_truncation(Q: MultiGrowthFunction, axis: int, eps: np.ndarray):
     """Caps along one axis, one per eps: the number of eps-damped terms of
     Q on that axis (the other indices 0) that log_series sums."""
 
-    def terms(ns):
+    def terms(ns, rows):
         pts = np.zeros(ns.shape + (Q.dimension,))
         pts[..., axis] = ns
-        return -eps[:, None] * np.asarray(Q.fn(pts), dtype=float)
+        return -eps[rows, None] * np.asarray(Q.fn(pts), dtype=float)
 
-    return log_series(terms, _AXIS_CAP - 1, block=64)[1]
+    return log_series(terms, _AXIS_CAP - 1, block=64, shape=eps.shape)[1]
 
 
 def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
@@ -175,11 +177,14 @@ def factorizable_demo(f1: CoefficientSequence, f2: CoefficientSequence,
     ls = np.arange(n2 + 1, dtype=float)
     t1 = f1.log_abs_array(ks) + ks * math.log(r1)
     t2 = f2.log_abs_array(ls) + ls * math.log(r2)
-    t = t1[:, None] + t2[None, :]
-    t = t[np.isfinite(t)]
+    t = np.add.outer(t1, t2).ravel()
+    finite = np.isfinite(t)
+    if not finite.all():
+        t = t[finite]
     m = float(np.max(t))
-    # by hand: scipy's logsumexp would hold about five copies of this array
-    log_max_product = m + math.log(float(np.sum(np.exp(t - m))))
+    # by hand and in place: scipy's logsumexp would hold about five copies
+    t -= m
+    log_max_product = m + math.log(float(np.sum(np.exp(t, out=t))))
     residual = abs(log_max_product - (m1 + m2))
 
     if Lambda1 is None:

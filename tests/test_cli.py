@@ -361,6 +361,29 @@ class TestErrorPaths:
         assert "x/coeff_bound.csv" in manifest
         assert "gamma" not in manifest
 
+    def test_unexpected_exception_exit_three_named(self, tmp_path, capsys, monkeypatch):
+        # a fault inside one analysis is that section's error, not a traceback
+        from entire_growth import cli
+
+        def broken(spec, ctx):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "_run_gamma", broken)
+        cfg = tmp_path / "fault.cfg"
+        cfg.write_text("[x]\nfamily = exp\nanalyses = coeff_bound, gamma\n"
+                       "n_grid = 1:20\nv_grid = 1.0:3.0:4\n\n"
+                       "[y]\nfamily = exp\nanalyses = coeff_bound\nn_grid = 1:5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "[x] gamma: ZeroDivisionError: float division by zero" in err
+        manifest = (out / "MANIFEST").read_text().splitlines()
+        assert [line.split(",")[0] for line in manifest] == ["x/coeff_bound.csv",
+                                                             "y/coeff_bound.csv"]
+        assert (out / "y" / "coeff_bound.csv").exists()
+        assert "ZeroDivisionError" in (out / "summary.txt").read_text()
+
     @pytest.mark.parametrize("text, flushed", [
         # every n of 1:2 lies below example_33's n >= 3
         ("family = double_exp\nanalyses = gamma, example_33\nv_grid = 1, 2\n"

@@ -131,17 +131,62 @@ class TestLogSeries:
     def test_batch_rows_are_independent_series(self):
         # row 0 (terms -n) stops converged after its first block and equals
         # the 1-D call bit for bit; row 1 (terms 0) never becomes negligible
-        ref = log_series(lambda ns: -ns, 1000)
-        total, terms, converged = log_series(lambda ns: np.stack([-ns, 0.0 * ns]), 1000)
+        ref = log_series(lambda ns, rows: -ns, 1000)
+        total, terms, converged = log_series(
+            lambda ns, rows: np.stack([-ns, 0.0 * ns])[rows], 1000, shape=(2,))
         assert (total[0], terms[0], converged[0]) == ref
         assert ref[2] and ref[1] == 256
         assert not converged[1] and terms[1] == 1001
         assert total[1] == pytest.approx(math.log(1001.0), rel=1e-14)
 
     def test_scalar_results_for_one_series(self):
-        out = log_series(lambda ns: -ns, 1000)
+        out = log_series(lambda ns, rows: -ns, 1000)
         assert [np.ndim(x) for x in out] == [0, 0, 0]
         assert isinstance(out[0], float)
+
+    # one series per row: stops in blocks 1, 2, 9 and 23; a +inf term in
+    # block 3; NaN terms (counted as -inf) before a stop in block 1; and
+    # terms 0 that never become negligible (summed to n_max)
+    ROWS = [lambda ns: -ns,
+            lambda ns: -0.2 * ns,
+            lambda ns: -0.02 * ns,
+            lambda ns: -0.007 * ns,
+            lambda ns: np.where(ns == 700.0, np.inf, -1e-3 * ns),
+            lambda ns: np.where(ns % 2 == 0, np.nan, -ns),
+            lambda ns: 0.0 * ns]
+
+    def batch(self, calls=None):
+        def term_fn(ns, rows):
+            if calls is not None:
+                calls.append((int(ns[0]), rows.tolist()))
+            return np.stack([self.ROWS[i](ns) for i in rows])
+
+        return log_series(term_fn, 8000, shape=(len(self.ROWS),))
+
+    def test_batch_equals_one_series_calls(self):
+        total, terms, converged = self.batch()
+        stop_blocks = []
+        for i, row in enumerate(self.ROWS):
+            ref = log_series(lambda ns, rows: row(ns), 8000)
+            assert (total[i].tobytes(), terms[i], converged[i]) == \
+                (ref[0].tobytes(), ref[1], ref[2])
+            stop_blocks.append(-(-int(ref[1]) // 256))
+        assert stop_blocks == [1, 2, 9, 23, 3, 1, 32]
+        assert total[4] == math.inf and converged[4]
+        assert not converged[6] and terms[6] == 8001
+        # a 2-D batch returns arrays of its shape, with the same bits
+        t2, n2, c2 = log_series(lambda ns, rows: -np.array([1.0, 0.2, 0.02, 0.007])[rows, None]
+                                * ns, 8000, shape=(2, 2))
+        np.testing.assert_array_equal(t2.ravel(), total[:4])
+        np.testing.assert_array_equal(n2.ravel(), terms[:4])
+
+    def test_stopped_rows_are_not_evaluated(self):
+        calls = []
+        _, terms, _ = self.batch(calls)
+        assert calls[0] == (0, list(range(len(self.ROWS))))
+        for start, rows in calls:
+            # exactly the rows that have not stopped before this block
+            assert rows == [i for i in range(len(self.ROWS)) if terms[i] > start]
 
 
 class TestOrderEstimate:

@@ -17,6 +17,7 @@ from entire_growth.errors import (
 from entire_growth.legendre import (
     SampledFunction1D,
     SampledFunctionND,
+    _golden_max,
     _lower_hull_indices,
     biconjugate_1d,
     conjugate_1d,
@@ -348,6 +349,42 @@ class TestAdaptiveConjugate:
         ys = np.array([5.0, 1.0, 3.0])
         t = conjugate_of_callable(np.exp, ys)
         np.testing.assert_allclose(t.gstars, ys * np.log(ys) - ys, rtol=1e-9)
+
+
+def golden_120(h, lo, hi):
+    """Golden-section search that always runs its 120 steps."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    hc, hd = h(c), h(d)
+    for _ in range(120):
+        left = hc >= hd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        hc, hd = h(c), h(d)
+    mid = 0.5 * (lo + hi)
+    return mid, h(mid)
+
+
+class TestGoldenMax:
+    @pytest.mark.parametrize("h, lo, hi", [
+        # flat top on [-1, 1]: ties keep the smaller x
+        (lambda x: -np.maximum(np.abs(x) - 1.0, 0.0),
+         [-5.0, -3.0, -0.5, -700.0], [5.0, 0.5, 4.0, 700.0]),
+        # still rising at the cap 700 in the last two rows
+        (lambda x: np.array([3.0, 10.0, 2000.0, 1e6]) * x - x * x,
+         [0.0, 0.0, 0.0, 0.0], [700.0, 700.0, 700.0, 700.0])],
+        ids=["flat_top", "bracket_at_cap"])
+    def test_stops_at_fixed_point_with_120_step_bits(self, h, lo, hi):
+        calls = []
+        arg, val = _golden_max(lambda x: calls.append(1) or h(x), lo, hi)
+        ref_arg, ref_val = golden_120(h, lo, hi)
+        assert arg.tobytes() == ref_arg.tobytes() and val.tobytes() == ref_val.tobytes()
+        assert len(calls) < 2 * 120 + 3
+        # one row at a time gives the same bits as the batch
+        for i in range(len(lo)):
+            one = _golden_max(lambda x: h(np.full(4, x[0]))[i:i + 1], lo[i:i + 1], hi[i:i + 1])
+            assert one[0].tobytes() == arg[i:i + 1].tobytes()
 
 
 class TestConjugateND:

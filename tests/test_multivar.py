@@ -8,9 +8,11 @@ import pytest
 
 from entire_growth.bounds import power_of_exp
 from entire_growth.entire import (
+    ZERO,
     exp_coefficients,
     gamma_order_coefficients,
     log_max_function,
+    table_coefficients,
 )
 from entire_growth.errors import UnsupportedDimensionError
 from entire_growth.multivar import (
@@ -48,6 +50,21 @@ class TestMultiCoeffBound:
         v1, v2 = np.meshgrid(g, g, indexing="ij")
         vals = 2.0 * v1 + 3.0 * v2 - (np.exp(v1) + np.exp(v2) + 0.1 * v1 * v2)
         assert got == pytest.approx(-np.max(vals), abs=1e-6)
+
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "separable"])
+    def test_batch_equals_loop(self, coupled):
+        # one call over a stack of K multi-indices gives each one's bits
+        def fn(v):
+            v = np.asarray(v, dtype=float)
+            return (np.exp(v[..., 0]) + np.exp(v[..., 1])
+                    + 0.5 * np.exp(0.5 * (v[..., 0] + v[..., 1])))
+
+        Lam = MultiGrowthFunction(2, fn) if coupled else exp_pair()
+        ks = np.array([(i, j) for i in range(0, 40, 5) for j in range(0, 40, 5)], dtype=float)
+        got = multi_coeff_bound(Lam, ks)
+        assert got.shape == (ks.shape[0],)
+        np.testing.assert_array_equal(got, [multi_coeff_bound(Lam, k) for k in ks])
+        assert isinstance(multi_coeff_bound(Lam, ks[3]), float)
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -200,6 +217,23 @@ class TestFactorizable:
                   + log_max_function(gamma_order_coefficients(2.0), 1.2))
         assert rep.log_max_product == pytest.approx(expect, rel=1e-10)
         assert rep.bound_holds
+
+
+    def test_table_with_gaps_matches_direct_sum(self):
+        # ZERO gaps leave non-finite terms, which the product sum drops
+        rng = np.random.default_rng(7)
+        la = -np.arange(60.0) * rng.uniform(0.5, 1.5, 60)
+        la[rng.choice(60, 20, replace=False)] = ZERO
+        la[0] = 0.0
+        f1, f2 = table_coefficients(la), exp_coefficients()
+        rep = factorizable_demo(f1, f2, 1.7, 2.3, power_of_exp(), power_of_exp(),
+                                k_grid=range(5), l_grid=range(5))
+        t1 = f1.log_abs_array(np.arange(60.0)) + np.arange(60.0) * math.log(1.7)
+        t2 = f2.log_abs_array(np.arange(2049.0)) + np.arange(2049.0) * math.log(2.3)
+        t = t1[:, None] + t2[None, :]
+        t = t[np.isfinite(t)]
+        m = float(np.max(t))
+        assert rep.log_max_product == m + math.log(float(np.sum(np.exp(t - m))))
 
 
 class TestGrowthOf:
