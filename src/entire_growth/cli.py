@@ -8,11 +8,12 @@ The config is INI-style text, one section per function spec:
     n_grid = 1:200
     r_grid = 2.718281828459045, 7.389056098930650
 
-Each analysis writes one CSV under <out>/<section>/; a MANIFEST at the
-output root lists every file with its sha-256 and row count, and
-summary.txt carries the headline numbers.  Identical configs produce
-byte-identical trees: floats are printed with 17 significant digits and
-files use '\n' line endings.
+Each family is one row of `_FAMILIES`: its keys, its analyses and the
+builder of its models.  Each analysis writes CSVs under <out>/<section>/;
+a MANIFEST at the output root lists every file with its sha-256 and row
+count, and summary.txt carries the headline numbers.  Identical configs
+produce byte-identical trees: floats are printed with 17 significant
+digits and files use '\n' line endings.
 """
 
 from __future__ import annotations
@@ -23,19 +24,12 @@ import hashlib
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import bounds, entire, multivar, probgen, scales
 from .errors import ConfigError, EntireGrowthError
-
-_FAMILIES = ("exp", "power_order", "log_power_growth", "double_exp",
-             "custom_coeff_csv", "poisson", "factorized")
-
-_ANALYSES = ("coeff_bound", "tauberian", "upper_bound", "gamma",
-             "example_31", "example_32", "example_33", "order_type",
-             "factorized")
 
 
 def _fmt(x) -> str:
@@ -98,23 +92,62 @@ def _parse_key(name: str, section, key: str, default: str, parse):
     return value
 
 
-class FunctionSpec:
-    """One parsed config section: a family plus its analysis requests."""
+# --- families ------------------------------------------------------------
 
-    def __init__(self, name: str, section, config_dir: str):
-        self.name = name
+
+class _Family(NamedTuple):
+    keys: Tuple[str, ...]      # keys a section of this family must set
+    analyses: Tuple[str, ...]  # allowed besides _COMMON, which needs a model
+    build: Optional[Callable]  # spec -> (coefficient sequence or None, growth profile)
+
+
+_COMMON = ("upper_bound", "gamma")
+_FAMILIES = {
+    "exp": _Family((), ("coeff_bound", "tauberian", "order_type"), lambda s: (
+        entire.exp_coefficients(), bounds.power_of_exp(C=1.0, rho=1.0))),
+    "power_order": _Family(
+        ("rho",), ("coeff_bound", "tauberian", "example_32", "order_type"), lambda s: (
+            entire.gamma_order_coefficients(s.rho, s.num("c")),
+            bounds.power_of_exp(C=s.num("c"), rho=s.rho))),
+    "log_power_growth": _Family(("m",), ("example_31",), lambda s: (
+        None, bounds.power_log(C=s.num("c"), m=s.num("m")))),
+    "double_exp": _Family((), ("example_33",), lambda s: (
+        None, bounds.exp_of_exp(C5=s.num("c5"), C6=s.num("c6")))),
+    "custom_coeff_csv": _Family(("path",), ("coeff_bound", "order_type"), lambda s: (
+        t := entire.coefficients_from_csv(os.path.join(s.config_dir, s.params["path"]),
+                                          name=s.name),
+        multivar.growth_of(t, name=s.name))),
+    "poisson": _Family(("lam",), ("coeff_bound", "tauberian"), lambda s: (
+        probgen.poisson(s.num("lam")).as_coefficients(),
+        probgen.poisson_growth(s.num("lam")))),
+    "factorized": _Family(("parts",), ("factorized",), None),
+}
+
+
+class FunctionSpec:
+    """One parsed config section: a family, its models and its analysis
+    requests.  The models are built here, once, so a bad parameter is a
+    config error, and every analysis of the section reuses them."""
+
+    def __init__(self, name: str, section, config_dir: str,
+                 eps_points: int = bounds.DEFAULT_EPS_POINTS):
+        self.name, self.params, self.config_dir = name, dict(section), config_dir
+        self.eps_points = eps_points
         self.family = section.get("family", "").strip()
-        if self.family not in _FAMILIES:
+        row = _FAMILIES.get(self.family)
+        if row is None:
             raise ConfigError(f"[{name}] unknown family {self.family!r}")
         self.analyses = [a.strip() for a in section.get("analyses", "").split(",")
                          if a.strip()]
         if not self.analyses:
             raise ConfigError(f"[{name}] no analyses requested")
+        allowed = row.analyses + (_COMMON if row.build else ())
         for a in self.analyses:
             if a not in _ANALYSES:
                 raise ConfigError(f"[{name}] unknown analysis {a!r}")
-        self.params = dict(section)
-        self.config_dir = config_dir
+            if a not in allowed:
+                raise ConfigError(
+                    f"[{name}] analysis {a!r} unsupported for family {self.family}")
         self.n_grid = _parse_key(name, section, "n_grid", "1:200", _parse_ints)
         self.r_grid = _parse_key(name, section, "r_grid",
                                  "2.718281828459045,7.389056098930650,"
@@ -125,216 +158,136 @@ class FunctionSpec:
         self.eps0 = _parse_key(name, section, "eps0", "0.5", float)
         self.n_min = _parse_key(name, section, "n_min", "100", int)
         self.n_max = _parse_key(name, section, "n_max", "1000", int)
+        self.rho = _parse_key(name, section, "rho", "1.0", float)
         self.parts = [p.strip() for p in section.get("parts", "").split(",")
                       if p.strip()]
-        self._validate()
-
-    def _validate(self) -> None:
-        fam, p = self.family, self.params
-        need = {"power_order": ["rho"], "log_power_growth": ["m"],
-                "double_exp": [], "custom_coeff_csv": ["path"],
-                "poisson": ["lam"], "factorized": ["parts"]}.get(fam, [])
-        for key in need:
-            if key not in p or not p[key].strip():
-                raise ConfigError(f"[{self.name}] family {fam} needs key {key!r}")
-        if fam == "custom_coeff_csv":
-            path = os.path.join(self.config_dir, p["path"])
-            try:
-                self.table = entire.coefficients_from_csv(path, name=self.name)
-            except (OSError, EntireGrowthError) as exc:
-                raise ConfigError(f"[{self.name}] coefficient table: {exc}")
-        allowed = self._allowed_analyses()
-        for a in self.analyses:
-            if a not in allowed:
-                raise ConfigError(
-                    f"[{self.name}] analysis {a!r} unsupported for family {fam}")
-        # build the family's models now, so a bad parameter is a config error
+        for key in row.keys:
+            if not self.params.get(key, "").strip():
+                raise ConfigError(f"[{name}] family {self.family} needs key {key!r}")
         try:
-            if fam in ("exp", "power_order", "custom_coeff_csv", "poisson"):
-                self.coefficients()
-            if fam != "factorized":
-                self.growth()
-        except (ValueError, EntireGrowthError) as exc:
-            raise ConfigError(f"[{self.name}] family {fam}: {exc}")
+            self.coeffs, self.growth = row.build(self) if row.build else (None, None)
+        except ConfigError:
+            raise
+        except (OSError, ValueError, EntireGrowthError) as exc:
+            raise ConfigError(f"[{name}] family {self.family}: {exc}")
 
-    def _allowed_analyses(self) -> Tuple[str, ...]:
-        common = ("upper_bound", "gamma")
-        return {
-            "exp": ("coeff_bound", "tauberian", "order_type") + common,
-            "power_order": ("coeff_bound", "tauberian", "example_32",
-                            "order_type") + common,
-            "log_power_growth": ("example_31",) + common,
-            "double_exp": ("example_33",) + common,
-            "custom_coeff_csv": ("coeff_bound", "order_type") + common,
-            "poisson": ("coeff_bound", "tauberian") + common,
-            "factorized": ("factorized",),
-        }[self.family]
-
-    # --- family model construction -------------------------------------
-
-    def coefficients(self) -> entire.CoefficientSequence:
-        fam, p = self.family, self.params
-        if fam == "exp":
-            return entire.exp_coefficients()
-        if fam == "power_order":
-            return entire.gamma_order_coefficients(float(p["rho"]),
-                                                   float(p.get("c", "1.0")))
-        if fam == "custom_coeff_csv":
-            return self.table
-        if fam == "poisson":
-            return probgen.poisson(float(p["lam"])).as_coefficients()
-        raise ConfigError(f"[{self.name}] family {fam} has no coefficient model")
-
-    def growth(self) -> bounds.GrowthFunction:
-        fam, p = self.family, self.params
-        if fam == "exp":
-            return bounds.power_of_exp(C=1.0, rho=1.0)
-        if fam == "power_order":
-            return bounds.power_of_exp(C=float(p.get("c", "1.0")),
-                                       rho=float(p["rho"]))
-        if fam == "log_power_growth":
-            return bounds.power_log(C=float(p.get("c", "1.0")), m=float(p["m"]))
-        if fam == "double_exp":
-            return bounds.exp_of_exp(C5=float(p.get("c5", "1.0")),
-                                     C6=float(p.get("c6", "1.0")))
-        if fam == "poisson":
-            return probgen.poisson_growth(float(p["lam"]))
-        return multivar.growth_of(self.coefficients(), name=self.name)
+    def num(self, key: str) -> float:
+        """A finite numeric family parameter, 1.0 when the key is absent."""
+        return _parse_key(self.name, self.params, key, "1.0", float)
 
     def decay(self) -> bounds.GrowthFunction:
         """Decay profile: the convex envelope of Q(n) = -ln|c_n| with its
         discrete conjugate, or the growth conjugate if no coefficient model
-        exists."""
-        if self.family in ("log_power_growth", "double_exp"):
-            return self.growth().conjugate()
-        return bounds.index_decay(self.coefficients())
+        exists.  Built on demand: a rule's envelope takes 10^6 rows."""
+        if self.coeffs is None:
+            return self.growth.conjugate()
+        return bounds.index_decay(self.coeffs)
 
 
-# --- analyses ----------------------------------------------------------
+# --- analyses: each takes the spec and returns ([(file, header, rows)], notes)
 
 
-def _run_coeff_bound(spec: FunctionSpec, ctx, label: str = "coeff_bound"
-                     ) -> Tuple[List[str], List[List], List[str]]:
-    f = spec.coefficients()
-    Lam = spec.growth()
-    la = f.log_abs_array(spec.n_grid)
-    bnd = bounds.coeff_upper_bound_many(Lam, spec.n_grid)
-    rows = [[int(n), lav, bv, bv - lav]
-            for n, lav, bv in zip(spec.n_grid, la, bnd)]
+def _run_coeff_bound(spec: FunctionSpec, label: str = "coeff_bound"):
+    la = spec.coeffs.log_abs_array(spec.n_grid)
+    bnd = bounds.coeff_upper_bound_many(spec.growth, spec.n_grid)
+    rows = [[int(n), lav, bv, bv - lav] for n, lav, bv in zip(spec.n_grid, la, bnd)]
     worst = float(np.min(bnd - la))
-    return (["n", "ln_abs_c", "log_bound", "slack"], rows,
+    return ([(f"{label}.csv", ["n", "ln_abs_c", "log_bound", "slack"], rows)],
             [f"{label}: min slack {_fmt(worst)} over n in "
              f"[{spec.n_grid[0]}, {spec.n_grid[-1]}]"])
 
 
-def _run_tauberian(spec: FunctionSpec, ctx) -> Tuple[List[str], List[List], List[str]]:
-    Lam = spec.growth()
-    if spec.family == "poisson":
-        rep = probgen.prob_tauberian_report(
-            probgen.poisson(float(spec.params["lam"])), Lam,
-            spec.r_grid, spec.n_grid)
-    else:
-        rep = bounds.tauberian_report(spec.coefficients(), Lam,
-                                      spec.r_grid, spec.n_grid)
+def _run_tauberian(spec: FunctionSpec):
+    rep = bounds.tauberian_report(spec.coeffs, spec.growth, spec.r_grid, spec.n_grid)
     rows = [[_fmt(rep.r_grid[i]) if i < rep.r_grid.size else "",
              _fmt(rep.lhs_ratios[i]) if i < rep.r_grid.size else "",
              str(int(rep.n_grid[i])) if i < rep.n_grid.size else "",
              _fmt(rep.rhs_ratios[i]) if i < rep.n_grid.size else ""]
             for i in range(max(rep.r_grid.size, rep.n_grid.size))]
-    return (["r", "lhs_ratio", "n", "rhs_ratio"], rows,
+    return ([("tauberian.csv", ["r", "lhs_ratio", "n", "rhs_ratio"], rows)],
             [f"tauberian: terminal lhs {_fmt(rep.terminal_lhs)}, "
              f"terminal rhs {_fmt(rep.terminal_rhs)}, "
              f"gap {_fmt(rep.terminal_gap)}"])
 
 
-def _run_upper_bound(spec: FunctionSpec, ctx):
+def _run_upper_bound(spec: FunctionSpec):
     Q = spec.decay()
-    rows, notes = [], []
-    eps_rows = None
+    rows = []
     for v in spec.v_grid:
-        b, rep = bounds.max_function_upper_bound(Q, float(v),
-                                                 eps_points=ctx.eps_points)
+        b, rep = bounds.max_function_upper_bound(Q, float(v), eps_points=spec.eps_points)
         rows.append([v, b, rep.eps_star, rep.c_eff, rep.S0,
                      1 if rep.qstar_saturated else 0])
-        eps_rows = rep
-    notes.append(f"upper_bound: bound {_fmt(rows[-1][1])} at "
-                 f"v={_fmt(spec.v_grid[-1])}, eps* {_fmt(eps_rows.eps_star)}")
-    extra = (["eps", "ln_k", "ln_u", "ln_y"],
-             [list(row) for row in zip(eps_rows.eps_grid, eps_rows.ln_k,
-                                       eps_rows.ln_u, eps_rows.ln_y)])
-    return (["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"],
-            rows, notes, extra)
+    eps_rows = [list(row) for row in zip(rep.eps_grid, rep.ln_k, rep.ln_u, rep.ln_y)]
+    return ([("epsilon_report.csv", ["eps", "ln_k", "ln_u", "ln_y"], eps_rows),
+             ("upper_bound.csv",
+              ["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"], rows)],
+            [f"upper_bound: bound {_fmt(b)} at v={_fmt(spec.v_grid[-1])}, "
+             f"eps* {_fmt(rep.eps_star)}"])
 
 
-def _run_gamma(spec: FunctionSpec, ctx):
-    rep = bounds.gamma_condition(spec.growth(), spec.eps0, spec.v_grid)
+def _run_gamma(spec: FunctionSpec):
+    rep = bounds.gamma_condition(spec.growth, spec.eps0, spec.v_grid)
     rows = [[v, r] for v, r in zip(rep.v_grid, rep.ratios)]
-    return (["v", "ratio"], rows,
+    return ([("gamma.csv", ["v", "ratio"], rows)],
             [f"gamma: estimate {_fmt(rep.gamma_estimate)}, "
              f"holds {str(rep.holds).lower()}"])
 
 
-def _run_example_31(spec: FunctionSpec, ctx):
-    m = float(spec.params["m"])
-    c = float(spec.params.get("c", "1.0"))
-    rep = scales.example_31_check(m, c, spec.n_grid[spec.n_grid >= 2])
+def _run_example_31(spec: FunctionSpec):
+    m = spec.num("m")
+    rep = scales.example_31_check(m, spec.num("c"), spec.n_grid[spec.n_grid >= 2])
     rows = [[int(n), ls, ce, rep.exponent_fit]
             for n, ls, ce in zip(rep.n_grid, rep.lam_star, rep.constant_estimates)]
-    return (["n", "conj_value", "constant_estimate", "exponent_fit"], rows,
+    return ([("example_31.csv", ["n", "conj_value", "constant_estimate", "exponent_fit"],
+              rows)],
             [f"example_31: exponent fit {_fmt(rep.exponent_fit)} "
              f"(conjugate exponent {_fmt(m / (m - 1.0))}), "
              f"constant {_fmt(rep.constant_estimate)}"])
 
 
-def _run_example_33(spec: FunctionSpec, ctx):
-    c5 = float(spec.params.get("c5", "1.0"))
-    c6 = float(spec.params.get("c6", "1.0"))
-    c7 = float(spec.params.get("c7", "1.0"))
-    grid = spec.n_grid[spec.n_grid >= 3]
-    rep = scales.example_33_check(c5, c6, c7, grid)
+def _run_example_33(spec: FunctionSpec):
+    rep = scales.example_33_check(spec.num("c5"), spec.num("c6"),
+                                  spec.n_grid[spec.n_grid >= 3])
     rows = [[int(n), ls, ld, rt] for n, ls, ld, rt in
             zip(rep.n_grid, rep.lam_star, rep.leading, rep.ratios)]
-    return (["n", "conj_value", "leading_term", "ratio"], rows,
+    return ([("example_33.csv", ["n", "conj_value", "leading_term", "ratio"], rows)],
             [f"example_33: terminal leading-term ratio {_fmt(rep.ratios[-1])}"])
 
 
-def _run_order_type(spec: FunctionSpec, ctx):
-    f = spec.coefficients()
-    order = entire.order_estimate(f, spec.n_min, spec.n_max)
-    rows = [["order", order.value]]
-    notes = [f"order_type: order estimate {_fmt(order.value)}"]
-    rho = spec.params.get("rho")
-    rho = float(rho) if rho else 1.0
-    typ = entire.type_estimate(f, rho, spec.n_min, spec.n_max)
-    rows.append(["type", typ.value])
-    notes.append(f"order_type: type estimate {_fmt(typ.value)} (rho={_fmt(rho)})")
-    return (["quantity", "value"], rows, notes)
+def _run_order_type(spec: FunctionSpec):
+    order = entire.order_estimate(spec.coeffs, spec.n_min, spec.n_max)
+    typ = entire.type_estimate(spec.coeffs, spec.rho, spec.n_min, spec.n_max)
+    return ([("order_type.csv", ["quantity", "value"],
+              [["order", order.value], ["type", typ.value]])],
+            [f"order_type: order estimate {_fmt(order.value)}",
+             f"order_type: type estimate {_fmt(typ.value)} (rho={_fmt(spec.rho)})"])
 
 
-def _run_factorized(spec: FunctionSpec, ctx, others: Dict[str, "FunctionSpec"]):
-    s1, s2 = (others[p] for p in spec.parts)  # checked by run() while parsing
+def _run_factorized(spec: FunctionSpec):
+    s1, s2 = spec.parts  # resolved to their specs by run()
     r1, r2 = (spec.r_grid[0], spec.r_grid[min(1, spec.r_grid.size - 1)])
-    rep = multivar.factorizable_demo(s1.coefficients(), s2.coefficients(),
-                                     float(r1), float(r2),
-                                     s1.growth(), s2.growth(),
-                                     k_grid=spec.n_grid[:50],
-                                     l_grid=spec.n_grid[:50])
+    rep = multivar.factorizable_demo(s1.coeffs, s2.coeffs, float(r1), float(r2),
+                                     s1.growth, s2.growth,
+                                     k_grid=spec.n_grid[:50], l_grid=spec.n_grid[:50])
     rows = [["log_max_product", rep.log_max_product],
             ["log_max_factor_1", rep.log_max_factors[0]],
             ["log_max_factor_2", rep.log_max_factors[1]],
             ["residual", rep.residual],
             ["bound_holds", 1 if rep.bound_holds else 0]]
-    return (["quantity", "value"], rows,
+    return ([("factorized.csv", ["quantity", "value"], rows)],
             [f"factorized: residual {_fmt(rep.residual)}, "
              f"coefficient bounds hold {str(rep.bound_holds).lower()}"])
 
 
-class _Ctx:
-    def __init__(self, eps_points: int):
-        self.eps_points = eps_points
+_ANALYSES = {"coeff_bound": _run_coeff_bound, "tauberian": _run_tauberian,
+             "upper_bound": _run_upper_bound, "gamma": _run_gamma,
+             "example_31": _run_example_31,
+             "example_32": lambda spec: _run_coeff_bound(spec, "example_32"),
+             "example_33": _run_example_33, "order_type": _run_order_type,
+             "factorized": _run_factorized}
 
 
-def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
+def _run_spec(spec: FunctionSpec):
     """Run all analyses of one section.  Returns (artifacts, notes, error).
 
     artifacts: list of (relative path, header, rows) completed before any
@@ -345,25 +298,13 @@ def _run_spec(spec: FunctionSpec, specs: Dict[str, FunctionSpec], ctx: _Ctx):
     artifacts, notes = [], []
     for analysis in spec.analyses:
         try:
-            if analysis == "upper_bound":
-                header, rows, nts, extra = _run_upper_bound(spec, ctx)
-                artifacts.append((f"{spec.name}/epsilon_report.csv",) + extra)
-            elif analysis == "factorized":
-                header, rows, nts = _run_factorized(spec, ctx, specs)
-            else:
-                fn = {"coeff_bound": _run_coeff_bound,
-                      "tauberian": _run_tauberian,
-                      "gamma": _run_gamma,
-                      "example_31": _run_example_31,
-                      "example_32": lambda s, c: _run_coeff_bound(s, c, "example_32"),
-                      "example_33": _run_example_33,
-                      "order_type": _run_order_type}[analysis]
-                header, rows, nts = fn(spec, ctx)
+            files, nts = _ANALYSES[analysis](spec)
         except EntireGrowthError as exc:
             return artifacts, notes, f"[{spec.name}] {analysis}: {exc}"
         except Exception as exc:  # a fault in the analysis: still no traceback
             return artifacts, notes, f"[{spec.name}] {analysis}: {type(exc).__name__}: {exc}"
-        artifacts.append((f"{spec.name}/{analysis}.csv", header, rows))
+        artifacts.extend((f"{spec.name}/{file}", header, rows)
+                         for file, header, rows in files)
         notes.extend(nts)
     return artifacts, notes, None
 
@@ -389,26 +330,24 @@ def run(config_path: str, output_dir: str, quiet: bool = False,
 
     config_dir = os.path.dirname(os.path.abspath(config_path))
     try:
-        specs = {name: FunctionSpec(name, parser[name], config_dir)
+        specs = {name: FunctionSpec(name, parser[name], config_dir, eps_points)
                  for name in parser.sections()}
         if not specs:
             raise ConfigError("config defines no sections")
-        for spec in specs.values():
-            if spec.family == "factorized":
-                if len(spec.parts) != 2:
-                    raise ConfigError(
-                        f"[{spec.name}] factorized needs exactly two parts")
-                for part in spec.parts:
-                    if part not in specs:
-                        raise ConfigError(
-                            f"[{spec.name}] unknown part section {part!r}")
+        for spec in (s for s in specs.values() if s.family == "factorized"):
+            if len(spec.parts) != 2:
+                raise ConfigError(f"[{spec.name}] factorized needs exactly two parts")
+            for part in spec.parts:
+                if part not in specs or specs[part].coeffs is None:
+                    raise ConfigError(f"[{spec.name}] part {part!r} is no section "
+                                      "with a coefficient model")
+            spec.parts = [specs[part] for part in spec.parts]
     except ConfigError as exc:
         loc = f" line {exc.line}" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return 2
 
-    ctx = _Ctx(eps_points)
-    results = [(name, _run_spec(spec, specs, ctx)) for name, spec in specs.items()]
+    results = [(name, _run_spec(spec)) for name, spec in specs.items()]
 
     os.makedirs(output_dir, exist_ok=True)
     manifest, summary, errors = [], [], []

@@ -148,21 +148,18 @@ class DoubleExpReport:
     lam_star: np.ndarray
     leading: np.ndarray
     ratios: np.ndarray
-    log_c7: float
 
 
-def example_33_check(C5: float, C6: float, C7: float, n_grid) -> DoubleExpReport:
-    """Growth C5 e^(C6 r) vs coefficient decay C7 (ln n)^(-n).
+def example_33_check(C5: float, C6: float, n_grid) -> DoubleExpReport:
+    """Growth C5 e^(C6 r) vs coefficient decay (ln n)^(-n), up to a constant.
 
     Takes Lambda*(n) for Lambda(v) = C5 e^(C6 e^v) from its closed form and
     reports the ratio of -Lambda*(n) to the leading decay term -n ln ln n.
     """
-    if C7 <= 0:
-        raise InputError("C7 must be positive")
     n = np.asarray(n_grid, dtype=float)
     if n.size == 0 or np.any(n < 3):
         raise InputError("n_grid must be non-empty and lie in [3, inf)")
     lam_star, _ = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
     leading = n * np.log(np.log(n))
     ratios = lam_star / leading
-    return DoubleExpReport(n, lam_star, leading, ratios, math.log(C7))
+    return DoubleExpReport(n, lam_star, leading, ratios)

@@ -192,7 +192,7 @@ def test_criterion_07_example_32():
 
 
 def test_criterion_08_example_33():
-    rep = example_33_check(1.0, 1.0, 1.0, np.array([1e3, 1e4]))
+    rep = example_33_check(1.0, 1.0, np.array([1e3, 1e4]))
     r3, r4 = float(rep.ratios[0]), float(rep.ratios[1])
     ok = 0.6 <= r3 <= 1.4 and abs(r4 - 1.0) < abs(r3 - 1.0)
     report(8, ok,

@@ -1,14 +1,20 @@
 """CLI plumbing: config parsing, exit codes, CSV contract, determinism."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, lambertw, logsumexp
 
+from entire_growth import cli
 from entire_growth.cli import main, run
 
 FAST_CFG = """\
@@ -25,6 +31,29 @@ c = 1
 analyses = example_31
 n_grid = 2:60
 """
+
+
+# the keys each family needs, set to valid values; the parts of a
+# factorized section are two exp sections
+FAMILY_KEYS = {"exp": {}, "power_order": {"rho": "2"}, "log_power_growth": {"m": "2"},
+               "double_exp": {}, "custom_coeff_csv": {"path": "c.csv"},
+               "poisson": {"lam": "1"}, "factorized": {"parts": "a, b"}}
+PART_SECTIONS = "".join(f"[{p}]\nfamily = exp\nanalyses = gamma\n\n" for p in "ab")
+
+
+def _allowed(family):
+    row = cli._FAMILIES[family]
+    return row.analyses + (cli._COMMON if row.build else ())
+
+
+def _section(family, analyses, drop=None):
+    keys = "".join(f"{k} = {v}\n" for k, v in FAMILY_KEYS[family].items() if k != drop)
+    return ((PART_SECTIONS if family == "factorized" else "")
+            + f"[x]\nfamily = {family}\n{keys}analyses = {analyses}\n")
+
+
+UNSUPPORTED = [(f, a) for f in cli._FAMILIES for a in cli._ANALYSES
+               if a not in _allowed(f)]
 
 
 def tree_digest(root):
@@ -305,16 +334,37 @@ class TestErrorPaths:
         assert run(str(tmp_path / "absent.cfg"), str(tmp_path / "out"),
                    quiet=True) == 2
 
-    def test_unsupported_analysis_for_family(self, tmp_path):
-        # every coefficient table is a polynomial: tauberian cannot run on it
+    def test_unsupported_analysis_for_family(self, tmp_path, capsys):
+        # its two first configs, then every (family, analysis) pair outside
+        # the family's row of the table
         (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,0.0\n1,-1.0\n")
         cfg = tmp_path / "bad.cfg"
-        for text in ("[x]\nfamily = log_power_growth\nm = 2\n"
-                     "analyses = coeff_bound\n",
-                     "[x]\nfamily = custom_coeff_csv\npath = c.csv\n"
-                     "analyses = coeff_bound, tauberian, order_type\n"):
+        out = tmp_path / "out"
+        for text in (["[x]\nfamily = log_power_growth\nm = 2\n"
+                      "analyses = coeff_bound\n",
+                      # every coefficient table is a polynomial: no tauberian
+                      "[x]\nfamily = custom_coeff_csv\npath = c.csv\n"
+                      "analyses = coeff_bound, tauberian, order_type\n"]
+                     + [_section(family, analysis) for family, analysis in UNSUPPORTED]):
             cfg.write_text(text)
-            assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 2
+            assert run(str(cfg), str(out), quiet=True) == 2, text
+            assert not out.exists()
+            assert "unsupported for family" in capsys.readouterr().err
+
+    def test_family_keys_match_the_table(self):
+        assert {f: tuple(keys) for f, keys in FAMILY_KEYS.items()} == {
+            f: row.keys for f, row in cli._FAMILIES.items()}
+
+    @pytest.mark.parametrize("family, key", [(f, k) for f, row in cli._FAMILIES.items()
+                                             for k in row.keys])
+    def test_missing_family_key_exit_two(self, tmp_path, capsys, family, key):
+        (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,0.0\n1,-1.0\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_section(family, _allowed(family)[0], drop=key))
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 2
+        assert not out.exists()
+        assert f"family {family} needs key {key!r}" in capsys.readouterr().err
 
     def test_malformed_table_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -348,6 +398,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "[x]\nfamily = exp\nanalyses = order_type\nrho = abc\n",
+        "[x]\nfamily = poisson\nlam = 2\nanalyses = coeff_bound\nrho = abc\n",
+        "[x]\nfamily = custom_coeff_csv\npath = c.csv\nanalyses = order_type\nrho = abc\n",
+        "[x]\nfamily = power_order\nrho = 2\nc = nan\nanalyses = coeff_bound\n",
+        "[a]\nfamily = log_power_growth\nm = 2\nanalyses = gamma\n\n"
+        "[x]\nfamily = factorized\nparts = a, a\nanalyses = factorized\n"],
+        ids=["exp-rho", "poisson-rho", "table-rho", "power_order-c", "factorized-part"])
+    def test_checked_while_parsing_exit_two(self, tmp_path, capsys, text):
+        # keys that analyses read are parsed, and factorized parts resolved,
+        # before any analysis runs
+        (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,0.0\n1,-1.0\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
     def test_module_error_exit_three_with_partial_flush(self, tmp_path):
         # gamma requires v >= 1; coeff_bound before it still lands on disk
         cfg = tmp_path / "half.cfg"
@@ -363,12 +432,12 @@ class TestErrorPaths:
 
     def test_unexpected_exception_exit_three_named(self, tmp_path, capsys, monkeypatch):
         # a fault inside one analysis is that section's error, not a traceback
-        from entire_growth import cli
+        from entire_growth import bounds
 
-        def broken(spec, ctx):
+        def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(cli, "_run_gamma", broken)
+        monkeypatch.setattr(bounds, "gamma_condition", broken)
         cfg = tmp_path / "fault.cfg"
         cfg.write_text("[x]\nfamily = exp\nanalyses = coeff_bound, gamma\n"
                        "n_grid = 1:20\nv_grid = 1.0:3.0:4\n\n"
@@ -399,6 +468,114 @@ class TestErrorPaths:
         assert "Traceback" not in capsys.readouterr().err
         manifest = (out / "MANIFEST").read_text().splitlines()
         assert [line.split(",")[0] for line in manifest] == ([flushed] if flushed else [])
+
+
+# --- generated configs --------------------------------------------------
+
+def _floats(lo, hi, size=3):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=size).map(
+        lambda xs: ", ".join(repr(x) for x in xs))
+
+
+# double_exp keeps c5 = c6 = 1: at c6 = 5.4 its upper_bound takes 1.9 s
+# per v, 15 s on the default v_grid
+PARAMS = {"rho": st.floats(0.1, 50.0), "c": st.floats(0.1, 10.0),
+          "lam": st.floats(0.1, 50.0), "m": st.floats(1.1, 5.0)}
+FAMILY_PARAMS = {"power_order": ("rho", "c"), "log_power_growth": ("m", "c"),
+                 "poisson": ("lam",)}
+GRIDS = {
+    "n_grid": st.one_of(
+        st.tuples(st.integers(0, 300), st.integers(0, 300)).map(
+            lambda t: f"{min(t)}:{max(t)}"),
+        st.lists(st.integers(0, 5000), min_size=1, max_size=5).map(
+            lambda ns: ", ".join(map(str, ns)))),
+    "v_grid": _floats(-3.0, 6.0),
+    "r_grid": _floats(0.5, 1e4),
+}
+# one section in six gets a key that does not parse, so exit 2 is drawn too
+HOSTILE = st.sampled_from([("n_grid", "1:abc"), ("n_grid", "5:1"), ("n_grid", "-3:5"),
+                           ("v_grid", "1, nan"), ("r_grid", "-1, 2"), ("rho", "abc")])
+TABLE_ROWS = st.lists(st.one_of(st.floats(-60.0, 5.0), st.just("ZERO")),
+                      min_size=1, max_size=40)
+
+
+@st.composite
+def _generated_section(draw, family, analyses=None):
+    keys = {"family": family, "analyses": ", ".join(analyses or draw(
+        st.lists(st.sampled_from(_allowed(family)), min_size=1, max_size=3, unique=True)))}
+    keys.update(FAMILY_KEYS[family])
+    keys.update({k: draw(PARAMS[k]) for k in FAMILY_PARAMS.get(family, ())})
+    keys.update({k: draw(g) for k, g in GRIDS.items() if draw(st.booleans())})
+    return keys
+
+
+@st.composite
+def _generated_config(draw):
+    family = draw(st.sampled_from(sorted(cli._FAMILIES)))
+    sections = {}
+    if family == "factorized":
+        for part in ("a", "b"):
+            sections[part] = draw(_generated_section(
+                draw(st.sampled_from(["exp", "power_order", "poisson"])), ["coeff_bound"]))
+    sections["x"] = draw(_generated_section(family))
+    if draw(st.integers(0, 5)) == 5:
+        key, text = draw(HOSTILE)
+        sections["x"][key] = text
+    return sections, draw(TABLE_ROWS)
+
+
+def _ln_abs_c(keys, ns):
+    """ln|c_n| of a family whose ln M_f the test sums, else None."""
+    family = keys["family"]
+    if family == "exp":
+        return -gammaln(ns + 1.0)
+    if family == "power_order":
+        k = ns / keys["rho"]
+        return k * math.log(keys.get("c", 1.0)) - gammaln(k + 1.0)
+    if family == "poisson":
+        return -keys["lam"] + ns * math.log(keys["lam"]) - gammaln(ns + 1.0)
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_generated_config())
+def test_generated_configs(config):
+    # exit 0, 2 or 3 with no traceback and nothing written on exit 2;
+    # every printed coefficient bound holds (slack >= 0), and every finite
+    # upper_bound row lies above ln M_f(e^v) summed over n <= 20000 (a
+    # lower estimate of ln M_f, as every c_n > 0)
+    sections, table = config
+    with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, "c.csv"), "w") as fh:
+            fh.write("n,ln_abs_c\n" + "".join(f"{n},{v}\n" for n, v in enumerate(table)))
+        with open(os.path.join(root, "g.cfg"), "w") as fh:
+            fh.write("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                             + "\n" for name, keys in sections.items()))
+        out = os.path.join(root, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(os.path.join(root, "g.cfg"), out, quiet=True)
+        event(f"{sections['x']['family']}: exit {code}")
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        ns = np.arange(20001, dtype=float)
+        for name, keys in sections.items():
+            path = os.path.join(out, name, "coeff_bound.csv")
+            if os.path.exists(path):
+                with open(path, newline="") as fh:
+                    assert all(float(row[3]) >= 0.0 for row in list(csv.reader(fh))[1:])
+            path = os.path.join(out, name, "upper_bound.csv")
+            ln_c = _ln_abs_c(keys, ns)
+            if ln_c is None or not os.path.exists(path):
+                continue
+            with open(path, newline="") as fh:
+                for row in list(csv.reader(fh))[1:]:
+                    v, bound = float(row[0]), float(row[1])
+                    if math.isfinite(bound):
+                        assert bound >= logsumexp(ln_c + ns * v), (keys, v, bound)
 
 
 class TestMain:

@@ -138,10 +138,10 @@ class TestRefinedDecay:
 
 class TestExample33:
     def test_leading_term_ratio_tightens(self):
-        rep = example_33_check(1.0, 1.0, 1.0, np.array([1e3, 1e4]))
+        rep = example_33_check(1.0, 1.0, np.array([1e3, 1e4]))
         assert 0.6 <= rep.ratios[0] <= 1.4
         assert abs(rep.ratios[1] - 1.0) < abs(rep.ratios[0] - 1.0)
 
     def test_small_indices_rejected(self):
         with pytest.raises(InputError):
-            example_33_check(1.0, 1.0, 1.0, np.array([1.0, 2.0]))
+            example_33_check(1.0, 1.0, np.array([1.0, 2.0]))
