@@ -314,6 +314,8 @@ def max_function_upper_bound(Q: GrowthFunction, v: float,
     EpsilonReport).  The bound is min over eps of ln Y(eps) + Q*(v/(1-eps))
     (see _eps_scan).
     """
+    if not np.isfinite(v):
+        raise InputError(f"v must be finite, not {v}")
     if coeffs is not None:
         ns = np.arange(0, 1001)
         la = coeffs.log_abs_array(ns)

@@ -272,10 +272,9 @@ def _run_factorized(spec: FunctionSpec):
     rows = [["log_max_product", rep.log_max_product],
             ["log_max_factor_1", rep.log_max_factors[0]],
             ["log_max_factor_2", rep.log_max_factors[1]],
-            ["residual", rep.residual],
             ["bound_holds", 1 if rep.bound_holds else 0]]
     return ([("factorized.csv", ["quantity", "value"], rows)],
-            [f"factorized: residual {_fmt(rep.residual)}, "
+            [f"factorized: ln M {_fmt(rep.log_max_product)}, "
              f"coefficient bounds hold {str(rep.bound_holds).lower()}"])
 
 

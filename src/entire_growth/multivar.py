@@ -1,20 +1,20 @@
 """Several-complex-variables extension.
 
-Multi-index coefficient bounds through d-dimensional conjugates, K/U/Y sums
-over multi-indices, and the factorizable-function consistency checks.
-Dimension is capped at 3; non-separable profiles are conjugated on a
-sampled product grid by the d-pass hull kernel of legendre.
+Multi-index coefficient bounds and reverse bounds, and the
+factorizable-function checks.  Dimension is capped at 3.  A separable
+profile is answered axis by axis by the 1-D engine of bounds; any other is
+conjugated on a sampled product grid by the d-pass hull kernel of legendre,
+with its K/U/Y sums over a truncated multi-index box.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, k_sum, u_sum
+from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, max_function_upper_bound
 from .entire import CoefficientSequence, log_max_function, log_series
 from .errors import InputError, ResourceLimitError, UnsupportedDimensionError
 from .legendre import _conjugate_passes
@@ -59,13 +59,20 @@ class MultiGrowthFunction:
 
 
 def multi_coeff_bound(Lambda: MultiGrowthFunction, k):
-    """Log upper bound on |c_k|: returns -Lambda*(k), by _multi_conjugate on
-    the window [-12, 12]^d.  k is one multi-index (a float comes back) or a
-    stack of shape (K, d), all conjugated in one call (an array of K)."""
+    """Log upper bound on |c_k|: returns -Lambda*(k).  A separable Lambda
+    conjugates axis by axis, Lambda*(k) = sum_j Lambda_j*(k_j); any other
+    by _multi_conjugate on the window [-12, 12]^d.  k is one multi-index (a
+    float comes back) or a stack of shape (K, d), all conjugated in one call
+    (an array of K)."""
     k = np.asarray(k, dtype=float)
-    if k.ndim not in (1, 2) or k.shape[-1] != Lambda.dimension or np.any(k < 0):
-        raise InputError("multi-index must be nonnegative of matching dimension")
-    out = -_multi_conjugate(Lambda, k.reshape(-1, Lambda.dimension), _COEFF_AXIS)[0]
+    if (k.ndim not in (1, 2) or k.shape[-1] != Lambda.dimension
+            or not np.all(np.isfinite(k)) or np.any(k < 0)):
+        raise InputError("multi-index must be finite, nonnegative, of matching dimension")
+    ks = k.reshape(-1, Lambda.dimension)
+    if Lambda.separable:
+        out = -sum(p.conjugate_at(ks[:, j])[0] for j, p in enumerate(Lambda.separable_parts))
+    else:
+        out = -_multi_conjugate(Lambda, ks, _COEFF_AXIS)[0]
     return float(out[0]) if k.ndim == 1 else out
 
 
@@ -82,13 +89,9 @@ def _axis_truncation(Q: MultiGrowthFunction, axis: int, eps: np.ndarray):
 
 
 def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
-    """(ln K0, ln U) over multi-indices at each eps.  Separable Q: K0 and U
-    are products of the per-axis sums, so their logs are sums of the batched
-    k_sum / u_sum.  Otherwise both run over a box truncated per axis by
-    _axis_truncation, with Q evaluated once on the largest box."""
-    if Q.separable:
-        return (sum(k_sum(p.fn, eps) for p in Q.separable_parts),
-                sum(u_sum(p.fn, eps) for p in Q.separable_parts))
+    """(ln K0, ln U) over multi-indices at each eps, each a sum over a box
+    truncated per axis by _axis_truncation, with Q evaluated once on the
+    largest box."""
     from scipy.special import logsumexp
     caps = np.stack([_axis_truncation(Q, j, eps) for j in range(Q.dimension)], axis=-1)
     outer = caps.max(axis=0)
@@ -110,16 +113,11 @@ def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
 def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray, axis: np.ndarray):
     """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys, and a saturation flag.
 
-    Separable Q: the exact sup over R^d (or the index domain), one batched
-    conjugate per axis, saturated when any axis is.  Otherwise the sup over
-    the sampled lattice axis^d only, which lower-bounds the real sup the U
-    split needs: _conjugate_passes on the product of the distinct query
-    coordinates, read off at each row, saturated when an argmax is the
-    last sample of an axis (the far face of the box).
+    The sup over the sampled lattice axis^d only, which lower-bounds the
+    real sup the U split needs: _conjugate_passes on the product of the
+    distinct query coordinates, read off at each row, saturated when an
+    argmax is the last sample of an axis (the far face of the box).
     """
-    if Q.separable:
-        parts = [p.conjugate_at(ys[:, j]) for j, p in enumerate(Q.separable_parts)]
-        return sum(q for q, _ in parts), any(sat for _, sat in parts)
     axes = [axis] * Q.dimension
     values = np.asarray(Q.fn(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)), dtype=float)
     queries = [np.unique(ys[:, j]) for j in range(Q.dimension)]
@@ -130,17 +128,26 @@ def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray, axis: np.ndarray):
 
 def multi_max_bound(Q: MultiGrowthFunction, v,
                     eps_points: int = DEFAULT_EPS_POINTS):
-    """Upper bound on ln R(v) over multi-indices: min_eps ln Y(eps) + Q*(v/(1-eps)).
+    """Upper bound on ln R(v) over multi-indices; returns (bound, reports),
+    a tuple of EpsilonReport.
 
-    The eps-scan of max_function_upper_bound (grid, zoom, saturation flag)
-    over the sums of _multi_sums and the conjugate of _multi_conjugate.
+    Separable Q: R(v) = prod_j R_Qj(v_j), so the bound is the sum of the
+    1-D bounds max_function_upper_bound(Q_j, v_j), each axis with its own
+    eps* and report.  Otherwise the eps-scan of max_function_upper_bound
+    (grid, zoom, saturation flag) runs once, over the sums of _multi_sums
+    and the conjugate of _multi_conjugate, with one report.
     """
     v = np.asarray(v, dtype=float)
-    if v.size != Q.dimension:
-        raise InputError("v must match the profile dimension")
-    return _eps_scan(lambda eps: _multi_sums(Q, eps),
-                     lambda eps: _multi_conjugate(Q, v / (1.0 - eps[:, None]), _BOX_AXIS),
-                     eps_points, f"the {Q.dimension}-d profile")
+    if v.shape != (Q.dimension,) or not np.all(np.isfinite(v)):
+        raise InputError(f"v must be a finite vector of shape ({Q.dimension},)")
+    if Q.separable:
+        axes = [max_function_upper_bound(p, float(vj), eps_points)
+                for p, vj in zip(Q.separable_parts, v)]
+        return sum(b for b, _ in axes), tuple(rep for _, rep in axes)
+    bound, rep = _eps_scan(lambda eps: _multi_sums(Q, eps),
+                           lambda eps: _multi_conjugate(Q, v / (1.0 - eps[:, None]), _BOX_AXIS),
+                           eps_points, f"the {Q.dimension}-d profile")
+    return bound, (rep,)
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,6 @@ class FactorizableReport:
 
     log_max_product: float
     log_max_factors: Tuple[float, float]
-    residual: float
     k_grid: np.ndarray
     l_grid: np.ndarray
     coeff_log_abs: np.ndarray
@@ -162,31 +168,16 @@ def factorizable_demo(f1: CoefficientSequence, f2: CoefficientSequence,
                       Lambda1: Optional[GrowthFunction] = None,
                       Lambda2: Optional[GrowthFunction] = None,
                       k_grid=range(20), l_grid=range(20)) -> FactorizableReport:
-    """Verify ln M_f = ln M_f1 + ln M_f2 and separable coefficient bounds.
+    """ln M_f of f(z1, z2) = f1(z1) f2(z2) at (r1, r2), and the separable
+    coefficient bounds on a (k, l) grid.
 
-    The product maximal function is summed directly over the truncated
-    (k, l) product series; the factor growth profiles default to the
-    numerically evaluated ln M_fi(e^v).
+    The product series factors, so ln M_f = ln M_f1(r1) + ln M_f2(r2), each
+    from log_max_function (which raises when its series has not
+    converged).  The factor growth profiles default to the numerically
+    evaluated ln M_fi(e^v).
     """
     m1 = log_max_function(f1, r1)
     m2 = log_max_function(f2, r2)
-    # direct double-sum of the product series in the log domain
-    n1 = f1.max_index if f1.max_index is not None else 2048
-    n2 = f2.max_index if f2.max_index is not None else 2048
-    ks = np.arange(n1 + 1, dtype=float)
-    ls = np.arange(n2 + 1, dtype=float)
-    t1 = f1.log_abs_array(ks) + ks * math.log(r1)
-    t2 = f2.log_abs_array(ls) + ls * math.log(r2)
-    t = np.add.outer(t1, t2).ravel()
-    finite = np.isfinite(t)
-    if not finite.all():
-        t = t[finite]
-    m = float(np.max(t))
-    # by hand and in place: scipy's logsumexp would hold about five copies
-    t -= m
-    log_max_product = m + math.log(float(np.sum(np.exp(t, out=t))))
-    residual = abs(log_max_product - (m1 + m2))
-
     if Lambda1 is None:
         Lambda1 = growth_of(f1)
     if Lambda2 is None:
@@ -199,8 +190,7 @@ def factorizable_demo(f1: CoefficientSequence, f2: CoefficientSequence,
     bound = b1[:, None] + b2[None, :]
     la = f1.log_abs_array(kg)[:, None] + f2.log_abs_array(lg)[None, :]
     holds = bool(np.all((la <= bound + 1e-9) | ~np.isfinite(la)))
-    return FactorizableReport(log_max_product, (m1, m2), residual,
-                              kg, lg, la, bound, holds)
+    return FactorizableReport(m1 + m2, (m1, m2), kg, lg, la, bound, holds)
 
 
 def growth_of(f: CoefficientSequence, name: Optional[str] = None) -> GrowthFunction:

@@ -121,6 +121,22 @@ class TestRunHappyPath:
         fit = float(lines[-1].split(",")[-1])
         assert fit == pytest.approx(2.0, abs=1e-3)
 
+    def test_factorized_large_radius(self, tmp_path):
+        # ln M of e^(z1) e^(z2) at (r1, r2) = (5000, 3) is 5003: every
+        # factor series is summed to convergence, not cut at a fixed row
+        cfg = tmp_path / "prod.cfg"
+        cfg.write_text("".join(f"[{p}]\nfamily = exp\nanalyses = coeff_bound\n\n"
+                               for p in "ab")
+                       + "[x]\nfamily = factorized\nparts = a, b\n"
+                       "analyses = factorized\nr_grid = 5000, 3\n")
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 0
+        with open(out / "x" / "factorized.csv", newline="") as fh:
+            got = {row[0]: float(row[1]) for row in list(csv.reader(fh))[1:]}
+        assert set(got) == {"log_max_product", "log_max_factor_1", "log_max_factor_2",
+                            "bound_holds"}
+        assert got["log_max_product"] == pytest.approx(5003.0, rel=1e-9, abs=0)
+
 
 class TestBatchedConjugates:
     def test_no_scalar_conjugate_calls(self, tmp_path, monkeypatch):
@@ -543,7 +559,9 @@ def test_generated_configs(config):
     # exit 0, 2 or 3 with no traceback and nothing written on exit 2;
     # every printed coefficient bound holds (slack >= 0), and every finite
     # upper_bound row lies above ln M_f(e^v) summed over n <= 20000 (a
-    # lower estimate of ln M_f, as every c_n > 0)
+    # lower estimate of ln M_f, as every c_n > 0); a factorized ln M is the
+    # sum of its factors' and lies above their n <= 20000 estimates (to
+    # rounding)
     sections, table = config
     with tempfile.TemporaryDirectory() as root:
         with open(os.path.join(root, "c.csv"), "w") as fh:
@@ -562,6 +580,15 @@ def test_generated_configs(config):
             assert not os.path.exists(out)
             return
         ns = np.arange(20001, dtype=float)
+        path = os.path.join(out, "x", "factorized.csv")
+        if os.path.exists(path):
+            with open(path, newline="") as fh:
+                got = {row[0]: float(row[1]) for row in list(csv.reader(fh))[1:]}
+            assert got["log_max_product"] == got["log_max_factor_1"] + got["log_max_factor_2"]
+            r_grid = cli.FunctionSpec("x", sections["x"], root).r_grid
+            lower = sum(logsumexp(_ln_abs_c(sections[part], ns) + ns * math.log(r))
+                        for part, r in zip("ab", (r_grid[0], r_grid[min(1, r_grid.size - 1)])))
+            assert got["log_max_product"] >= lower - 1e-12 * abs(lower), (sections, lower)
         for name, keys in sections.items():
             path = os.path.join(out, name, "coeff_bound.csv")
             if os.path.exists(path):
