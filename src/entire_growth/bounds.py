@@ -31,6 +31,8 @@ DEFAULT_EPS_POINTS = 199
 # bracket to the neighbours of its best point, a factor (ZOOM_POINTS-1)/2.
 ZOOM_POINTS = 33
 ZOOM_STAGES = 5
+# rows a gamma-form decay builds first; each growth doubles them
+_FIRST_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,14 @@ def index_decay(f: CoefficientSequence) -> GrowthFunction:
     transform (Lucet, Numer. Algorithms 16, 1997; legendre's vertex kernel).
     Past the last slope the argmax is a table's last row, exact since c_n =
     0 beyond it; for a rule it lies past N, so Q* is +inf there.
+
+    A table, or a rule without a gamma_form, builds all its rows and their
+    hull.  A rule with one has convex rows, each a vertex, so it reads only
+    the rows that its queries need (_gamma_form_decay), with the same
+    values bit for bit.
     """
+    if f.gamma_form is not None and not f.is_polynomial:
+        return _gamma_form_decay(f)
     ns = np.arange((f.max_index if f.is_polynomial else entire.MAX_TERMS) + 1,
                    dtype=float)
     q = -f.log_abs_array(ns)
@@ -176,6 +185,102 @@ def index_decay(f: CoefficientSequence) -> GrowthFunction:
         return out if f.is_polynomial else np.where(y > slopes[-1], np.inf, out)
 
     return GrowthFunction(f"decay({f.name})", fn, domain_min=hx[0], conj=conj)
+
+
+def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
+    """index_decay of a rule with a gamma_form: the hull is the rows
+    q(n) = -ln|c_n|, n = 0..N, so no row is built before a query needs it.
+
+    Q is np.interp over the rows 0..M, M + 1 doubling as far as the largest
+    x asked for (at most N + 1 rows), the same interpolant as over all N + 1
+    rows; rows that are not convex where they are built raise InputError.
+    Q*(y) runs the vertex kernel at k = min{n : q(n+1) - q(n) >= y} (N if
+    none), the hull's searchsorted index.  k is found on the rows' own
+    differences by _first_rise, seeded by inverting q(n+1) - q(n) ~
+    a ln(a n + (a+1)/2) - b.
+    """
+    n_last = entire.MAX_TERMS
+    a, b = f.gamma_form
+    q = lambda ns: -f.log_abs_array(ns)
+    d_last = entire.last_slope(f)
+    xs = qs = np.zeros(0)
+
+    def fn(x):
+        nonlocal xs, qs
+        x = np.asarray(x, dtype=float)
+        inside = (x >= 0.0) & (x <= n_last)
+        need = math.ceil(np.max(x[inside], initial=0.0)) + 1
+        if need > qs.size:
+            size = max(qs.size, _FIRST_ROWS)
+            while size < need:
+                size *= 2
+            size = min(size, n_last + 1)
+            qs = np.concatenate([qs, q(np.arange(qs.size, size, dtype=float))])
+            xs = np.arange(size, dtype=float)
+            if np.any(np.diff(qs, 2) < 0):
+                raise InputError(f"{f.name}: rows are not convex, so its gamma_form "
+                                 f"{f.gamma_form} is false")
+        return np.where(inside, np.interp(x, xs, qs), np.inf)
+
+    def rises(ns, i, ys):
+        """q(n+1) - q(n) >= y at the indices ns of the queries i."""
+        qn = q(np.concatenate([ns, ns + 1]).astype(float)).reshape(2, -1)
+        return qn[1] - qn[0] >= ys[i]
+
+    def conj(y):
+        y = np.asarray(y, dtype=float)
+        ys = y.ravel()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            seed = np.ceil((np.exp((ys + b) / a) - (a - 1.0) / 2.0 - 1.0) / a)
+        seed = np.clip(np.nan_to_num(seed, nan=0.0), 0, n_last).astype(np.int64)
+        k = _first_rise(lambda ns, i: rises(ns, i, ys), seed, n_last)
+        # vertices k-1, k, k+1 of query j sit at 3j, 3j+1, 3j+2
+        cand = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, n_last)],
+                        axis=1).ravel().astype(float)
+        mid = 3 * np.arange(ys.size) + 1
+        out, _ = _vertex_conjugate(cand, q(cand), None, ys, mid, mid - 1, mid + 1)
+        return np.where(ys > d_last, np.inf, out).reshape(y.shape)
+
+    return GrowthFunction(f"decay({f.name})", fn, domain_min=0.0, conj=conj)
+
+
+def _first_rise(rises, seed, n_max):
+    """min{n in [0, n_max) : rises(n)} per query, n_max where there is none,
+    for a predicate that stays true once true.  rises(ns, i) tests the
+    indices ns of the queries i.
+
+    Each query gallops from its seed in steps 1, 2, 4, ... until a probe
+    lands on the other side, then bisects: at most about 2 log2(n_max)
+    probes per query, however wrong the seed.
+    """
+    lo = np.full(seed.shape, -1)          # rises is false at lo (or lo = -1)
+    hi = np.full(seed.shape, n_max)       # and true at hi (or hi = n_max)
+    at = np.flatnonzero(seed < n_max)
+    up = rises(seed[at], at)
+    hi[at[up]] = seed[at[up]]
+    lo[at[~up]] = seed[at[~up]]
+    # +1: gallop up from lo; -1: gallop down from hi
+    way = np.where(lo >= 0, 1, -1)
+    step = 1
+    while True:
+        i = np.flatnonzero(way)
+        probe = np.where(way[i] > 0, lo[i] + step, hi[i] - step)
+        inside = (probe >= 0) & (probe < n_max)
+        way[i[~inside]] = 0
+        i, probe = i[inside], probe[inside]
+        if not i.size:
+            break
+        r = rises(probe, i)
+        hi[i[r]], lo[i[~r]] = probe[r], probe[~r]
+        way[i[r == (way[i] > 0)]] = 0     # the probe crossed over
+        step *= 2
+    while True:
+        i = np.flatnonzero(hi - lo > 1)
+        if not i.size:
+            return hi
+        mid = (lo[i] + hi[i]) // 2
+        r = rises(mid, i)
+        hi[i[r]], lo[i[~r]] = mid[r], mid[~r]
 
 
 def coeff_upper_bound(Lambda: GrowthFunction, n: int) -> float:

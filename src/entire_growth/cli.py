@@ -154,7 +154,7 @@ class FunctionSpec:
                                  "20.085536923187668,54.598150033144236", _parse_floats)
         if np.any(self.r_grid <= 0):
             raise ConfigError(f"[{name}] r_grid entries must be positive")
-        self.v_grid = _parse_key(name, section, "v_grid", "0.5:4.0:8", _parse_floats)
+        self.v_grid = _parse_key(name, section, "v_grid", "1.0:4.0:7", _parse_floats)
         self.eps0 = _parse_key(name, section, "eps0", "0.5", float)
         self.n_min = _parse_key(name, section, "n_min", "100", int)
         self.n_max = _parse_key(name, section, "n_max", "1000", int)
@@ -178,7 +178,8 @@ class FunctionSpec:
     def decay(self) -> bounds.GrowthFunction:
         """Decay profile: the convex envelope of Q(n) = -ln|c_n| with its
         discrete conjugate, or the growth conjugate if no coefficient model
-        exists.  Built on demand: a rule's envelope takes 10^6 rows."""
+        exists.  Built on demand: a rule without a gamma_form builds 10^6
+        rows and their hull."""
         if self.coeffs is None:
             return self.growth.conjugate()
         return bounds.index_decay(self.coeffs)

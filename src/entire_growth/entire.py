@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -33,12 +33,20 @@ MAX_TERMS = 10 ** 6
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Rule or table producing ln|c_n| for each index n."""
+    """Rule or table producing ln|c_n| for each index n.
+
+    gamma_form = (a, b) declares that -ln|c_n| = lnGamma(a n + 1) - b n + c
+    for some constant c.  Such rows are convex in n (digamma increases), so
+    every row is a vertex of their lower hull; bounds.index_decay and
+    log_majorant rely on that.  (a, b) only seed searches on the rows, which
+    read every value from log_abs_fn.
+    """
 
     name: str
     log_abs_fn: Callable[[np.ndarray], np.ndarray]
     sign_nonnegative: bool = True
     max_index: Optional[int] = None
+    gamma_form: Optional[Tuple[float, float]] = None
     _entire_checked: list = field(default_factory=list, repr=False, compare=False)
 
     def log_abs(self, n: int) -> float:
@@ -88,7 +96,8 @@ class CoefficientSequence:
 
 def exp_coefficients() -> CoefficientSequence:
     """c_n = 1/n!, the exponential function."""
-    return CoefficientSequence("exp", gamma_order_coefficients(1.0).log_abs_fn)
+    return CoefficientSequence("exp", gamma_order_coefficients(1.0).log_abs_fn,
+                               gamma_form=(1.0, 0.0))
 
 
 def gamma_order_coefficients(rho: float, c4: float = 1.0) -> CoefficientSequence:
@@ -103,7 +112,8 @@ def gamma_order_coefficients(rho: float, c4: float = 1.0) -> CoefficientSequence
         k = n / rho
         return -(gammaln(k + 1.0) - k * math.log(c4))  # -0.0 where gammaln = 0 at c4 = 1
 
-    return CoefficientSequence(f"gamma_order(rho={rho:g})", la)
+    return CoefficientSequence(f"gamma_order(rho={rho:g})", la,
+                               gamma_form=(1.0 / rho, math.log(c4) / rho))
 
 
 def power_decay_coefficients(alpha: float) -> CoefficientSequence:
@@ -230,6 +240,13 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return tuple(a.reshape(shape)[()] for a in (total, terms, converged))
 
 
+def last_slope(f: CoefficientSequence) -> float:
+    """q(MAX_TERMS) - q(MAX_TERMS - 1), q(n) = -ln|c_n|: the last edge
+    slope of a rule's rows n <= MAX_TERMS when they are convex."""
+    q = -f.log_abs_array(np.array([MAX_TERMS - 1.0, MAX_TERMS]))
+    return float(q[1] - q[0])
+
+
 def log_max_function(f: CoefficientSequence, r):
     """ln of the coefficient-sum majorant sum_n |c_n| r^n, elementwise in r.
 
@@ -251,6 +268,15 @@ def log_majorant(f: CoefficientSequence, r):
     if np.any(r <= 0):
         raise InputError("r must be positive")
     lr = np.log(r).ravel()
+    if f.gamma_form is not None and not f.is_polynomial:
+        # convex rows: past the last slope the terms still rise at n =
+        # MAX_TERMS, each within ln(n + 1) < 45 nats of the running sum, so
+        # the series cannot stop in time
+        rising = np.isfinite(lr) & (lr > last_slope(f))
+        if np.any(rising):
+            raise TruncationError(f"series for {f.name} at r={r.ravel()[rising][0]} not "
+                                  f"converged within {MAX_TERMS + 1} terms: its terms "
+                                  f"still rise at n = {MAX_TERMS}")
     total, terms, converged = log_series(
         lambda ns, rows: f.log_abs_array(ns) + ns * lr[rows, None],
         f.max_index if f.is_polynomial else MAX_TERMS, finite=f.is_polynomial, shape=r.shape)

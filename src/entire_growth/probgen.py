@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class DiscreteDistribution:
     entire: bool
     radius: float = math.inf
     max_support: Optional[int] = None
+    gamma_form: Optional[Tuple[float, float]] = None  # see CoefficientSequence
 
     def log_mass(self, k: int) -> float:
         if k < 0:
@@ -50,7 +51,8 @@ class DiscreteDistribution:
     def as_coefficients(self) -> CoefficientSequence:
         return CoefficientSequence(self.name, self.log_mass_array,
                                    sign_nonnegative=True,
-                                   max_index=self.max_support)
+                                   max_index=self.max_support,
+                                   gamma_form=self.gamma_form)
 
 
 def poisson(lam: float) -> DiscreteDistribution:
@@ -63,7 +65,8 @@ def poisson(lam: float) -> DiscreteDistribution:
         k = np.asarray(k, dtype=float)
         return -lam + k * math.log(lam) - gammaln(k + 1.0)
 
-    return DiscreteDistribution(f"poisson(lam={lam:g})", lm, entire=True)
+    return DiscreteDistribution(f"poisson(lam={lam:g})", lm, entire=True,
+                                gamma_form=(1.0, math.log(lam)))
 
 
 def poisson_growth(lam: float) -> GrowthFunction:

@@ -1,6 +1,8 @@
 """Coefficient bounds, K/U/Y series, the eps-scan upper bound, diagnostics."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from entire_growth.bounds import (
 )
 from entire_growth.entire import (
     MAX_TERMS,
+    CoefficientSequence,
     exp_coefficients,
     gamma_order_coefficients,
     log_max_function,
@@ -38,7 +41,12 @@ from entire_growth.errors import (
     PolynomialInputError,
     WindowSaturationWarning,
 )
-from entire_growth.legendre import WINDOW_HARD_CAP, conjugate_of_callable
+from entire_growth.legendre import (
+    WINDOW_HARD_CAP,
+    _hull,
+    _vertex_conjugate,
+    conjugate_of_callable,
+)
 from entire_growth.probgen import poisson, poisson_growth
 
 
@@ -201,6 +209,71 @@ class TestIndexDecay:
     def test_single_nonzero_row_refused(self):
         with pytest.raises(InputError):
             index_decay(table_coefficients([-np.inf, 0.0, -np.inf]))
+
+
+GAMMA_FORM_RULES = ([gamma_order_coefficients(rho, c) for rho in (0.1, 0.5, 1.0, 2.0, 10.0, 50.0)
+                     for c in (0.1, 1.0, 10.0)]
+                    + [poisson(lam).as_coefficients() for lam in (0.1, 1.0, 50.0)])
+
+
+def _hull_decay(f):
+    """Q, Q* and the slopes of a rule from the hull of its rows n <= MAX_TERMS,
+    as index_decay builds them for a rule without a gamma_form."""
+    ns = np.arange(MAX_TERMS + 1, dtype=float)
+    hx, hq, slopes = _hull(ns, -f.log_abs_array(ns))
+    assert hx.size == ns.size  # convex rows: every row is a vertex
+
+    def fn(x):
+        return np.where((x >= hx[0]) & (x <= hx[-1]), np.interp(x, hx, hq), np.inf)
+
+    def conj(y):
+        return np.where(y > slopes[-1], np.inf, _vertex_conjugate(hx, hq, slopes, y)[0])
+
+    return fn, conj, slopes
+
+
+class TestGammaFormDecay:
+    """A rule with a gamma_form builds no hull, with the hull's bits."""
+
+    @staticmethod
+    def _check_against_hull(Q, f):
+        fn, conj, slopes = _hull_decay(f)
+        ys = np.concatenate([np.linspace(slopes[0] - 3.0, slopes[-1] + 1.0, 4001),
+                             slopes[::997], slopes[:60], slopes[-2:]])
+        assert np.array_equal(Q.conj(ys), conj(ys))
+        xs = np.concatenate([np.arange(3001.0), np.linspace(0.0, 3000.0, 7919),
+                             [MAX_TERMS, MAX_TERMS + 1.0, -1.0]])
+        assert np.array_equal(Q.fn(xs), fn(xs))
+
+    @pytest.mark.parametrize("f", GAMMA_FORM_RULES, ids=lambda f: f"{f.name}:{f.gamma_form}")
+    def test_matches_hull(self, f):
+        assert f.gamma_form is not None
+        self._check_against_hull(index_decay(f), f)
+
+    @pytest.mark.parametrize("form", [(3.7, -20.0), (0.0, 0.0), (1e9, -1e9)])
+    def test_wrong_form_matches_hull(self, form):
+        # the form only seeds the search; every value comes from the rows
+        f = gamma_order_coefficients(2.0, 3.0)
+        self._check_against_hull(index_decay(dataclasses.replace(f, gamma_form=form)), f)
+
+    def test_rows_that_are_not_convex_refused(self):
+        f = CoefficientSequence("wavy", lambda n: 5.0 * np.sin(n) - np.asarray(n, float) ** 2,
+                                gamma_form=(1.0, 0.0))
+        with pytest.raises(InputError):
+            index_decay(f).fn(np.array([0.0, 10.0]))
+
+    def test_peak_memory(self):
+        # no 10^6-row arrays: the rows a bound at v = 4 needs fit in a few MB
+        max_function_upper_bound(index_decay(exp_coefficients()), 1.0, eps_points=9)
+        for f in (exp_coefficients(), gamma_order_coefficients(2.0),
+                  poisson(1.0).as_coefficients()):
+            tracemalloc.start()
+            try:
+                max_function_upper_bound(index_decay(f), 4.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20, (f.name, peak)
 
 
 class TestAuxiliarySeries:

@@ -326,6 +326,26 @@ class TestUpperBoundSandwich:
         assert np.all(eps_rows[:, 2] >= 0.0)  # U >= its n = 0 term, 1
 
 
+def test_all_cfg_manifest_pinned(tmp_path):
+    # a change that only makes the CLI faster leaves every digest as it was
+    here = os.path.dirname(__file__)
+    out = tmp_path / "out"
+    assert run(os.path.join(here, "..", "configs", "all.cfg"), str(out), quiet=True) == 0
+    with open(os.path.join(here, "data", "all_cfg.MANIFEST"), "rb") as fh:
+        assert (out / "MANIFEST").read_bytes() == fh.read()
+
+
+def test_default_v_grid_serves_gamma(tmp_path):
+    # gamma needs v >= 1; the default grid is 1.0:4.0:7
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[a]\nfamily = exp\nanalyses = gamma\n")
+    out = tmp_path / "out"
+    assert run(str(cfg), str(out), quiet=True) == 0
+    with open(out / "a" / "gamma.csv", newline="") as fh:
+        assert [float(row[0]) for row in list(csv.reader(fh))[1:]] == [
+            1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+
+
 class TestErrorPaths:
     def test_malformed_config_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -468,6 +488,19 @@ class TestErrorPaths:
                                                              "y/coeff_bound.csv"]
         assert (out / "y" / "coeff_bound.csv").exists()
         assert "ZeroDivisionError" in (out / "summary.txt").read_text()
+
+    def test_rule_past_its_rows_exit_three(self, tmp_path, capsys):
+        # rho = 50, c = 0.1 at r = 1.5: the terms still rise at n = 10^6, so
+        # tauberian fails at once, and coeff_bound before it is flushed
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("[x]\nfamily = power_order\nrho = 50\nc = 0.1\n"
+                       "analyses = coeff_bound, tauberian\nr_grid = 1.5\nn_grid = 1:20\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "[x] tauberian: series for gamma_order(rho=50) at r=1.5" in err
+        assert "Traceback" not in err
+        assert (out / "MANIFEST").read_text().startswith("x/coeff_bound.csv,")
 
     @pytest.mark.parametrize("text, flushed", [
         # every n of 1:2 lies below example_33's n >= 3

@@ -1,9 +1,11 @@
 """Coefficient sequences, maximal-function summation, order/type estimators."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from entire_growth.entire import (
 from entire_growth.errors import (
     InputError,
     NotEntireError,
+    TruncationError,
     UndefinedOrderError,
 )
 
@@ -116,6 +119,19 @@ class TestLogMaxFunction:
         f = CoefficientSequence("ones", lambda n: np.zeros_like(np.asarray(n, float)))
         with pytest.raises(NotEntireError):
             log_max_function(f, 2.0)
+
+    def test_gamma_form_past_last_slope_raises_before_summing(self):
+        # rho = 50, c = 0.1: ln 1.5 = 0.405 lies past the last slope 0.244
+        # of the rows n <= 10^6, so the terms still rise at n = 10^6; the
+        # same rule without its gamma_form sums 10^6 + 1 terms to find it
+        f = gamma_order_coefficients(50.0, 0.1)
+        f.assert_entire()
+        t0 = time.perf_counter()
+        with pytest.raises(TruncationError, match="still rise"):
+            log_max_function(f, np.array([1.2, 1.5]))
+        assert time.perf_counter() - t0 < 0.05
+        with pytest.raises(TruncationError):
+            log_max_function(dataclasses.replace(f, gamma_form=None), 1.5)
 
     def test_radii_batch_matches_scalar_calls(self):
         # one batched series over the radii equals, bit for bit, the scalar calls
