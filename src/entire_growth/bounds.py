@@ -222,18 +222,19 @@ def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
                                  f"{f.gamma_form} is false")
         return np.where(inside, np.interp(x, xs, qs), np.inf)
 
-    def rises(ns, i, ys):
-        """q(n+1) - q(n) >= y at the indices ns of the queries i."""
-        qn = q(np.concatenate([ns, ns + 1]).astype(float)).reshape(2, -1)
-        return qn[1] - qn[0] >= ys[i]
-
     def conj(y):
         y = np.asarray(y, dtype=float)
         ys = y.ravel()
+
+        def rises(ns, i):
+            """q(n+1) - q(n) >= y at the indices ns of the queries i."""
+            qn = q(np.concatenate([ns, ns + 1]).astype(float)).reshape(2, -1)
+            return qn[1] - qn[0] >= ys[i]
+
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             seed = np.ceil((np.exp((ys + b) / a) - (a - 1.0) / 2.0 - 1.0) / a)
         seed = np.clip(np.nan_to_num(seed, nan=0.0), 0, n_last).astype(np.int64)
-        k = _first_rise(lambda ns, i: rises(ns, i, ys), seed, n_last)
+        k = _first_rise(rises, seed, n_last)
         # vertices k-1, k, k+1 of query j sit at 3j, 3j+1, 3j+2
         cand = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, n_last)],
                         axis=1).ravel().astype(float)
