@@ -44,6 +44,7 @@ from .bounds import (
     gamma_condition,
     k_sum,
     max_function_upper_bound,
+    max_function_upper_bounds,
     power_log,
     power_of_exp,
     quadratic_decay,

@@ -31,6 +31,9 @@ DEFAULT_EPS_POINTS = 199
 # bracket to the neighbours of its best point, a factor (ZOOM_POINTS-1)/2.
 ZOOM_POINTS = 33
 ZOOM_STAGES = 5
+# v per eps scan: a zoom stage's K/U blocks hold 33 series rows of 256
+# terms per v, so a longer v array is scanned in blocks (13 MB at 64 v)
+_V_BLOCK = 64
 # rows a gamma-form decay builds first; each growth doubles them
 _FIRST_ROWS = 1024
 
@@ -60,13 +63,18 @@ class GrowthFunction:
 
     def conjugate_at(self, ys):
         """Conjugate values at ys; returns (values, window saturated flag)."""
+        values, saturated = self._conjugate(ys)
+        return values, bool(np.any(saturated))
+
+    def _conjugate(self, ys):
+        """Conjugate values at ys and, per query, whether its window hit the cap."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if self.conj is not None:
             with np.errstate(over="ignore"):
-                return np.asarray(self.conj(ys), dtype=float), False
+                return np.asarray(self.conj(ys), dtype=float), np.zeros(ys.shape, dtype=bool)
         cap = WINDOW_HARD_CAP if self.domain_min is None else entire.MAX_TERMS
         table = conjugate_of_callable(self.fn, ys, x_min=self.domain_min, hard_cap=cap)
-        return table.gstars, table.window_saturated
+        return table.gstars, table.saturated
 
     def conjugate(self) -> "GrowthFunction":
         """The conjugate profile.  Its conjugate is this profile (fn** = fn
@@ -365,63 +373,90 @@ class EpsilonReport:
         return 1.0 / (1.0 - self.eps_star)
 
 
-def _eps_scan(sums, conj, eps_points: int, name: str):
-    """(bound, EpsilonReport): min over eps of ln Y(eps) + Q*(y), y = v/(1-eps).
+def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
+    """(bounds, reports): for each of count points v, min over eps of
+    ln Y(eps) + Q*(y), y = v/(1-eps), with one EpsilonReport per v.
 
-    sums(eps) gives (ln K0, ln U) and conj(eps) gives (Q*(y), saturated),
-    each elementwise over an array of eps.  Each term of R_Q(v) splits two
-    ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y - Q(n)) and
-    = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <=
-    ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U
-    sums.  ln K is +inf where Q*(y) is, so the bound there is +inf, not NaN.
-    Q*(y) = -inf means Q = +inf everywhere, so every coefficient vanishes
-    and there is nothing to bound: InputError.
+    sums(eps) gives (ln K0, ln U) elementwise over a 1-D array of eps; they
+    do not depend on v.  conj(eps) gives (Q*(y), saturated) elementwise over
+    an array of eps of shape (count, m), row i at the i-th v (saturated may
+    be one flag for all).  Each term of R_Q(v) splits two ways, n v - Q(n)
+    = -eps Q(n) + (1-eps)(n y - Q(n)) and = ((1-eps) n y - Q((1-eps) n)) +
+    Q((1-eps) n) - Q(n), so ln R_Q(v) <= ln Y + Q*(y) with Y = min(K, U),
+    K = K0 e^(-eps Q*(y)) and K0, U the K/U sums.  ln K is +inf where Q*(y)
+    is, so the bound there is +inf, not NaN.  Q*(y) = -inf means Q = +inf
+    everywhere, so every coefficient vanishes and there is nothing to
+    bound: InputError.
+
+    One sums call covers the grid for every v, and each zoom stage makes
+    one sums and one conj call over every v's own bracket; all of them are
+    elementwise, so each v gets the numbers that a scan of it alone gives.
     """
 
-    def scan(eps):
-        """ln K, ln U, ln Y and ln Y + Q*(y) at each eps."""
+    def scan(eps, ln_k0, ln_u):
+        """ln K, ln Y and ln Y + Q*(y) at each eps of shape (count, m), given
+        ln K0 and ln U there."""
         qstar, _ = conj(eps)
         if np.any(qstar == -np.inf):
             raise InputError(f"Q* = -inf for {name}: its decay is +inf everywhere")
-        ln_k0, ln_u = sums(eps)
         ln_k = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
         ln_y = np.minimum(ln_k, ln_u)
-        return ln_k, ln_u, ln_y, ln_y + qstar
+        return ln_k, ln_y, ln_y + qstar
 
+    def pick(pts, obj, ln_y):
+        """Per v: the minimizing point, its obj and ln Y, and its neighbours."""
+        i = np.argmin(obj, axis=1)
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
+        return pts[at, i], obj[at, i], ln_y[at, i], pts[at, lo], pts[at, hi]
+
+    at = np.arange(count)
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
-    ln_k, ln_u, ln_y, obj = scan(eps_grid)
-    if not np.any(np.isfinite(ln_y)):
+    grid = np.broadcast_to(eps_grid, (count, eps_points))
+    ln_k0, ln_u = sums(eps_grid)
+    ln_k, ln_y, obj = scan(grid, ln_k0, ln_u)
+    if not np.all(np.any(np.isfinite(ln_y), axis=1)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {name}")
-    j = int(np.argmin(obj))
-    eps_star, bound, ln_s0 = eps_grid[j], obj[j], ln_y[j]
+    eps_star, bound, ln_s0, lo, hi = pick(grid, obj, ln_y)
     # zoom into the grid neighbours of the minimum; never above the grid value
-    pts = eps_grid[max(j - 1, 0):j + 2]
     for _ in range(ZOOM_STAGES):
-        pts = np.linspace(pts[0], pts[-1], ZOOM_POINTS)
-        _, _, ln_y_z, obj_z = scan(pts)
-        i = int(np.argmin(obj_z))
-        if obj_z[i] < bound:
-            eps_star, bound, ln_s0 = pts[i], obj_z[i], ln_y_z[i]
-        pts = pts[max(i - 1, 0):i + 2]
-    _, saturated = conj(np.array([eps_star]))
-    if not np.isfinite(bound):  # no eps gives a finite bound: no eps* and no S0
-        eps_star = ln_s0 = np.nan
-    report = EpsilonReport(eps_grid, ln_k, ln_u, ln_y, float(eps_star),
-                           float(np.exp(ln_s0)), float(bound), saturated)
-    return float(bound), report
+        # np.linspace(lo, hi, ZOOM_POINTS) of each v, in its arithmetic
+        pts = np.arange(ZOOM_POINTS) * ((hi - lo) / (ZOOM_POINTS - 1))[:, None] + lo[:, None]
+        pts[:, -1] = hi
+        sums_z = (np.reshape(a, pts.shape) for a in sums(pts.ravel()))
+        _, ln_y_z, obj_z = scan(pts, *sums_z)
+        eps_z, bound_z, ln_s0_z, lo, hi = pick(pts, obj_z, ln_y_z)
+        better = bound_z < bound
+        eps_star, bound, ln_s0 = (np.where(better, z, a) for z, a in
+                                  ((eps_z, eps_star), (bound_z, bound), (ln_s0_z, ln_s0)))
+    _, saturated = conj(eps_star[:, None])
+    saturated = np.broadcast_to(saturated, (count, 1))[:, 0]
+    # no eps gives a finite bound: no eps* and no S0
+    eps_star, ln_s0 = (np.where(np.isfinite(bound), a, np.nan) for a in (eps_star, ln_s0))
+    reports = tuple(EpsilonReport(eps_grid, ln_k[i], ln_u, ln_y[i], float(eps_star[i]),
+                                  float(np.exp(ln_s0[i])), float(bound[i]), bool(saturated[i]))
+                    for i in range(count))
+    return bound, reports
 
 
-def max_function_upper_bound(Q: GrowthFunction, v: float,
-                             eps_points: int = DEFAULT_EPS_POINTS,
-                             coeffs: Optional[CoefficientSequence] = None):
-    """Upper bound on ln R_Q(v) (hence on ln M_f(e^v)) via the eps scan.
+def max_function_upper_bounds(Q: GrowthFunction, vs,
+                              eps_points: int = DEFAULT_EPS_POINTS,
+                              coeffs: Optional[CoefficientSequence] = None):
+    """Upper bounds on ln R_Q(v) (hence on ln M_f(e^v)) at each v of a 1-D
+    array vs, from one eps scan over all of them.
 
-    Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  Returns (log_bound,
-    EpsilonReport).  The bound is min over eps of ln Y(eps) + Q*(v/(1-eps))
-    (see _eps_scan).
+    Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  Returns (log_bounds, an
+    array over vs, and a tuple of one EpsilonReport per v).  Each bound is
+    min over eps of ln Y(eps) + Q*(v/(1-eps)) (see _eps_scan); K0 and U do
+    not depend on v, so their grid rows are summed once per block of up to
+    _V_BLOCK v, and each zoom stage sums every v's bracket in one call.  The
+    numbers for each v are those of max_function_upper_bound(Q, v), bit for
+    bit.
     """
-    if not np.isfinite(v):
-        raise InputError(f"v must be finite, not {v}")
+    vs = np.asarray(vs, dtype=float)
+    if vs.ndim != 1 or not vs.size:
+        raise InputError("vs must be a nonempty 1-D array")
+    if not np.all(np.isfinite(vs)):
+        raise InputError(f"v must be finite, not {vs[~np.isfinite(vs)][0]}")
     if coeffs is not None:
         ns = np.arange(0, 1001)
         la = coeffs.log_abs_array(ns)
@@ -430,8 +465,27 @@ def max_function_upper_bound(Q: GrowthFunction, v: float,
         if bad.size:
             raise InputError(
                 f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
-    return _eps_scan(lambda eps: (k_sum(Q.fn, eps), u_sum(Q.fn, eps)),
-                     lambda eps: Q.conjugate_at(v / (1.0 - eps)), eps_points, Q.name)
+
+    def scan(block):
+        def conj(eps):
+            values, saturated = Q._conjugate((block[:, None] / (1.0 - eps)).ravel())
+            return values.reshape(eps.shape), saturated.reshape(eps.shape)
+
+        return _eps_scan(lambda eps: (k_sum(Q.fn, eps), u_sum(Q.fn, eps)), conj,
+                         block.size, eps_points, Q.name)
+
+    scans = [scan(vs[i:i + _V_BLOCK]) for i in range(0, vs.size, _V_BLOCK)]
+    return np.concatenate([b for b, _ in scans]), sum((r for _, r in scans), ())
+
+
+def max_function_upper_bound(Q: GrowthFunction, v: float,
+                             eps_points: int = DEFAULT_EPS_POINTS,
+                             coeffs: Optional[CoefficientSequence] = None):
+    """Upper bound on ln R_Q(v) (hence on ln M_f(e^v)) via the eps scan:
+    max_function_upper_bounds at the one point v.  Returns (log_bound,
+    EpsilonReport)."""
+    (bound,), (report,) = max_function_upper_bounds(Q, np.ravel(v), eps_points, coeffs)
+    return float(bound), report
 
 
 @dataclass(frozen=True)

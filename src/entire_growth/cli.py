@@ -212,17 +212,16 @@ def _run_tauberian(spec: FunctionSpec):
 
 
 def _run_upper_bound(spec: FunctionSpec):
-    Q = spec.decay()
-    rows = []
-    for v in spec.v_grid:
-        b, rep = bounds.max_function_upper_bound(Q, float(v), eps_points=spec.eps_points)
-        rows.append([v, b, rep.eps_star, rep.c_eff, rep.S0,
-                     1 if rep.qstar_saturated else 0])
+    bs, reps = bounds.max_function_upper_bounds(spec.decay(), spec.v_grid,
+                                                eps_points=spec.eps_points)
+    rows = [[v, b, rep.eps_star, rep.c_eff, rep.S0, 1 if rep.qstar_saturated else 0]
+            for v, b, rep in zip(spec.v_grid, bs, reps)]
+    rep = reps[-1]
     eps_rows = [list(row) for row in zip(rep.eps_grid, rep.ln_k, rep.ln_u, rep.ln_y)]
     return ([("epsilon_report.csv", ["eps", "ln_k", "ln_u", "ln_y"], eps_rows),
              ("upper_bound.csv",
               ["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"], rows)],
-            [f"upper_bound: bound {_fmt(b)} at v={_fmt(spec.v_grid[-1])}, "
+            [f"upper_bound: bound {_fmt(rep.bound)} at v={_fmt(spec.v_grid[-1])}, "
              f"eps* {_fmt(rep.eps_star)}"])
 
 

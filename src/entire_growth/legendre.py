@@ -69,17 +69,26 @@ class SampledFunction1D:
 
 @dataclass(frozen=True)
 class ConjugateTable:
-    """Sampled conjugate g*(y) on a query grid, with the maximizing x per query."""
+    """Sampled conjugate g*(y) on a query grid, with the maximizing x per query.
+
+    saturated marks, per query, an adaptive window that hit its cap (None:
+    no window, as for a sampled g).
+    """
 
     ys: np.ndarray
     gstars: np.ndarray
     argmax_xs: np.ndarray
-    window_saturated: bool = False
+    saturated: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "ys", np.asarray(self.ys, dtype=float))
         object.__setattr__(self, "gstars", np.asarray(self.gstars, dtype=float))
         object.__setattr__(self, "argmax_xs", np.asarray(self.argmax_xs, dtype=float))
+
+    @property
+    def window_saturated(self) -> bool:
+        """Some query's window hit its cap."""
+        return self.saturated is not None and bool(np.any(self.saturated))
 
     def convexity_defect(self) -> float:
         """Most negative discrete second difference of g* (0 for convex tables)."""
@@ -161,10 +170,21 @@ def _vertex_conjugate(hx: np.ndarray, hg: np.ndarray, slopes: np.ndarray, ys,
     """
     ys = np.asarray(ys, dtype=float)
     k = np.searchsorted(slopes, ys) if k is None else k  # at most hx.size - 1
+    inf_y = np.isinf(ys)
+    inf_y = inf_y if inf_y.any() else None
+
+    def value(c):
+        """x y - g(x) at the vertices c; x y at x = 0 is 0, signed like y,
+        also at y = +-inf."""
+        if inf_y is None:
+            return hx[c] * ys - hg[c]
+        with np.errstate(invalid="ignore"):
+            return np.where((hx[c] == 0.0) & inf_y, np.copysign(0.0, ys), hx[c] * ys) - hg[c]
+
     best = np.maximum(k - 1, first)
-    val = hx[best] * ys - hg[best]
+    val = value(best)
     for cand in (k, np.minimum(k + 1, hx.size - 1 if last is None else last)):
-        v = hx[cand] * ys - hg[cand]
+        v = value(cand)
         up = v > val
         best, val = np.where(up, cand, best), np.where(up, v, val)
     return val, best
@@ -307,7 +327,7 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
     arg, val = _golden_max(h, lo, hi)
     tol = 1e-12 * (1.0 + np.abs(val))
     saturated = (rise_right > tol) | (rise_left > tol)
-    return ConjugateTable(ys_arr, val, arg, window_saturated=bool(np.any(saturated)))
+    return ConjugateTable(ys_arr, val, arg, saturated)
 
 
 def conjugate_point(fn, y: float, **kwargs) -> ConjugatePoint:

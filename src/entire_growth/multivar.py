@@ -144,10 +144,14 @@ def multi_max_bound(Q: MultiGrowthFunction, v,
         axes = [max_function_upper_bound(p, float(vj), eps_points)
                 for p, vj in zip(Q.separable_parts, v)]
         return sum(b for b, _ in axes), tuple(rep for _, rep in axes)
-    bound, rep = _eps_scan(lambda eps: _multi_sums(Q, eps),
-                           lambda eps: _multi_conjugate(Q, v / (1.0 - eps[:, None]), _BOX_AXIS),
-                           eps_points, f"the {Q.dimension}-d profile")
-    return bound, (rep,)
+
+    def conj(eps):
+        values, saturated = _multi_conjugate(Q, v / (1.0 - eps.reshape(-1, 1)), _BOX_AXIS)
+        return values.reshape(eps.shape), saturated
+
+    (bound,), reps = _eps_scan(lambda eps: _multi_sums(Q, eps), conj, 1, eps_points,
+                               f"the {Q.dimension}-d profile")
+    return float(bound), reps
 
 
 @dataclass(frozen=True)

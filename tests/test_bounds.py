@@ -18,6 +18,7 @@ from entire_growth.bounds import (
     index_decay,
     k_sum,
     max_function_upper_bound,
+    max_function_upper_bounds,
     power_log,
     power_of_exp,
     quadratic_decay,
@@ -206,6 +207,22 @@ class TestIndexDecay:
         vals, _ = index_decay(table_coefficients(la)).conjugate_at([50.0, 1e6])
         np.testing.assert_array_equal(vals, 3.0 * np.array([50.0, 1e6]) + la[3])
 
+    @pytest.mark.parametrize("f", [exp_coefficients(),
+                                   table_coefficients(np.log([1.0, 0.5, 0.1, 0.02]))],
+                             ids=["gamma_form", "table"])
+    def test_conjugate_at_infinite_y(self, f):
+        # Q*(-inf) = -Q(0) at the vertex n = 0, where 0 * -inf is no NaN;
+        # Q*(+inf) = +inf; the finite queries keep their bits
+        Q = index_decay(f)
+        ys = np.array([-np.inf, np.inf, -1e300, -1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Q.conj(ys)
+        minus_q0 = -Q.fn(np.array([0.0]))[0]
+        assert got[0] == minus_q0 and np.signbit(got[0]) == np.signbit(minus_q0)
+        assert got[1] == np.inf
+        np.testing.assert_array_equal(got[2:], Q.conj(ys[2:]))
+
     def test_single_nonzero_row_refused(self):
         with pytest.raises(InputError):
             index_decay(table_coefficients([-np.inf, 0.0, -np.inf]))
@@ -309,6 +326,19 @@ class TestAuxiliarySeries:
         ref = float(np.sum(np.exp((0.5 * ns) ** 2 - ns ** 2)))
         ln_u = u_sum(lambda n: np.asarray(n, float) ** 2, 0.5)
         assert math.exp(ln_u) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("Q", [quadratic_decay(0.5), index_decay(exp_coefficients())],
+                             ids=["quadratic", "index_exp"])
+    def test_k_rows_match_fsum(self, Q):
+        # log-concave rows: the stop rule leaves a tail below e^-30 of the
+        # sum (see entire.log_series), checked against all 10^6 terms
+        ns = np.arange(MAX_TERMS, dtype=float)
+        q = Q.fn(ns)
+        eps = np.array([0.5, 0.05, 0.005])
+        for e, ln_k in zip(eps, k_sum(Q.fn, eps)):
+            terms = np.exp(-e * q)
+            ref = math.log(math.fsum(terms[terms > 0.0]))
+            assert abs(ln_k - ref) <= math.exp(-30.0), (e, ln_k, ref)
 
     def test_eps_batch_matches_scalar_calls(self):
         # one batched K (U) series over an eps array equals, bit for bit, a
@@ -457,6 +487,57 @@ class TestMaxFunctionUpperBound:
         Q = exp_of_exp().conjugate()
         for v in (0.5, 1.0, 2.0):
             assert r_sum(Q, v) <= max_function_upper_bound(Q, v, eps_points=39)[0]
+
+    @pytest.mark.parametrize("Q, vs", [
+        (stirling_decay(), [-2.0, 0.0, 0.5, 2.0, 7.0]),
+        (quadratic_decay(0.5), [-1.0, 0.5, 3.0]),
+        # more v than one scan takes (_V_BLOCK = 64)
+        (quadratic_decay(0.5), list(np.linspace(-1.0, 5.0, 70))),
+        (index_decay(exp_coefficients()), [-1.0, 0.5, 2.5, 4.0]),
+        # Q* = +inf at v = 15, past the rule's last slope: bound +inf, eps* NaN
+        (index_decay(gamma_order_coefficients(2.0)), [-0.5, 1.0, 3.0, 15.0]),
+        (index_decay(table_coefficients(-np.arange(60.0) ** 1.5)), [-2.0, 1.0, 7.0]),
+        # no conj: the adaptive search; saturated at v = 7 (n* past MAX_TERMS)
+        (GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
+                        domain_min=0.0), [-1.0, 1.0, 7.0]),
+        # Stirling without its conj: saturated at v = 14 (e^14 > MAX_TERMS)
+        (dataclasses.replace(stirling_decay(), conj=None), [-1.0, 2.0, 14.0]),
+    ], ids=["stirling", "quadratic", "quadratic_70v", "index_exp", "index_order2", "table", "callable",
+            "stirling_window"])
+    def test_batched_equals_loop(self, Q, vs):
+        # one scan over every v gives each v the numbers of its own scan
+        bounds, reps = max_function_upper_bounds(Q, vs, eps_points=19)
+        assert isinstance(bounds, np.ndarray) and bounds.shape == (len(vs),)
+        assert len(reps) == len(vs)
+        for v, b, rep in zip(vs, bounds, reps):
+            want_b, want = max_function_upper_bound(Q, v, eps_points=19)
+            got = np.array([b, rep.bound, rep.eps_star, rep.S0])
+            assert got.tobytes() == np.array([want_b, want.bound, want.eps_star,
+                                              want.S0]).tobytes(), v
+            for name in ("eps_grid", "ln_k", "ln_u", "ln_y"):
+                assert getattr(rep, name).tobytes() == getattr(want, name).tobytes()
+            assert rep.qstar_saturated is want.qstar_saturated
+        sat = [rep.qstar_saturated for rep in reps]
+        assert sat == [False] * (len(vs) - 1) + [Q.conj is None]
+
+    def test_batched_no_finite_bound_at_one_v(self):
+        # Q(x) = +inf on (0, 1) makes U infinite at every eps; K is finite
+        # where Q*(v/(1-eps)) = 0, i.e. v/(1-eps) <= 1, so v = 2 has no
+        # finite Y: the batch raises what the single call at v = 2 raises
+        Q = GrowthFunction("gapped_linear", domain_min=0.0,
+                           fn=lambda n: np.where((n > 0) & (n < 1), np.inf, n),
+                           conj=lambda y: np.where(y > 1.0, np.inf, 0.0))
+        assert math.isfinite(max_function_upper_bound(Q, 0.5, eps_points=19)[0])
+        with pytest.raises(NoFiniteBoundError) as single:
+            max_function_upper_bound(Q, 2.0, eps_points=19)
+        with pytest.raises(NoFiniteBoundError) as batch:
+            max_function_upper_bounds(Q, [0.5, -1.0, 2.0, 0.25], eps_points=19)
+        assert str(batch.value) == str(single.value)
+
+    def test_batched_input_checked(self):
+        for bad in ([], [[1.0, 2.0]], [1.0, np.nan]):
+            with pytest.raises(InputError):
+                max_function_upper_bounds(stirling_decay(), bad)
 
     def test_hypothesis_violation_rejected(self):
         # coefficients decaying slower than exp(-Q) must be refused

@@ -526,8 +526,9 @@ def _floats(lo, hi, size=3):
         lambda xs: ", ".join(repr(x) for x in xs))
 
 
-# double_exp keeps c5 = c6 = 1: at c6 = 5.4 its upper_bound takes 1.9 s
-# per v, 15 s on the default v_grid
+# double_exp keeps c5 = c6 = 1: at c5 = 1.9, c6 = 5.4 its upper_bound takes
+# about 12 s on the default v_grid, most of it in the Lambert W of the
+# decay's closed form on the U rows (about 1.5 s per v)
 PARAMS = {"rho": st.floats(0.1, 50.0), "c": st.floats(0.1, 10.0),
           "lam": st.floats(0.1, 50.0), "m": st.floats(1.1, 5.0)}
 FAMILY_PARAMS = {"power_order": ("rho", "c"), "log_power_growth": ("m", "c"),

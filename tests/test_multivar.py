@@ -207,7 +207,7 @@ def _joint_scan(Q, v, eps_points):
 
     return _eps_scan(lambda eps: (sum(k_sum(p.fn, eps) for p in parts),
                                   sum(u_sum(p.fn, eps) for p in parts)),
-                     conj, eps_points, "joint")[0]
+                     conj, 1, eps_points, "joint")[0][0]
 
 
 @pytest.fixture(scope="module")
