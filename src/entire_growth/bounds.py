@@ -312,10 +312,12 @@ def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     return 0.0 - lstar  # +0.0, not -0.0, where Lambda*(n) = 0
 
 
-def _log_sum(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], shape=()):
-    """ln sum_{n >= 0} exp(term_fn(ns, rows)) per series of a batch (see
-    log_series); +inf unless log_series converged."""
-    total, _, converged = log_series(term_fn, shape=shape)
+def _log_sum(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], shape=(),
+             level=None):
+    """ln sum_{n >= 0} exp(term_fn(ns, rows)) per series of a batch, each
+    row stopping at its level if it has one (see log_series); +inf unless
+    log_series converged."""
+    total, _, converged = log_series(term_fn, shape=shape, level=level)
     return np.where(converged, total, np.inf)[()]
 
 
@@ -335,12 +337,14 @@ def k_sum(decay: Callable[[np.ndarray], np.ndarray], eps):
                     np.shape(eps))
 
 
-def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps):
+def u_sum(decay: Callable[[np.ndarray], np.ndarray], eps, level=None):
     """ln U(eps) = ln sum_n exp(decay((1-eps) n) - decay(n)), elementwise in
-    eps; +inf marks divergence."""
+    eps; +inf marks divergence.  With a level (an array shaped like eps), a
+    row stops once its partial sum reaches its level, and that partial sum,
+    >= the level, is its value (log_series)."""
     e = _eps_rows(eps)
     return _log_sum(lambda ns, rows: np.asarray(decay((1.0 - e[rows, None]) * ns), float)
-                    - np.asarray(decay(ns), float), np.shape(eps))
+                    - np.asarray(decay(ns), float), np.shape(eps), level)
 
 
 def r_sum(Q: GrowthFunction, v: float) -> float:
@@ -377,10 +381,13 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     """(bounds, reports): for each of count points v, min over eps of
     ln Y(eps) + Q*(y), y = v/(1-eps), with one EpsilonReport per v.
 
-    sums(eps) gives (ln K0, ln U) elementwise over a 1-D array of eps; they
-    do not depend on v.  conj(eps) gives (Q*(y), saturated) elementwise over
-    an array of eps of shape (count, m), row i at the i-th v (saturated may
-    be one flag for all).  Each term of R_Q(v) splits two ways, n v - Q(n)
+    sums(eps, ln_k) gives (ln K0, ln U) elementwise over a 1-D array of eps;
+    they do not depend on v.  ln_k is None on the grid.  In a zoom stage it
+    maps ln K0 at those eps to ln K there, and a U row may stop once its
+    partial sum reaches ln K (see log_series): min(ln K, ln U) is ln K
+    either way, bit for bit, so only the grid's ln U is exact.  conj(eps)
+    gives (Q*(y), saturated) elementwise over an array of eps of shape
+    (count, m), row i at the i-th v (saturated may be one flag for all).  Each term of R_Q(v) splits two ways, n v - Q(n)
     = -eps Q(n) + (1-eps)(n y - Q(n)) and = ((1-eps) n y - Q((1-eps) n)) +
     Q((1-eps) n) - Q(n), so ln R_Q(v) <= ln Y + Q*(y) with Y = min(K, U),
     K = K0 e^(-eps Q*(y)) and K0, U the K/U sums.  ln K is +inf where Q*(y)
@@ -388,18 +395,25 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     everywhere, so every coefficient vanishes and there is nothing to
     bound: InputError.
 
-    One sums call covers the grid for every v, and each zoom stage makes
-    one sums and one conj call over every v's own bracket; all of them are
-    elementwise, so each v gets the numbers that a scan of it alone gives.
+    One sums call covers the grid for every v.  Each zoom stage takes Q* at
+    every v's own bracket (one conj call), then ln K0 and ln U there (one
+    sums call, its U rows stopping at ln K).  All of them are elementwise,
+    so each v gets the numbers that a scan of it alone gives.
     """
 
-    def scan(eps, ln_k0, ln_u):
-        """ln K, ln Y and ln Y + Q*(y) at each eps of shape (count, m), given
-        ln K0 and ln U there."""
+    def qstar_at(eps):
         qstar, _ = conj(eps)
         if np.any(qstar == -np.inf):
             raise InputError(f"Q* = -inf for {name}: its decay is +inf everywhere")
-        ln_k = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
+        return qstar
+
+    def log_k(eps, qstar, ln_k0):
+        return np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
+
+    def scan(eps, qstar, ln_k0, ln_u):
+        """ln K, ln Y and ln Y + Q*(y) at each eps of shape (count, m), given
+        Q*(y), ln K0 and ln U there."""
+        ln_k = log_k(eps, qstar, ln_k0)
         ln_y = np.minimum(ln_k, ln_u)
         return ln_k, ln_y, ln_y + qstar
 
@@ -412,8 +426,8 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     at = np.arange(count)
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
     grid = np.broadcast_to(eps_grid, (count, eps_points))
-    ln_k0, ln_u = sums(eps_grid)
-    ln_k, ln_y, obj = scan(grid, ln_k0, ln_u)
+    ln_k0, ln_u = sums(eps_grid, None)
+    ln_k, ln_y, obj = scan(grid, qstar_at(grid), ln_k0, ln_u)
     if not np.all(np.any(np.isfinite(ln_y), axis=1)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {name}")
     eps_star, bound, ln_s0, lo, hi = pick(grid, obj, ln_y)
@@ -422,8 +436,10 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
         # np.linspace(lo, hi, ZOOM_POINTS) of each v, in its arithmetic
         pts = np.arange(ZOOM_POINTS) * ((hi - lo) / (ZOOM_POINTS - 1))[:, None] + lo[:, None]
         pts[:, -1] = hi
-        sums_z = (np.reshape(a, pts.shape) for a in sums(pts.ravel()))
-        _, ln_y_z, obj_z = scan(pts, *sums_z)
+        qstar = qstar_at(pts)
+        sums_z = sums(pts.ravel(),
+                      lambda ln_k0: log_k(pts, qstar, ln_k0.reshape(pts.shape)).ravel())
+        _, ln_y_z, obj_z = scan(pts, qstar, *(np.reshape(a, pts.shape) for a in sums_z))
         eps_z, bound_z, ln_s0_z, lo, hi = pick(pts, obj_z, ln_y_z)
         better = bound_z < bound
         eps_star, bound, ln_s0 = (np.where(better, z, a) for z, a in
@@ -466,13 +482,16 @@ def max_function_upper_bounds(Q: GrowthFunction, vs,
             raise InputError(
                 f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
 
+    def sums(eps, ln_k):
+        ln_k0 = k_sum(Q.fn, eps)
+        return ln_k0, u_sum(Q.fn, eps, None if ln_k is None else ln_k(ln_k0))
+
     def scan(block):
         def conj(eps):
             values, saturated = Q._conjugate((block[:, None] / (1.0 - eps)).ravel())
             return values.reshape(eps.shape), saturated.reshape(eps.shape)
 
-        return _eps_scan(lambda eps: (k_sum(Q.fn, eps), u_sum(Q.fn, eps)), conj,
-                         block.size, eps_points, Q.name)
+        return _eps_scan(sums, conj, block.size, eps_points, Q.name)
 
     scans = [scan(vs[i:i + _V_BLOCK]) for i in range(0, vs.size, _V_BLOCK)]
     return np.concatenate([b for b, _ in scans]), sum((r for _, r in scans), ())

@@ -196,7 +196,7 @@ def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequen
 
 def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                n_max: int = MAX_TERMS, block: int = 256, finite: bool = False,
-               shape: tuple = ()):
+               shape: tuple = (), level=None):
     """ln sum_{n=0}^{n_max} exp(term_fn(n)) for each series of a batch of
     the given shape, summed in blocks of `block` terms.
 
@@ -220,12 +220,24 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     peak)), and the tail past N is at most t(N) r/(1 - r) < S e^-45 (N -
     peak)/31 < S e^-34 for the sum S: a relative error below e^-30.
 
+    level, an array of the batch's shape (or one value for all), gives each
+    row a stop level: the row stops after the first block whose running
+    log-sum is >= its level, and that partial sum is its log_sum (counted
+    as converged).  A NaN or +inf level never stops a row.  A running
+    log-sum never decreases, in floating point too: a block makes it m +
+    ln(e^(total - m) + sum_i e^(t_i - m)), m the larger of the total and
+    the block's top term, and the sum under the ln holds e^0 = 1, so the
+    new total is >= m >= the old one.  So a row stopped at a level L has L
+    <= log_sum <= its full sum, and min(L, full sum) is L bit for bit.
+
     Returns (log_sum, terms_summed, converged), arrays of the batch's shape
     (scalars for shape ()).
     """
     total = np.full(shape, -math.inf).ravel()
     run, terms = np.zeros((2, total.size), dtype=int)
     live = np.arange(total.size)
+    if level is not None:
+        level = np.broadcast_to(np.asarray(level, dtype=float), shape).ravel()
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= n_max and live.size:
@@ -243,7 +255,10 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             big = t >= tot[:, None] - _TAIL_LOG
             run[live] = r = np.where(big.any(axis=-1), np.argmax(big[:, ::-1], axis=-1),
                                      run[live] + ns.size)
-            live = live[(top < math.inf) & ((r < _TAIL_RUN) | finite)]
+            keep = (top < math.inf) & ((r < _TAIL_RUN) | finite)
+            if level is not None:
+                keep &= ~(tot >= level[live])
+            live = live[keep]
     converged = np.ones(total.size, dtype=bool)
     converged[live] = finite
     return tuple(a.reshape(shape)[()] for a in (total, terms, converged))

@@ -135,7 +135,8 @@ def multi_max_bound(Q: MultiGrowthFunction, v,
     1-D bounds max_function_upper_bound(Q_j, v_j), each axis with its own
     eps* and report.  Otherwise the eps-scan of max_function_upper_bound
     (grid, zoom, saturation flag) runs once, over the sums of _multi_sums
-    and the conjugate of _multi_conjugate, with one report.
+    (summed in full: they ignore the zoom's ln K) and the conjugate of
+    _multi_conjugate, with one report.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (Q.dimension,) or not np.all(np.isfinite(v)):
@@ -149,7 +150,7 @@ def multi_max_bound(Q: MultiGrowthFunction, v,
         values, saturated = _multi_conjugate(Q, v / (1.0 - eps.reshape(-1, 1)), _BOX_AXIS)
         return values.reshape(eps.shape), saturated
 
-    (bound,), reps = _eps_scan(lambda eps: _multi_sums(Q, eps), conj, 1, eps_points,
+    (bound,), reps = _eps_scan(lambda eps, _ln_k: _multi_sums(Q, eps), conj, 1, eps_points,
                                f"the {Q.dimension}-d profile")
     return float(bound), reps
 

@@ -375,6 +375,95 @@ class TestAuxiliarySeries:
         assert r_sum(stirling_decay(), v) == pytest.approx(ref, rel=1e-12)
 
 
+# decays and v arrays that one scan covers, each v with its own scan's numbers
+BATCHED = [
+    (stirling_decay(), [-2.0, 0.0, 0.5, 2.0, 7.0]),
+    (quadratic_decay(0.5), [-1.0, 0.5, 3.0]),
+    # more v than one scan takes (_V_BLOCK = 64)
+    (quadratic_decay(0.5), list(np.linspace(-1.0, 5.0, 70))),
+    (index_decay(exp_coefficients()), [-1.0, 0.5, 2.5, 4.0]),
+    # Q* = +inf at v = 15, past the rule's last slope: bound +inf, eps* NaN
+    (index_decay(gamma_order_coefficients(2.0)), [-0.5, 1.0, 3.0, 15.0]),
+    (index_decay(table_coefficients(-np.arange(60.0) ** 1.5)), [-2.0, 1.0, 7.0]),
+    # no conj: the adaptive search; saturated at v = 7 (n* past MAX_TERMS)
+    (GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
+                    domain_min=0.0), [-1.0, 1.0, 7.0]),
+    # Stirling without its conj: saturated at v = 14 (e^14 > MAX_TERMS)
+    (dataclasses.replace(stirling_decay(), conj=None), [-1.0, 2.0, 14.0]),
+]
+BATCHED_IDS = ["stirling", "quadratic", "quadratic_70v", "index_exp", "index_order2", "table",
+               "callable", "stirling_window"]
+
+
+def _scan_bytes(result):
+    """Every number and flag of max_function_upper_bounds' result, as bytes."""
+    bounds, reps = result
+    return [bounds.tobytes()] + [
+        np.array([r.bound, r.eps_star, r.S0]).tobytes() + b"".join(
+            getattr(r, name).tobytes() for name in ("eps_grid", "ln_k", "ln_u", "ln_y"))
+        + bytes([r.qstar_saturated]) for r in reps]
+
+
+def _series_terms(monkeypatch, Q, vs, keep_level):
+    """Terms that the k_sum and the u_sum series of max_function_upper_bounds(Q,
+    vs) sum, with their stop levels kept or ignored."""
+    from entire_growth import bounds, entire
+    terms = {"k_sum": 0, "u_sum": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            def series(*a, level=None, **kw):
+                out = entire.log_series(*a, level=level if keep_level else None, **kw)
+                terms[name] += int(np.sum(out[1]))
+                return out
+
+            mp.setattr(bounds, "log_series", series)
+            return fn(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as mp:
+        for name in terms:
+            mp.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        max_function_upper_bounds(Q, vs)
+    return terms
+
+
+def _ignore_level(monkeypatch):
+    """Sum every series of bounds in full, its stop level ignored."""
+    from entire_growth import bounds, entire
+    monkeypatch.setattr(bounds, "log_series",
+                        lambda *args, level=None, **kw: entire.log_series(*args, **kw))
+
+
+class TestZoomLevel:
+    """The zoom stages' U rows stop at ln K, where min(ln K, ln U) = ln K
+    whether the row stops or not, so no number changes."""
+
+    @pytest.mark.parametrize("Q, vs", BATCHED, ids=BATCHED_IDS)
+    def test_bit_for_bit_as_full_rows(self, Q, vs, monkeypatch):
+        got = _scan_bytes(max_function_upper_bounds(Q, vs, eps_points=19))
+        _ignore_level(monkeypatch)
+        assert got == _scan_bytes(max_function_upper_bounds(Q, vs, eps_points=19))
+
+    def test_double_exp_bit_for_bit(self, monkeypatch):
+        # the double_exp decay whose U rows took 12 s over 8 v in full
+        Q = exp_of_exp(1.9, 5.4).conjugate()
+        got = _scan_bytes(max_function_upper_bounds(Q, [1.0, 4.0], eps_points=39))
+        _ignore_level(monkeypatch)
+        assert got == _scan_bytes(max_function_upper_bounds(Q, [1.0, 4.0], eps_points=39))
+
+    def test_term_counts(self, monkeypatch):
+        # index_decay(exp) on configs/all.cfg's v grid: K sums the same
+        # terms, U under 0.55 of them
+        Q, vs = index_decay(exp_coefficients()), np.linspace(1.0, 4.0, 7)
+        full = _series_terms(monkeypatch, Q, vs, keep_level=False)
+        cut = _series_terms(monkeypatch, Q, vs, keep_level=True)
+        assert full == {"k_sum": 799_744, "u_sum": 720_896}
+        assert cut == {"k_sum": 799_744, "u_sum": 359_168}
+        assert cut["u_sum"] <= 0.55 * full["u_sum"]
+
+
 class TestMaxFunctionUpperBound:
     def test_sandwich_exp_family(self):
         Q = stirling_decay()
@@ -488,22 +577,7 @@ class TestMaxFunctionUpperBound:
         for v in (0.5, 1.0, 2.0):
             assert r_sum(Q, v) <= max_function_upper_bound(Q, v, eps_points=39)[0]
 
-    @pytest.mark.parametrize("Q, vs", [
-        (stirling_decay(), [-2.0, 0.0, 0.5, 2.0, 7.0]),
-        (quadratic_decay(0.5), [-1.0, 0.5, 3.0]),
-        # more v than one scan takes (_V_BLOCK = 64)
-        (quadratic_decay(0.5), list(np.linspace(-1.0, 5.0, 70))),
-        (index_decay(exp_coefficients()), [-1.0, 0.5, 2.5, 4.0]),
-        # Q* = +inf at v = 15, past the rule's last slope: bound +inf, eps* NaN
-        (index_decay(gamma_order_coefficients(2.0)), [-0.5, 1.0, 3.0, 15.0]),
-        (index_decay(table_coefficients(-np.arange(60.0) ** 1.5)), [-2.0, 1.0, 7.0]),
-        # no conj: the adaptive search; saturated at v = 7 (n* past MAX_TERMS)
-        (GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
-                        domain_min=0.0), [-1.0, 1.0, 7.0]),
-        # Stirling without its conj: saturated at v = 14 (e^14 > MAX_TERMS)
-        (dataclasses.replace(stirling_decay(), conj=None), [-1.0, 2.0, 14.0]),
-    ], ids=["stirling", "quadratic", "quadratic_70v", "index_exp", "index_order2", "table", "callable",
-            "stirling_window"])
+    @pytest.mark.parametrize("Q, vs", BATCHED, ids=BATCHED_IDS)
     def test_batched_equals_loop(self, Q, vs):
         # one scan over every v gives each v the numbers of its own scan
         bounds, reps = max_function_upper_bounds(Q, vs, eps_points=19)

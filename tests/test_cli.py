@@ -326,6 +326,24 @@ class TestUpperBoundSandwich:
         assert np.all(eps_rows[:, 2] >= 0.0)  # U >= its n = 0 term, 1
 
 
+def test_zoom_level_leaves_upper_bound_trees_unchanged(tmp_path, monkeypatch):
+    # all_cfg.MANIFEST holds upper_bound for exp alone; the zoom's U rows
+    # stop at ln K most often for the other families, and every byte of
+    # their trees (MANIFEST too) is what full U rows give
+    from entire_growth import bounds, entire
+    (tmp_path / "c.csv").write_text("n,ln_abs_c\n" + "".join(
+        f"{n},{float(v)!r}\n" for n, v in enumerate(TABLE_LN_C)))
+    (tmp_path / "z.cfg").write_text("".join(
+        f"[{name}]\n{family}\nanalyses = upper_bound\nv_grid = 0.5, 2, 4\n\n"
+        for name, (family, _) in SANDWICH.items()))
+    assert run(str(tmp_path / "z.cfg"), str(tmp_path / "level"), quiet=True) == 0
+    monkeypatch.setattr(bounds, "log_series",
+                        lambda *args, level=None, **kw: entire.log_series(*args, **kw))
+    assert run(str(tmp_path / "z.cfg"), str(tmp_path / "full"), quiet=True) == 0
+    level, full = tree_digest(tmp_path / "level"), tree_digest(tmp_path / "full")
+    assert len(level) == 2 * len(SANDWICH) + 2 and level == full
+
+
 def test_all_cfg_manifest_pinned(tmp_path):
     # a change that only makes the CLI faster leaves every digest as it was
     here = os.path.dirname(__file__)
@@ -526,13 +544,16 @@ def _floats(lo, hi, size=3):
         lambda xs: ", ".join(repr(x) for x in xs))
 
 
-# double_exp keeps c5 = c6 = 1: at c5 = 1.9, c6 = 5.4 its upper_bound takes
-# about 12 s on the default v_grid, most of it in the Lambert W of the
-# decay's closed form on the U rows (about 1.5 s per v)
+# double_exp's upper_bound costs most where c6 and v are large: its decay
+# n ln(W(n/c5)/c6) - n/W is negative until the Lambert W passes about c6,
+# so its K rows run long, and c6 = 10 takes 12-25 s per v at c5 = 1.
+# c5 <= 2, c6 <= 3 keeps the slowest draw (three v near 6 at c5 = 2,
+# c6 = 3) under 2 s
 PARAMS = {"rho": st.floats(0.1, 50.0), "c": st.floats(0.1, 10.0),
-          "lam": st.floats(0.1, 50.0), "m": st.floats(1.1, 5.0)}
+          "lam": st.floats(0.1, 50.0), "m": st.floats(1.1, 5.0),
+          "c5": st.floats(0.1, 2.0), "c6": st.floats(0.1, 3.0)}
 FAMILY_PARAMS = {"power_order": ("rho", "c"), "log_power_growth": ("m", "c"),
-                 "poisson": ("lam",)}
+                 "poisson": ("lam",), "double_exp": ("c5", "c6")}
 GRIDS = {
     "n_grid": st.one_of(
         st.tuples(st.integers(0, 300), st.integers(0, 300)).map(

@@ -171,13 +171,13 @@ class TestLogSeries:
             lambda ns: np.where(ns % 2 == 0, np.nan, -ns),
             lambda ns: 0.0 * ns]
 
-    def batch(self, calls=None):
+    def batch(self, calls=None, level=None):
         def term_fn(ns, rows):
             if calls is not None:
                 calls.append((int(ns[0]), rows.tolist()))
             return np.stack([self.ROWS[i](ns) for i in rows])
 
-        return log_series(term_fn, 8000, shape=(len(self.ROWS),))
+        return log_series(term_fn, 8000, shape=(len(self.ROWS),), level=level)
 
     def test_batch_equals_one_series_calls(self):
         total, terms, converged = self.batch()
@@ -202,6 +202,55 @@ class TestLogSeries:
         assert calls[0] == (0, list(range(len(self.ROWS))))
         for start, rows in calls:
             # exactly the rows that have not stopped before this block
+            assert rows == [i for i in range(len(self.ROWS)) if terms[i] > start]
+
+    def running_sums(self, i):
+        """Row i's running log-sum after each block up to its stop: the
+        sums of one-series calls cut at the end of that block."""
+        one = lambda ns, rows: self.ROWS[i](ns)
+        blocks = -(-int(log_series(one, 8000)[1]) // 256)
+        return [log_series(one, min(256 * k, 8001) - 1)[0] for k in range(1, blocks + 1)]
+
+    def test_running_sums_never_decrease(self):
+        for i in range(len(self.ROWS)):
+            sums = self.running_sums(i)
+            assert all(a <= b for a, b in zip(sums, sums[1:])), i
+
+    def test_level_stops_a_row_after_the_block_that_reaches_it(self):
+        # each block's running sum as the level: the row stops after the
+        # first block whose sum reaches it, with that sum (>= the level, <=
+        # the full sum), and counts the terms up to there
+        for i, row in enumerate(self.ROWS):
+            one = lambda ns, rows: row(ns)
+            full = log_series(one, 8000)[0]
+            sums = self.running_sums(i)
+            for level in sums:
+                k = next(j for j, s in enumerate(sums) if s >= level)
+                total, terms, converged = log_series(one, 8000, level=level)
+                assert total.tobytes() == sums[k].tobytes(), (i, level)
+                assert terms == min(256 * (k + 1), 8001) and converged
+                assert level <= total <= full
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, [math.inf, math.nan] * 3 + [math.nan]],
+                             ids=["nan", "inf", "per_row"])
+    def test_nan_or_inf_level_never_stops_a_row(self, level):
+        for got, want in zip(self.batch(level=level), self.batch()):
+            assert got.tobytes() == want.tobytes()
+
+    def test_levels_act_row_by_row(self):
+        # each row stops at its own level, as a one-series call with that
+        # level does, and is not evaluated after its stop; a level of -inf
+        # stops a row after its first block
+        levels = [math.nan, self.running_sums(1)[0], self.running_sums(2)[4],
+                  self.running_sums(3)[10], math.inf, -math.inf, self.running_sums(6)[5]]
+        calls = []
+        total, terms, converged = self.batch(calls, np.array(levels))
+        for i, (row, level) in enumerate(zip(self.ROWS, levels)):
+            ref = log_series(lambda ns, rows: row(ns), 8000, level=level)
+            assert (total[i].tobytes(), terms[i], converged[i]) == \
+                (ref[0].tobytes(), ref[1], ref[2])
+        assert terms.tolist() == [256, 256, 1280, 2816, 768, 256, 1536]
+        for start, rows in calls:
             assert rows == [i for i in range(len(self.ROWS)) if terms[i] > start]
 
 

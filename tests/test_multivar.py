@@ -205,8 +205,8 @@ def _joint_scan(Q, v, eps_points):
         axes = [p.conjugate_at(v[j] / (1.0 - eps)) for j, p in enumerate(parts)]
         return sum(q for q, _ in axes), any(sat for _, sat in axes)
 
-    return _eps_scan(lambda eps: (sum(k_sum(p.fn, eps) for p in parts),
-                                  sum(u_sum(p.fn, eps) for p in parts)),
+    return _eps_scan(lambda eps, _ln_k: (sum(k_sum(p.fn, eps) for p in parts),
+                                         sum(u_sum(p.fn, eps) for p in parts)),
                      conj, 1, eps_points, "joint")[0][0]
 
 
