@@ -408,23 +408,24 @@ def _series_terms(monkeypatch, Q, vs, keep_level):
     """Terms that the k_sum and the u_sum series of max_function_upper_bounds(Q,
     vs) sum, with their stop levels kept or ignored."""
     from entire_growth import bounds, entire
-    terms = {"k_sum": 0, "u_sum": 0}
+    terms, caller = {"k_sum": 0, "u_sum": 0}, []
 
-    def counted(name, fn):
+    def series(*args, level=None, **kw):
+        out = entire.log_series(*args, level=level if keep_level else None, **kw)
+        terms[caller[-1]] += int(np.sum(out[1]))
+        return out
+
+    def named(fn):
         def call(*args, **kwargs):
-            def series(*a, level=None, **kw):
-                out = entire.log_series(*a, level=level if keep_level else None, **kw)
-                terms[name] += int(np.sum(out[1]))
-                return out
-
-            mp.setattr(bounds, "log_series", series)
+            caller.append(fn.__name__)
             return fn(*args, **kwargs)
 
         return call
 
     with monkeypatch.context() as mp:
-        for name in terms:
-            mp.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        mp.setattr(bounds, "log_series", series)
+        for fn in (bounds.k_sum, bounds.u_sum):
+            mp.setattr(bounds, fn.__name__, named(fn))
         max_function_upper_bounds(Q, vs)
     return terms
 
