@@ -385,9 +385,10 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     they do not depend on v.  ln_k is None on the grid.  In a zoom stage it
     maps ln K0 at those eps to ln K there, and a U row may stop once its
     partial sum reaches ln K (see log_series): min(ln K, ln U) is ln K
-    either way, bit for bit, so only the grid's ln U is exact.  conj(eps)
-    gives (Q*(y), saturated) elementwise over an array of eps of shape
-    (count, m), row i at the i-th v (saturated may be one flag for all).  Each term of R_Q(v) splits two ways, n v - Q(n)
+    either way, bit for bit, so only the grid's ln U is exact.
+    conj(eps) gives (Q*(y), saturated) elementwise over
+    an array of eps of shape (count, m), row i at the i-th v (saturated may
+    be one flag for all).  Each term of R_Q(v) splits two ways, n v - Q(n)
     = -eps Q(n) + (1-eps)(n y - Q(n)) and = ((1-eps) n y - Q((1-eps) n)) +
     Q((1-eps) n) - Q(n), so ln R_Q(v) <= ln Y + Q*(y) with Y = min(K, U),
     K = K0 e^(-eps Q*(y)) and K0, U the K/U sums.  ln K is +inf where Q*(y)
