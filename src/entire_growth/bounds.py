@@ -530,7 +530,8 @@ def gamma_condition(Lambda: GrowthFunction, eps0: float, v_grid) -> GammaReport:
         raise InvalidGrowthError(f"{Lambda.name} non-positive on the grid")
     with np.errstate(over="ignore"):
         dil = np.asarray(Lambda(v / (1.0 - eps0)), dtype=float)
-    ratios = dil / base
+    with np.errstate(invalid="ignore"):  # inf/inf where both overflow: NaN
+        ratios = dil / base
     if np.any(~np.isfinite(ratios)):
         # dilation overflowed: the ratio is unbounded on any larger window
         return GammaReport(math.inf, False, v, ratios)

@@ -118,8 +118,7 @@ _FAMILIES = {
                                           name=s.name),
         multivar.growth_of(t, name=s.name))),
     "poisson": _Family(("lam",), ("coeff_bound", "tauberian"), lambda s: (
-        probgen.poisson(s.num("lam")).as_coefficients(),
-        probgen.poisson_growth(s.num("lam")))),
+        probgen.poisson(s.num("lam")), probgen.poisson_growth(s.num("lam")))),
     "factorized": _Family(("parts",), ("factorized",), None),
 }
 

@@ -51,11 +51,7 @@ class CoefficientSequence:
 
     def log_abs(self, n: int) -> float:
         """ln|c_n|, or ZERO (-inf) for a vanishing coefficient."""
-        if n < 0:
-            raise InputError("coefficient index must be >= 0")
-        if self.max_index is not None and n > self.max_index:
-            return ZERO
-        return float(self.log_abs_fn(np.asarray([n], dtype=float))[0])
+        return float(self.log_abs_array([n])[0])
 
     def log_abs_array(self, ns) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
@@ -74,14 +70,18 @@ class CoefficientSequence:
         """Numerical radius-of-convergence check on the available range.
 
         Requires (1/n) ln|c_n| to trend down (toward -inf) past n0.
-        Polynomials are entire by definition and skip the trend check.
+        Polynomials are entire by definition and skip the trend check, and
+        so does a declared gamma_form with a > 0: -ln|c_n| = lnGamma(a n +
+        1) - b n + c grows faster than any multiple of n, while the probe
+        can read a slow start (Poisson(1000) for n < 1000) as a finite
+        radius.
         """
         if self._entire_checked:
             if self._entire_checked[0]:
                 return
             raise NotEntireError(f"{self.name}: fails entirety trend check")
         ok = True
-        if not self.is_polynomial:
+        if not (self.is_polynomial or (self.gamma_form and self.gamma_form[0] > 0)):
             ns = np.arange(n0, n1 + 1)
             la = self.log_abs_array(ns)
             finite = np.isfinite(la)
@@ -320,6 +320,21 @@ class LimsupEstimate:
     running_max: np.ndarray
 
 
+def _limsup_estimate(f: CoefficientSequence, n_min: int, n_max: int, valid_fn,
+                     value_fn) -> LimsupEstimate:
+    """Running max of value_fn(n, ln|c_n|) over the n in [n_min, n_max]
+    whose ln|c_n| passes valid_fn."""
+    ns = np.arange(n_min, n_max + 1)
+    la = f.log_abs_array(ns)
+    valid = valid_fn(la)
+    if not np.any(valid):
+        raise UndefinedOrderError(f"{f.name}: no usable coefficients in range (polynomial?)")
+    ns_v = ns[valid]
+    vals = value_fn(ns_v, la[valid])
+    rmax = np.maximum.accumulate(vals)
+    return LimsupEstimate(float(rmax[-1]), ns_v, vals, rmax)
+
+
 def order_estimate(f: CoefficientSequence, n_min: int, n_max: int) -> LimsupEstimate:
     """Finite-range surrogate for the order: max of n ln n / |ln|c_n||.
 
@@ -330,15 +345,8 @@ def order_estimate(f: CoefficientSequence, n_min: int, n_max: int) -> LimsupEsti
     """
     if not (n_max > n_min >= 2):
         raise InputError("need n_max > n_min >= 2")
-    ns = np.arange(n_min, n_max + 1)
-    la = f.log_abs_array(ns)
-    valid = np.isfinite(la) & (la != 0.0)
-    if not np.any(valid):
-        raise UndefinedOrderError(f"{f.name}: no usable coefficients in range (polynomial?)")
-    ns_v = ns[valid]
-    vals = ns_v * np.log(ns_v) / np.abs(la[valid])
-    rmax = np.maximum.accumulate(vals)
-    return LimsupEstimate(float(rmax[-1]), ns_v, vals, rmax)
+    return _limsup_estimate(f, n_min, n_max, lambda la: np.isfinite(la) & (la != 0.0),
+                            lambda ns, la: ns * np.log(ns) / np.abs(la))
 
 
 def type_estimate(f: CoefficientSequence, rho: float, n_min: int, n_max: int) -> LimsupEstimate:
@@ -351,15 +359,8 @@ def type_estimate(f: CoefficientSequence, rho: float, n_min: int, n_max: int) ->
         raise InputError("rho must be positive")
     if not (n_max > n_min >= 1):
         raise InputError("need n_max > n_min >= 1")
-    ns = np.arange(n_min, n_max + 1)
-    la = f.log_abs_array(ns)
-    valid = np.isfinite(la)
-    if not np.any(valid):
-        raise UndefinedOrderError(f"{f.name}: no usable coefficients in range (polynomial?)")
-    ns_v = ns[valid]
-    vals = np.exp(np.log(ns_v) / rho + la[valid] / ns_v)
-    rmax = np.maximum.accumulate(vals)
-    return LimsupEstimate(float(rmax[-1]), ns_v, vals, rmax)
+    return _limsup_estimate(f, n_min, n_max, np.isfinite,
+                            lambda ns, la: np.exp(np.log(ns) / rho + la / ns))
 
 
 def derivative_coeffs(f: CoefficientSequence) -> CoefficientSequence:

@@ -2,17 +2,18 @@
 probabilistic Tauberian diagnostics.
 
 The generating function E z^xi is the power series with probability masses
-as coefficients, so the whole growth/decay machinery applies verbatim when
-the law is light-tailed enough for the series to be entire.  Heavy-tailed
-laws (geometric) have a finite radius of convergence and are refused by the
-Tauberian report rather than silently truncated.
+as coefficients, so a law is a CoefficientSequence of log masses and the
+whole growth/decay machinery applies to it as it stands.  A light-tailed
+law has an entire generating function (radius inf); a heavy-tailed one
+(geometric) has a finite radius, past which its series diverges, and the
+Tauberian report refuses it rather than truncate it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -24,35 +25,12 @@ _MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DiscreteDistribution:
-    """Law of a nonnegative integer random variable via log masses."""
+class DiscreteDistribution(CoefficientSequence):
+    """Law of a nonnegative integer random variable: log_abs_fn gives the
+    log masses ln P(xi = k), and radius is the radius of convergence of
+    E z^xi (inf for an entire generating function)."""
 
-    name: str
-    log_mass_fn: Callable[[np.ndarray], np.ndarray]
-    entire: bool
     radius: float = math.inf
-    max_support: Optional[int] = None
-    gamma_form: Optional[Tuple[float, float]] = None  # see CoefficientSequence
-
-    def log_mass(self, k: int) -> float:
-        if k < 0:
-            raise InputError("support index must be >= 0")
-        if self.max_support is not None and k > self.max_support:
-            return ZERO
-        return float(self.log_mass_fn(np.asarray([k], dtype=float))[0])
-
-    def log_mass_array(self, ks) -> np.ndarray:
-        ks = np.asarray(ks, dtype=float)
-        out = np.asarray(self.log_mass_fn(ks), dtype=float)
-        if self.max_support is not None:
-            out = np.where(ks > self.max_support, ZERO, out)
-        return out
-
-    def as_coefficients(self) -> CoefficientSequence:
-        return CoefficientSequence(self.name, self.log_mass_array,
-                                   sign_nonnegative=True,
-                                   max_index=self.max_support,
-                                   gamma_form=self.gamma_form)
 
 
 def poisson(lam: float) -> DiscreteDistribution:
@@ -65,7 +43,7 @@ def poisson(lam: float) -> DiscreteDistribution:
         k = np.asarray(k, dtype=float)
         return -lam + k * math.log(lam) - gammaln(k + 1.0)
 
-    return DiscreteDistribution(f"poisson(lam={lam:g})", lm, entire=True,
+    return DiscreteDistribution(f"poisson(lam={lam:g})", lm,
                                 gamma_form=(1.0, math.log(lam)))
 
 
@@ -94,11 +72,11 @@ def geometric(p: float) -> DiscreteDistribution:
         k = np.asarray(k, dtype=float)
         return math.log1p(-p) + k * math.log(p)
 
-    return DiscreteDistribution(f"geometric(p={p:g})", lm, entire=False, radius=1.0 / p)
+    return DiscreteDistribution(f"geometric(p={p:g})", lm, radius=1.0 / p)
 
 
 def degenerate(k0: int) -> DiscreteDistribution:
-    """Point mass at k0."""
+    """Point mass at k0: the polynomial z^k0."""
     if k0 < 0:
         raise InputError("k0 must be >= 0")
 
@@ -106,22 +84,20 @@ def degenerate(k0: int) -> DiscreteDistribution:
         k = np.asarray(k, dtype=float)
         return np.where(k == k0, 0.0, ZERO)
 
-    return DiscreteDistribution(f"degenerate(k={k0})", lm, entire=True, max_support=k0)
+    return DiscreteDistribution(f"degenerate(k={k0})", lm, max_index=k0)
 
 
 def distribution_from_csv(path, name: Optional[str] = None) -> DiscreteDistribution:
     """Load a mass table: `k, ln_mass` rows read by coefficients_from_csv.
 
-    Normalization sum_k P = 1 is checked to 1e-12 by direct summation.
+    Normalization sum_k P = 1 is checked to 1e-12 by summing every row with
+    log_majorant at r = 1.
     """
-    from scipy.special import logsumexp
     table = coefficients_from_csv(path, name)
-    vals = table.log_abs_array(np.arange(table.max_index + 1))
-    total = float(np.exp(logsumexp(vals[np.isfinite(vals)])))
+    total = float(np.exp(log_majorant(table, 1.0)))
     if abs(total - 1.0) > _MASS_TOL:
         raise InputError(f"masses in {path} sum to {total}, not 1")
-    return DiscreteDistribution(table.name, table.log_abs_fn, entire=True,
-                                max_support=table.max_index)
+    return DiscreteDistribution(table.name, table.log_abs_fn, max_index=table.max_index)
 
 
 def generating_function_log(dist: DiscreteDistribution, r: float) -> float:
@@ -133,12 +109,12 @@ def generating_function_log(dist: DiscreteDistribution, r: float) -> float:
     if r >= dist.radius:
         raise DivergenceError(
             f"{dist.name}: series diverges at r={r} (radius {dist.radius})")
-    return log_majorant(dist.as_coefficients(), r)
+    return log_majorant(dist, r)
 
 
 def prob_tauberian_report(dist: DiscreteDistribution, LambdaP: GrowthFunction,
                           r_grid, n_grid) -> TauberianReport:
     """Tauberian ratio diagnostics with the mass sequence as coefficients."""
-    if not dist.entire:
+    if dist.radius < math.inf:
         raise NotEntireError(f"{dist.name}: generating function is not entire")
-    return tauberian_report(dist.as_coefficients(), LambdaP, r_grid, n_grid)
+    return tauberian_report(dist, LambdaP, r_grid, n_grid)

@@ -230,7 +230,7 @@ def test_criterion_10_probability():
     lhs_dev = float(np.max(np.abs(rep.lhs_ratios - 1.0)))
     ok &= lhs_dev <= 1e-12
     ks = np.arange(1, 1001, dtype=float)
-    la = poisson(1.0).log_mass_array(ks)
+    la = poisson(1.0).log_abs_array(ks)
     conj = ks * np.log(ks) - ks + 1.0
     bound_ok = bool(np.all(la <= -conj + 1e-9))
     ok &= bound_ok

@@ -156,7 +156,7 @@ def _rows_conjugate(la, ys):
 
 
 RULES = [exp_coefficients(), gamma_order_coefficients(2.0),
-         poisson(3.0).as_coefficients()]
+         poisson(3.0)]
 
 
 class TestIndexDecay:
@@ -230,7 +230,7 @@ class TestIndexDecay:
 
 GAMMA_FORM_RULES = ([gamma_order_coefficients(rho, c) for rho in (0.1, 0.5, 1.0, 2.0, 10.0, 50.0)
                      for c in (0.1, 1.0, 10.0)]
-                    + [poisson(lam).as_coefficients() for lam in (0.1, 1.0, 50.0)])
+                    + [poisson(lam) for lam in (0.1, 1.0, 50.0)])
 
 
 def _hull_decay(f):
@@ -283,7 +283,7 @@ class TestGammaFormDecay:
         # no 10^6-row arrays: the rows a bound at v = 4 needs fit in a few MB
         max_function_upper_bound(index_decay(exp_coefficients()), 1.0, eps_points=9)
         for f in (exp_coefficients(), gamma_order_coefficients(2.0),
-                  poisson(1.0).as_coefficients()):
+                  poisson(1.0)):
             tracemalloc.start()
             try:
                 max_function_upper_bound(index_decay(f), 4.0)
@@ -645,6 +645,14 @@ class TestGammaCondition:
     def test_double_exponential_fails(self):
         rep = gamma_condition(exp_of_exp(), 0.5, np.linspace(1.0, 5.0, 64))
         assert not rep.holds
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_on_both_sides_is_silent(self):
+        # Lambda(v) and Lambda(2v) both overflow at v = 7, 8: inf/inf is NaN,
+        # with no RuntimeWarning, and the ratio is unbounded
+        rep = gamma_condition(exp_of_exp(), 0.5, np.linspace(1.0, 8.0, 8))
+        assert np.all(np.isnan(rep.ratios[-2:])) and np.all(np.isinf(rep.ratios[3:6]))
+        assert rep.gamma_estimate == math.inf and not rep.holds
 
 
 class TestTauberianReport:

@@ -353,6 +353,45 @@ def test_all_cfg_manifest_pinned(tmp_path):
         assert (out / "MANIFEST").read_bytes() == fh.read()
 
 
+def test_every_cfg_manifest_pinned(tmp_path):
+    # every family with every analysis its row allows, upper_bound and gamma
+    # of poisson and power_order and the custom_coeff_csv trees included
+    here = os.path.dirname(__file__)
+    with open(os.path.join(here, "data", "every.cfg")) as fh:
+        (tmp_path / "every.cfg").write_text(fh.read())
+    (tmp_path / "c.csv").write_text("n,ln_abs_c\n" + "".join(
+        f"{n},{float(v)!r}\n" for n, v in enumerate(TABLE_LN_C)))
+    out = tmp_path / "out"
+    assert run(str(tmp_path / "every.cfg"), str(out), quiet=True) == 0
+    with open(os.path.join(here, "data", "every_cfg.MANIFEST"), "rb") as fh:
+        assert (out / "MANIFEST").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("section", [
+    "family = poisson\nlam = 1000",
+    # Lambda*(n) = n ln(n/1000) - n is positive only past n = 1000 e
+    "family = power_order\nrho = 1\nc = 1000\nn_grid = 3000:3200"])
+def test_gamma_form_tauberian_not_refused(tmp_path, capsys, section):
+    # both series are entire; the entirety probe alone once refused them
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"[s]\n{section}\nanalyses = tauberian\n")
+    assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_double_exp_gamma_overflow_silent(tmp_path, capsys):
+    # Lambda overflows on both sides of the ratio from v = 7: NaN rows, the
+    # verdict inf/false, nothing on stderr
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[d]\nfamily = double_exp\nanalyses = gamma\nv_grid = 1:8:8\n")
+    out = tmp_path / "out"
+    assert run(str(cfg), str(out), quiet=True) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256((out / "d" / "gamma.csv").read_bytes()).hexdigest() == \
+        "584e10401d3fa969ab24ca4eee86ab94206934078af246dd64ed54d1b3ceea59"
+    assert (out / "summary.txt").read_text() == "[d] gamma: estimate inf, holds false\n"
+
+
 def test_default_v_grid_serves_gamma(tmp_path):
     # gamma needs v >= 1; the default grid is 1.0:4.0:7
     cfg = tmp_path / "t.cfg"

@@ -120,6 +120,23 @@ class TestLogMaxFunction:
         with pytest.raises(NotEntireError):
             log_max_function(f, 2.0)
 
+    @pytest.mark.parametrize("form", [(0.0, 0.0), (-1.0, 0.0)])
+    def test_gamma_form_without_growth_still_probed(self, form):
+        # only a > 0 makes -ln|c_n| superlinear; the probe still refuses
+        # constant coefficients that declare a form with a <= 0
+        f = CoefficientSequence("ones", lambda n: np.zeros_like(np.asarray(n, float)),
+                                gamma_form=form)
+        with pytest.raises(NotEntireError):
+            f.assert_entire()
+
+    def test_gamma_form_with_slow_start_entire(self):
+        # (1/n) ln|c_n| of c_n = 1000^n / n! rises for n < 1000 and is still
+        # positive at n = 2048, which the probe alone reads as a finite radius
+        f = gamma_order_coefficients(1.0, 1000.0)
+        f.assert_entire()
+        r = np.exp([1.0, 2.0, 4.0])
+        np.testing.assert_allclose(log_max_function(f, r), 1000.0 * r, rtol=1e-12)
+
     def test_gamma_form_past_last_slope_raises_before_summing(self):
         # rho = 50, c = 0.1: ln 1.5 = 0.405 lies past the last slope 0.244
         # of the rows n <= 10^6, so the terms still rise at n = 10^6; the
