@@ -386,15 +386,14 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     maps ln K0 at those eps to ln K there, and a U row may stop once its
     partial sum reaches ln K (see log_series): min(ln K, ln U) is ln K
     either way, bit for bit, so only the grid's ln U is exact.
-    conj(eps) gives (Q*(y), saturated) elementwise over
-    an array of eps of shape (count, m), row i at the i-th v (saturated may
-    be one flag for all).  Each term of R_Q(v) splits two ways, n v - Q(n)
-    = -eps Q(n) + (1-eps)(n y - Q(n)) and = ((1-eps) n y - Q((1-eps) n)) +
-    Q((1-eps) n) - Q(n), so ln R_Q(v) <= ln Y + Q*(y) with Y = min(K, U),
-    K = K0 e^(-eps Q*(y)) and K0, U the K/U sums.  ln K is +inf where Q*(y)
-    is, so the bound there is +inf, not NaN.  Q*(y) = -inf means Q = +inf
-    everywhere, so every coefficient vanishes and there is nothing to
-    bound: InputError.
+    conj(eps) gives (Q*(y), saturated) elementwise over an array of eps of
+    shape (count, m), row i at the i-th v.  Each term of R_Q(v) splits two
+    ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y - Q(n)) and = ((1-eps) n y -
+    Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <= ln Y + Q*(y) with
+    Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U sums.  ln K is
+    +inf where Q*(y) is, so the bound there is +inf, not NaN.  Q*(y) = -inf
+    means Q = +inf everywhere, so every coefficient vanishes and there is
+    nothing to bound: InputError.
 
     One sums call covers the grid for every v.  Each zoom stage takes Q* at
     every v's own bracket (one conj call), then ln K0 and ln U there (one
@@ -427,8 +426,9 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     at = np.arange(count)
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
     grid = np.broadcast_to(eps_grid, (count, eps_points))
+    qstar = qstar_at(grid)  # refuses Q = +inf before any series runs
     ln_k0, ln_u = sums(eps_grid, None)
-    ln_k, ln_y, obj = scan(grid, qstar_at(grid), ln_k0, ln_u)
+    ln_k, ln_y, obj = scan(grid, qstar, ln_k0, ln_u)
     if not np.all(np.any(np.isfinite(ln_y), axis=1)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {name}")
     eps_star, bound, ln_s0, lo, hi = pick(grid, obj, ln_y)
@@ -445,8 +445,7 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
         better = bound_z < bound
         eps_star, bound, ln_s0 = (np.where(better, z, a) for z, a in
                                   ((eps_z, eps_star), (bound_z, bound), (ln_s0_z, ln_s0)))
-    _, saturated = conj(eps_star[:, None])
-    saturated = np.broadcast_to(saturated, (count, 1))[:, 0]
+    saturated = conj(eps_star[:, None])[1][:, 0]
     # no eps gives a finite bound: no eps* and no S0
     eps_star, ln_s0 = (np.where(np.isfinite(bound), a, np.nan) for a in (eps_star, ln_s0))
     reports = tuple(EpsilonReport(eps_grid, ln_k[i], ln_u, ln_y[i], float(eps_star[i]),

@@ -47,7 +47,7 @@ class CoefficientSequence:
     sign_nonnegative: bool = True
     max_index: Optional[int] = None
     gamma_form: Optional[Tuple[float, float]] = None
-    _entire_checked: list = field(default_factory=list, repr=False, compare=False)
+    _entire_checked: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def log_abs(self, n: int) -> float:
         """ln|c_n|, or ZERO (-inf) for a vanishing coefficient."""

@@ -21,10 +21,6 @@ class UnsupportedDimensionError(EntireGrowthError):
     """Requested dimension above the supported cap (d <= 3)."""
 
 
-class ResourceLimitError(EntireGrowthError):
-    """Estimated memory or work for a product-grid operation is too large."""
-
-
 class TruncationError(EntireGrowthError):
     """Series summation failed to converge within the term budget."""
 

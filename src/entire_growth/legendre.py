@@ -372,7 +372,7 @@ def _conjugate_rows(xs: np.ndarray, gs: np.ndarray, ys: np.ndarray):
     + #{ys <= its edge slope} (+inf at a row's last vertex), query j's is
     row (m + 1) + j + 1: the keys below it are the earlier rows' vertices and
     its row's with slope < y_j, so the 1-D search's vertex k, exactly.
-    Returns values (-inf on a row with no finite sample) and argmax indices.
+    Returns the values, -inf on a row with no finite sample.
     """
     rows, n, m = gs.shape[0], xs.size, ys.size
     idx = _lower_hull_indices(np.tile(xs, rows), gs.ravel(), np.repeat(np.arange(rows), n))
@@ -386,26 +386,22 @@ def _conjugate_rows(xs: np.ndarray, gs: np.ndarray, ys: np.ndarray):
     has = np.flatnonzero(counts)
     first = (np.cumsum(counts) - counts)[has, None]
     k = np.searchsorted(keys, has[:, None] * (m + 1) + np.arange(1, m + 1))
-    vals, best = np.full((rows, m), -np.inf), np.zeros((rows, m), dtype=int)
-    vals[has], b = _vertex_conjugate(hx, hg, None, ys, k, first, first + counts[has, None] - 1)
-    best[has] = hi[b]
-    return vals, best
+    vals = np.full((rows, m), -np.inf)
+    vals[has] = _vertex_conjugate(hx, hg, None, ys, k, first, first + counts[has, None] - 1)[0]
+    return vals
 
 
 def _conjugate_passes(grids, values: np.ndarray, query_grids):
     """max over the sample grid of x.y - g(x) on the product of the increasing
     query grids, as nested one-axis sups (Lucet, Numer. Algorithms 16, 1997):
     the last axis first, each later pass on -(the previous result), all
-    fibres of an axis in one _conjugate_rows.  Returns the values and, per
-    axis, the argmax sample index."""
-    vals, args = values, []
+    fibres of an axis in one _conjugate_rows."""
+    vals = values
     for a in reversed(range(len(grids))):
         g = np.moveaxis(vals if a == len(grids) - 1 else -vals, a, -1)
-        out, arg = _conjugate_rows(grids[a], g.reshape(-1, g.shape[-1]), query_grids[a])
-        shape = g.shape[:-1] + (query_grids[a].size,)
-        vals, arg = (np.moveaxis(x.reshape(shape), -1, a) for x in (out, arg))
-        args = [arg] + [np.take_along_axis(p, arg, axis=a) for p in args]
-    return vals, args
+        out = _conjugate_rows(grids[a], g.reshape(-1, g.shape[-1]), query_grids[a])
+        vals = np.moveaxis(out.reshape(g.shape[:-1] + (query_grids[a].size,)), -1, a)
+    return vals
 
 
 def conjugate_nd(g: SampledFunctionND, query_grids) -> SampledFunctionND:
@@ -413,4 +409,4 @@ def conjugate_nd(g: SampledFunctionND, query_grids) -> SampledFunctionND:
     qs = [_as_increasing_array(q, f"query[{i}]", min_size=1) for i, q in enumerate(query_grids)]
     if len(qs) != g.dimension:
         raise InputError("query grid dimension mismatch")
-    return SampledFunctionND(qs, _conjugate_passes(g.grids, g.values, qs)[0])
+    return SampledFunctionND(qs, _conjugate_passes(g.grids, g.values, qs))

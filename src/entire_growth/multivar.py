@@ -2,9 +2,10 @@
 
 Multi-index coefficient bounds and reverse bounds, and the
 factorizable-function checks.  Dimension is capped at 3.  A separable
-profile is answered axis by axis by the 1-D engine of bounds; any other is
-conjugated on a sampled product grid by the d-pass hull kernel of legendre,
-with its K/U/Y sums over a truncated multi-index box.
+profile is answered axis by axis by the 1-D engine of bounds.  Any other
+profile has a coefficient bound, conjugated on a sampled product grid by
+the d-pass hull kernel of legendre, but no reverse bound: a lattice sup
+under-estimates Q*, which is the unsafe side there.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, _eps_scan, max_function_upper_bound
-from .entire import CoefficientSequence, log_max_function, log_series
-from .errors import InputError, ResourceLimitError, UnsupportedDimensionError
+from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, max_function_upper_bound
+from .entire import CoefficientSequence, log_max_function
+from .errors import InputError, UnsupportedDimensionError
 from .legendre import _conjugate_passes
 
-_AXIS_CAP = 4096  # per-axis limit on the truncated multi-index box
 _COEFF_AXIS = np.linspace(-12.0, 12.0, 241)  # per-axis samples of a growth Lambda
-_BOX_AXIS = np.linspace(0.0, 64.0, 257)  # per-axis samples of a decay Q on k >= 0
 
 
 @dataclass(frozen=True)
@@ -72,87 +71,43 @@ def multi_coeff_bound(Lambda: MultiGrowthFunction, k):
     if Lambda.separable:
         out = -sum(p.conjugate_at(ks[:, j])[0] for j, p in enumerate(Lambda.separable_parts))
     else:
-        out = -_multi_conjugate(Lambda, ks, _COEFF_AXIS)[0]
+        out = -_multi_conjugate(Lambda, ks, _COEFF_AXIS)
     return float(out[0]) if k.ndim == 1 else out
 
 
-def _axis_truncation(Q: MultiGrowthFunction, axis: int, eps: np.ndarray):
-    """Caps along one axis, one per eps: the number of eps-damped terms of
-    Q on that axis (the other indices 0) that log_series sums."""
-
-    def terms(ns, rows):
-        pts = np.zeros(ns.shape + (Q.dimension,))
-        pts[..., axis] = ns
-        return -eps[rows, None] * np.asarray(Q.fn(pts), dtype=float)
-
-    return log_series(terms, _AXIS_CAP - 1, block=64, shape=eps.shape)[1]
-
-
-def _multi_sums(Q: MultiGrowthFunction, eps: np.ndarray):
-    """(ln K0, ln U) over multi-indices at each eps, each a sum over a box
-    truncated per axis by _axis_truncation, with Q evaluated once on the
-    largest box."""
-    from scipy.special import logsumexp
-    caps = np.stack([_axis_truncation(Q, j, eps) for j in range(Q.dimension)], axis=-1)
-    outer = caps.max(axis=0)
-    if np.prod(outer) > 20_000_000:
-        raise ResourceLimitError(f"multi-index sum over {np.prod(outer)} points")
-    pts = np.stack(np.meshgrid(*[np.arange(c, dtype=float) for c in outer],
-                               indexing="ij"), axis=-1)
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.asarray(Q.fn(pts), dtype=float)
-        for e, cap in zip(eps, caps):
-            box = tuple(slice(c) for c in cap)
-            terms = (-e * q[box], np.asarray(Q.fn((1.0 - e) * pts[box]), dtype=float) - q[box])
-            out.append([logsumexp(t[np.isfinite(t)]) for t in terms])  # -inf if none
-    out = np.array(out)
-    return tuple(np.where(np.isfinite(out), out, np.inf).T)
-
-
 def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray, axis: np.ndarray):
-    """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys, and a saturation flag.
-
-    The sup over the sampled lattice axis^d only, which lower-bounds the
-    real sup the U split needs: _conjugate_passes on the product of the
-    distinct query coordinates, read off at each row, saturated when an
-    argmax is the last sample of an axis (the far face of the box).
+    """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys, as the sup over the
+    sampled lattice axis^d only, which lower-bounds the real sup:
+    _conjugate_passes on the product of the distinct query coordinates,
+    read off at each row.
     """
     axes = [axis] * Q.dimension
     values = np.asarray(Q.fn(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)), dtype=float)
     queries = [np.unique(ys[:, j]) for j in range(Q.dimension)]
-    vals, args = _conjugate_passes(axes, values, queries)
     at = tuple(np.searchsorted(q, ys[:, j]) for j, q in enumerate(queries))
-    return vals[at], any(bool(np.any(a[at] == axis.size - 1)) for a in args)
+    return _conjugate_passes(axes, values, queries)[at]
 
 
 def multi_max_bound(Q: MultiGrowthFunction, v,
                     eps_points: int = DEFAULT_EPS_POINTS):
-    """Upper bound on ln R(v) over multi-indices; returns (bound, reports),
-    a tuple of EpsilonReport.
+    """Upper bound on ln R(v) over multi-indices for a separable Q; returns
+    (bound, reports), a tuple of one EpsilonReport per axis.
 
-    Separable Q: R(v) = prod_j R_Qj(v_j), so the bound is the sum of the
-    1-D bounds max_function_upper_bound(Q_j, v_j), each axis with its own
-    eps* and report.  Otherwise the eps-scan of max_function_upper_bound
-    (grid, zoom, saturation flag) runs once, over the sums of _multi_sums
-    (summed in full: they ignore the zoom's ln K) and the conjugate of
-    _multi_conjugate, with one report.
+    R(v) = prod_j R_Qj(v_j), so the bound is the sum of the 1-D bounds
+    max_function_upper_bound(Q_j, v_j), each axis with its own eps* and
+    report.  Any other Q raises InputError before any series runs: its Q*
+    would be a sup over a sampled lattice, below the real one, and the
+    bound could fall below ln R.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (Q.dimension,) or not np.all(np.isfinite(v)):
         raise InputError(f"v must be a finite vector of shape ({Q.dimension},)")
-    if Q.separable:
-        axes = [max_function_upper_bound(p, float(vj), eps_points)
-                for p, vj in zip(Q.separable_parts, v)]
-        return sum(b for b, _ in axes), tuple(rep for _, rep in axes)
-
-    def conj(eps):
-        values, saturated = _multi_conjugate(Q, v / (1.0 - eps.reshape(-1, 1)), _BOX_AXIS)
-        return values.reshape(eps.shape), saturated
-
-    (bound,), reps = _eps_scan(lambda eps, _ln_k: _multi_sums(Q, eps), conj, 1, eps_points,
-                               f"the {Q.dimension}-d profile")
-    return float(bound), reps
+    if not Q.separable:
+        raise InputError("multi_max_bound needs a separable Q: build it with "
+                         "MultiGrowthFunction.from_separable")
+    axes = [max_function_upper_bound(p, float(vj), eps_points)
+            for p, vj in zip(Q.separable_parts, v)]
+    return sum(b for b, _ in axes), tuple(rep for _, rep in axes)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,18 @@ class TestLogMaxFunction:
         with pytest.raises(NotEntireError):
             f.assert_entire()
 
+    def test_replace_gets_its_own_entirety_verdict(self):
+        # a copy made by dataclasses.replace does not inherit the cached
+        # verdict of the rule it was made from
+        ones = CoefficientSequence("ones", lambda n: np.zeros_like(np.asarray(n, float)))
+        with pytest.raises(NotEntireError):
+            ones.assert_entire()
+        gauss = dataclasses.replace(ones, name="gauss",
+                                    log_abs_fn=lambda n: -np.asarray(n, float) ** 2)
+        gauss.assert_entire()
+        with pytest.raises(NotEntireError):
+            ones.assert_entire()
+
     def test_gamma_form_with_slow_start_entire(self):
         # (1/n) ln|c_n| of c_n = 1000^n / n! rises for n < 1000 and is still
         # positive at n = 2048, which the probe alone reads as a finite radius

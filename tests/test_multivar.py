@@ -82,23 +82,6 @@ class TestMultiMaxBound:
             assert len(reps) == 2  # one eps* per axis
             assert all(0.0 < rep.eps_star < 1.0 for rep in reps)
 
-    def test_truncated_tail_negligible(self, monkeypatch):
-        # non-separable Q: doubling every per-axis cap of the K and U boxes
-        # must not move K, U or the bound
-        from entire_growth import multivar
-        from entire_growth.bounds import stirling_decay
-        s = stirling_decay().fn
-        Q = MultiGrowthFunction(
-            2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
-        bound, (rep,) = multi_max_bound(Q, (1.0, 2.0), eps_points=9)
-        cap = multivar._axis_truncation
-        monkeypatch.setattr(multivar, "_axis_truncation", lambda *a: 2 * cap(*a))
-        big, (big_rep,) = multi_max_bound(Q, (1.0, 2.0), eps_points=9)
-        assert big == pytest.approx(bound, rel=1e-12)
-        # logs to 1e-12 absolute: K and U to 1e-12 relative
-        np.testing.assert_allclose(big_rep.ln_k, rep.ln_k, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(big_rep.ln_u, rep.ln_u, rtol=0, atol=1e-12)
-
     def test_batched_qstar_matches_scalar_reference(self):
         # the separable conjugate of multi_coeff_bound, one batched call per
         # axis over every eps row, equals, bit for bit, the per-eps,
@@ -121,7 +104,7 @@ class TestMultiMaxBound:
 
     def test_lattice_qstar_matches_query_loop(self):
         # non-separable Q: the d-pass kernel equals a max over the sampled
-        # box [0, 64]^2 taken query by query, and flags the same rays
+        # box [0, 64]^2 taken query by query
         from entire_growth import multivar
         from entire_growth.bounds import stirling_decay
         s = stirling_decay().fn
@@ -131,62 +114,39 @@ class TestMultiMaxBound:
         pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         vals = Q.fn(pts)
         eps_grid = np.arange(1, 10) / 40.0
-        flags = []
         for v in np.stack(np.meshgrid(np.arange(1, 7), np.arange(1, 7)), -1).reshape(-1, 2):
             ys = v[None, :] / (1.0 - eps_grid[:, None])
-            ref, ref_sat = np.empty(len(ys)), False
-            for i, y in enumerate(ys):
-                obj = pts[:, 0] * y[0] + pts[:, 1] * y[1] - vals
-                best = int(np.argmax(obj))
-                ref[i] = obj[best]
-                ref_sat = ref_sat or bool(np.any(pts[best] == 64.0))
-            got, sat = multivar._multi_conjugate(Q, ys, multivar._BOX_AXIS)
+            ref = np.array([np.max(pts[:, 0] * y[0] + pts[:, 1] * y[1] - vals) for y in ys])
+            got = multivar._multi_conjugate(Q, ys, axis)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-            assert sat is ref_sat
-            flags.append(sat)
-        assert any(flags) and not all(flags)
-
-
-    def test_separable_sums_match_box(self):
-        # K0 = prod K0_j and U = prod U_j for separable Q: the truncated
-        # multi-index box sums equal the sums of the per-axis k_sum / u_sum
-        from entire_growth import multivar
-        from entire_growth.bounds import k_sum, quadratic_decay, stirling_decay, u_sum
-        parts = (stirling_decay(), quadratic_decay(0.5))
-        box = MultiGrowthFunction(2, MultiGrowthFunction.from_separable(parts).fn)
-        eps_grid = np.arange(1, 10) / 10.0
-        for axis_sum, box_sum in zip(
-                (sum(s(p.fn, eps_grid) for p in parts) for s in (k_sum, u_sum)),
-                multivar._multi_sums(box, eps_grid)):
-            np.testing.assert_allclose(axis_sum, box_sum, rtol=0, atol=1e-12)
-
-    def test_all_infinite_box(self):
-        # Q = +inf on the whole box: no K or U term is finite (the U terms
-        # are inf - inf), so both sums are +inf, with no RuntimeWarning
-        from entire_growth import multivar
-        Q = MultiGrowthFunction(1, lambda k: np.full(np.shape(k)[:-1], np.inf))
-        for s in multivar._multi_sums(Q, np.array([0.25, 0.5])):
-            np.testing.assert_array_equal(s, [np.inf, np.inf])
 
     def test_all_infinite_decay_refused(self):
         # Q = +inf everywhere: Q* = -inf and ln Y = +inf, whose sum is NaN;
         # the scan refuses the input instead of adding them
-        from entire_growth.errors import InputError
-        Q = MultiGrowthFunction(1, lambda k: np.full(np.shape(k)[:-1], np.inf))
-        with pytest.raises(InputError):
-            multi_max_bound(Q, [1.0])
+        from entire_growth.bounds import GrowthFunction
+        Q = GrowthFunction("inf", lambda n: np.full(np.shape(n), np.inf), domain_min=0.0)
+        with pytest.raises(InputError, match="Q\\* = -inf"):
+            max_function_upper_bound(Q, 1.0)
 
-    def test_qstar_saturation_flag(self):
-        from entire_growth.bounds import quadratic_decay, stirling_decay
-        # non-separable: the brute-force argmax near e^(v/(1-eps)) > 64
-        # lies on the far face of the [0, 64]^2 box
+    def test_nonseparable_refused(self, monkeypatch):
+        # a lattice Q* would under-estimate the real one, so a non-separable
+        # Q is refused before any series runs
+        from entire_growth import bounds
+
+        def no_series(*a, **k):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(bounds, "k_sum", no_series)
         s = stirling_decay().fn
         Q = MultiGrowthFunction(
             2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
-        _, (rep,) = multi_max_bound(Q, (5.0, 5.0), eps_points=9)
-        assert rep.qstar_saturated
-        # separable: a user-built Stirling decay searches an index window
-        # capped at MAX_TERMS = 10^6 < e^14; the closed form has no window
+        with pytest.raises(InputError, match="from_separable"):
+            multi_max_bound(Q, (5.0, 5.0))
+
+    def test_qstar_saturation_flag(self):
+        from entire_growth.bounds import quadratic_decay, stirling_decay
+        # a user-built Stirling decay searches an index window capped at
+        # MAX_TERMS = 10^6 < e^14; the closed form has no window
         user = dataclasses.replace(stirling_decay(), conj=None)
         for part, saturated in ((user, True), (stirling_decay(), False)):
             Q = MultiGrowthFunction.from_separable([part, quadratic_decay(0.5)])
@@ -202,8 +162,9 @@ def _joint_scan(Q, v, eps_points):
     parts, v = Q.separable_parts, np.asarray(v, dtype=float)
 
     def conj(eps):
-        axes = [p.conjugate_at(v[j] / (1.0 - eps)) for j, p in enumerate(parts)]
-        return sum(q for q, _ in axes), any(sat for _, sat in axes)
+        axes = [p._conjugate((v[j] / (1.0 - eps)).ravel()) for j, p in enumerate(parts)]
+        return (sum(q for q, _ in axes).reshape(eps.shape),
+                np.logical_or.reduce([sat for _, sat in axes]).reshape(eps.shape))
 
     return _eps_scan(lambda eps, _ln_k: (sum(k_sum(p.fn, eps) for p in parts),
                                          sum(u_sum(p.fn, eps) for p in parts)),
