@@ -398,14 +398,15 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
     One sums call covers the grid for every v.  Each zoom stage takes Q* at
     every v's own bracket (one conj call), then ln K0 and ln U there (one
     sums call, its U rows stopping at ln K).  All of them are elementwise,
-    so each v gets the numbers that a scan of it alone gives.
+    so each v gets the numbers that a scan of it alone gives.  eps* is a
+    point where conj already ran, so its Q* flag comes from that call.
     """
 
     def qstar_at(eps):
-        qstar, _ = conj(eps)
+        qstar, saturated = conj(eps)
         if np.any(qstar == -np.inf):
             raise InputError(f"Q* = -inf for {name}: its decay is +inf everywhere")
-        return qstar
+        return qstar, saturated
 
     def log_k(eps, qstar, ln_k0):
         return np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
@@ -417,35 +418,36 @@ def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
         ln_y = np.minimum(ln_k, ln_u)
         return ln_k, ln_y, ln_y + qstar
 
-    def pick(pts, obj, ln_y):
-        """Per v: the minimizing point, its obj and ln Y, and its neighbours."""
+    def pick(pts, obj, ln_y, sat):
+        """Per v: the minimizing point, its obj, ln Y and Q* flag, and its
+        neighbours."""
         i = np.argmin(obj, axis=1)
         lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
-        return pts[at, i], obj[at, i], ln_y[at, i], pts[at, lo], pts[at, hi]
+        return pts[at, i], obj[at, i], ln_y[at, i], sat[at, i], pts[at, lo], pts[at, hi]
 
     at = np.arange(count)
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
     grid = np.broadcast_to(eps_grid, (count, eps_points))
-    qstar = qstar_at(grid)  # refuses Q = +inf before any series runs
+    qstar, sat = qstar_at(grid)  # refuses Q = +inf before any series runs
     ln_k0, ln_u = sums(eps_grid, None)
     ln_k, ln_y, obj = scan(grid, qstar, ln_k0, ln_u)
     if not np.all(np.any(np.isfinite(ln_y), axis=1)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {name}")
-    eps_star, bound, ln_s0, lo, hi = pick(grid, obj, ln_y)
+    eps_star, bound, ln_s0, saturated, lo, hi = pick(grid, obj, ln_y, sat)
     # zoom into the grid neighbours of the minimum; never above the grid value
     for _ in range(ZOOM_STAGES):
         # np.linspace(lo, hi, ZOOM_POINTS) of each v, in its arithmetic
         pts = np.arange(ZOOM_POINTS) * ((hi - lo) / (ZOOM_POINTS - 1))[:, None] + lo[:, None]
         pts[:, -1] = hi
-        qstar = qstar_at(pts)
+        qstar, sat = qstar_at(pts)
         sums_z = sums(pts.ravel(),
                       lambda ln_k0: log_k(pts, qstar, ln_k0.reshape(pts.shape)).ravel())
         _, ln_y_z, obj_z = scan(pts, qstar, *(np.reshape(a, pts.shape) for a in sums_z))
-        eps_z, bound_z, ln_s0_z, lo, hi = pick(pts, obj_z, ln_y_z)
+        eps_z, bound_z, ln_s0_z, sat_z, lo, hi = pick(pts, obj_z, ln_y_z, sat)
         better = bound_z < bound
-        eps_star, bound, ln_s0 = (np.where(better, z, a) for z, a in
-                                  ((eps_z, eps_star), (bound_z, bound), (ln_s0_z, ln_s0)))
-    saturated = conj(eps_star[:, None])[1][:, 0]
+        eps_star, bound, ln_s0, saturated = (
+            np.where(better, z, a) for z, a in ((eps_z, eps_star), (bound_z, bound),
+                                                (ln_s0_z, ln_s0), (sat_z, saturated)))
     # no eps gives a finite bound: no eps* and no S0
     eps_star, ln_s0 = (np.where(np.isfinite(bound), a, np.nan) for a in (eps_star, ln_s0))
     reports = tuple(EpsilonReport(eps_grid, ln_k[i], ln_u, ln_y[i], float(eps_star[i]),

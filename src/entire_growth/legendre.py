@@ -260,28 +260,27 @@ class ConjugatePoint:
 def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """Vectorized golden-section maximization of a concave h on [lo, hi].
 
-    120 steps shrink the bracket by 0.618^120 ~ 1e-25 of its width.  A
-    step's whole state is (lo, hi), so the search stops at the first step
-    that leaves every bracket bit for bit unchanged: the rest would too.
+    h maps a stack of k probe rows, shape (k,) + lo.shape, to its values,
+    so each step evaluates both inner points in one call.  120 steps shrink
+    the bracket by 0.618^120 ~ 1e-25 of its width.  A step's whole state is
+    (lo, hi), so the search stops at the first step that leaves every
+    bracket bit for bit unchanged: the rest would too.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    hc = h(c)
-    hd = h(d)
     for _ in range(120):
+        step = _INVPHI * (hi - lo)
+        probes = np.empty((2,) + lo.shape)
+        c = np.subtract(hi, step, out=probes[0])
+        d = np.add(lo, step, out=probes[1])
+        hc, hd = h(probes)
         left = hc >= hd  # keep smaller x on ties
         new_lo, new_hi = np.where(left, lo, c), np.where(left, d, hi)
         if new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes():
             break
         lo, hi = new_lo, new_hi
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        hc = h(c)
-        hd = h(d)
     mid = 0.5 * (lo + hi)
-    return mid, h(mid)
+    return mid, h(mid[None])[0]
 
 
 def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
@@ -297,26 +296,30 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
     supremum approached only at infinity (e.g. sup_x -e^x = 0) is not
     flagged.  x_min pins the left edge of Dom[fn] (e.g. 0 for index-domain
     functions).  Elementwise in ys: one batched call equals a loop of
-    one-query calls bit for bit.  Returns a ConjugateTable (ys need not be
-    sorted).
+    one-query calls bit for bit.  For m queries, each expansion step
+    evaluates fn once, on the edge and inner probes of both free sides (2m
+    points per side), and so does each golden step, on the 2m points of
+    both probes.  Returns a ConjugateTable (ys need not be sorted).
     """
     ys_arr = np.atleast_1d(np.asarray(ys, dtype=float))
+    # ys once per probe row: a multiply without broadcasting is faster
+    ys_rows = np.tile(ys_arr, (4,) + (1,) * ys_arr.ndim)
 
-    def h(v):
+    def h(x):
+        """x*y - fn(x) on a stack of up to 4 probe rows, shape (k,) +
+        ys.shape, in one fn call."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = ys_arr * v - np.asarray(fn(v), dtype=float)
+            out = ys_rows[:len(x)] * x - np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
         return np.where(np.isnan(out), -np.inf, out)
-
-    def rise(edge, inner):
-        with np.errstate(invalid="ignore"):  # -inf - -inf past Dom[fn]: not rising
-            return h(edge) - h(inner)
 
     left_fixed = x_min is not None
     lo = np.full(ys_arr.shape, x_min if left_fixed else -1.0)
     hi = np.maximum(lo + 2.0, 1.0)
     while True:
-        rise_right = rise(hi, hi - 1.0)
-        rise_left = np.full(ys_arr.shape, -np.inf) if left_fixed else rise(lo, lo + 1.0)
+        hs = h(np.stack((hi, hi - 1.0) if left_fixed else (hi, hi - 1.0, lo, lo + 1.0)))
+        with np.errstate(invalid="ignore"):  # -inf - -inf past Dom[fn]: not rising
+            rise_right = hs[0] - hs[1]
+            rise_left = np.full(ys_arr.shape, -np.inf) if left_fixed else hs[2] - hs[3]
         grow_right = (rise_right > 0) & (hi < hard_cap)
         grow_left = (rise_left > 0) & (lo > -hard_cap)
         if not np.any(grow_right | grow_left):

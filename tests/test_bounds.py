@@ -519,6 +519,20 @@ class TestMaxFunctionUpperBound:
         _, rep = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
         assert not rep.qstar_saturated
 
+    def test_qstar_flag_without_a_search_after_the_zoom(self, monkeypatch):
+        # the flag at eps* comes from the search that already ran there: one
+        # adaptive search on the grid and one per zoom stage, none after
+        from entire_growth import bounds
+        searches = []
+        search = bounds.conjugate_of_callable
+        monkeypatch.setattr(bounds, "conjugate_of_callable",
+                            lambda *a, **k: searches.append(1) or search(*a, **k))
+        Q = GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
+                           domain_min=0.0)
+        _, rep = max_function_upper_bound(Q, 7.0)
+        assert rep.qstar_saturated
+        assert len(searches) == 1 + bounds.ZOOM_STAGES
+
     @pytest.mark.parametrize("family, v", [("stirling", 7.0), ("stirling", 9.0),
                                            ("order2", 3.25), ("order2", 3.5),
                                            ("order2", 4.0)])

@@ -1,13 +1,17 @@
 """Conjugation engine tests: merge vs brute force, envelope identities."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from entire_growth.entire import MAX_TERMS
+from entire_growth import legendre
+from entire_growth.bounds import power_log, stirling_decay
+from entire_growth.entire import MAX_TERMS, table_coefficients
 from entire_growth.errors import (
     DomainDegenerateError,
     ExtrapolationError,
@@ -367,6 +371,8 @@ def golden_120(h, lo, hi):
 
 
 class TestGoldenMax:
+    # h takes query rows on its last axis: golden_120 passes one probe,
+    # shape (4,), and _golden_max a stack of probes, shape (k, 4)
     @pytest.mark.parametrize("h, lo, hi", [
         # flat top on [-1, 1]: ties keep the smaller x
         (lambda x: -np.maximum(np.abs(x) - 1.0, 0.0),
@@ -380,11 +386,78 @@ class TestGoldenMax:
         arg, val = _golden_max(lambda x: calls.append(1) or h(x), lo, hi)
         ref_arg, ref_val = golden_120(h, lo, hi)
         assert arg.tobytes() == ref_arg.tobytes() and val.tobytes() == ref_val.tobytes()
-        assert len(calls) < 2 * 120 + 3
+        # one call per step (at most 120), on both probes, and one on the
+        # midpoint
+        assert len(calls) <= 120 + 1
         # one row at a time gives the same bits as the batch
         for i in range(len(lo)):
-            one = _golden_max(lambda x: h(np.full(4, x[0]))[i:i + 1], lo[i:i + 1], hi[i:i + 1])
+            one = _golden_max(lambda x: h(np.repeat(x, 4, axis=1))[:, i:i + 1],
+                              lo[i:i + 1], hi[i:i + 1])
             assert one[0].tobytes() == arg[i:i + 1].tobytes()
+
+
+def _table_profile(seed=2203, size=300):
+    """growth_of a seeded log-concave table of ln|c_n|, n < size: the
+    profile of the CLI's custom_coeff_csv family."""
+    from entire_growth.multivar import growth_of
+    rng = np.random.default_rng(seed)
+    rho, s = rng.uniform(1.2, 2.5), rng.uniform(0.0, 1.0)
+    ns = np.arange(size, dtype=float)
+    bend = np.concatenate([[0.0], np.cumsum(np.cumsum(rng.exponential(1e-3, size - 1)))])
+    return growth_of(table_coefficients(-(gammaln(ns / rho + 1.0) + s * ns + bend)))
+
+
+def _search_cases():
+    """name -> (fn, ys, keyword arguments) of conjugate_of_callable; each
+    case has queries whose window saturates and queries whose does not."""
+    return {
+        # a 3 x 13 query array: the search is elementwise in ys of any shape
+        "exp": (np.exp,
+                np.concatenate(([-1.0, 0.0], np.geomspace(1e-3, 1e305, 37))).reshape(3, 13), {}),
+        "square": (lambda x: np.asarray(x, float) ** 2, np.linspace(-1500.0, 1500.0, 41), {}),
+        "stirling": (stirling_decay().fn, np.linspace(-1.0, 14.5, 41),
+                     dict(x_min=0.0, hard_cap=MAX_TERMS)),
+        "table": (_table_profile().fn, np.append(np.arange(1.0, 11.0), [150.0, 400.0]), {}),
+        "power_log": (power_log(1.0, 2.0).fn, np.arange(1.0, 2001.0), {}),
+    }
+
+
+def _search_digest(table):
+    return hashlib.sha256(table.gstars.tobytes() + table.argmax_xs.tobytes()
+                          + table.saturated.tobytes()).hexdigest()
+
+
+class TestAdaptiveSearchBits:
+    # sha-256 of (gstars, argmax_xs, saturated) per case, taken before the
+    # search evaluated both golden probes in one call: a speed edit to the
+    # search must keep every bit
+    DIGESTS = {
+        "exp": "3b0b8980c7bfc082de5c4d590df9d9d4140f4fad0255b79502fd9d32ba90c3f2",
+        "square": "c02fdb0c0913a785a6ac2b24abc3edee9b8a3fac5358ca6e6122281f7604d901",
+        "stirling": "08888cd8142cbf217bceadcad1f6ee82dd9780b89379e914e9e186d0987a77bf",
+        "table": "7f0d2413a2a6c9da00a8a8ac8c3882fe76f36114f7346cfbb118fbf926c1b4fe",
+        "power_log": "df2a08b39ea98d4293825b6e2225c13858661354e7c0e003599dd1a5033d2b4d",
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_bits_pinned_one_call_per_step(self, case, monkeypatch):
+        fn, ys, kwargs = _search_cases()[case]
+        sizes = []
+        search_from = []
+        golden = legendre._golden_max
+        monkeypatch.setattr(legendre, "_golden_max",
+                            lambda *a: search_from.append(len(sizes)) or golden(*a))
+        t = conjugate_of_callable(lambda x: sizes.append(np.size(x)) or fn(x), ys, **kwargs)
+        assert _search_digest(t) == self.DIGESTS[case]
+        assert t.window_saturated
+        # one call per window-expansion step, on the edge and inner probes
+        # of each free side; then one per golden step, on both probes, and
+        # one on the final midpoint
+        m, sides = ys.size, 1 if "x_min" in kwargs else 2
+        expand, search = sizes[:search_from[0]], sizes[search_from[0]:]
+        assert expand and set(expand) == {2 * sides * m}
+        assert search[:-1] == [2 * m] * (len(search) - 1) and search[-1] == m
+        assert len(search) <= 120 + 1
 
 
 class TestConjugateND:
