@@ -216,8 +216,11 @@ def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
     def fn(x):
         nonlocal xs, qs
         x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= n_last)
-        need = math.ceil(np.max(x[inside], initial=0.0)) + 1
+        hi = np.max(x, initial=0.0)
+        # every x inside [0, n_last] (never so with a NaN): no masks
+        inside = (None if np.min(x, initial=np.inf) >= 0.0 and hi <= n_last
+                  else (x >= 0.0) & (x <= n_last))
+        need = math.ceil(hi if inside is None else np.max(x[inside], initial=0.0)) + 1
         if need > qs.size:
             size = max(qs.size, _FIRST_ROWS)
             while size < need:
@@ -228,7 +231,8 @@ def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
             if np.any(np.diff(qs, 2) < 0):
                 raise InputError(f"{f.name}: rows are not convex, so its gamma_form "
                                  f"{f.gamma_form} is false")
-        return np.where(inside, np.interp(x, xs, qs), np.inf)
+        q_x = np.interp(x, xs, qs)
+        return q_x if inside is None else np.where(inside, q_x, np.inf)
 
     def conj(y):
         y = np.asarray(y, dtype=float)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import math
 import os
 import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -36,12 +35,7 @@ def _fmt(x) -> str:
     """Fixed float formatting: 17 significant digits, '.' separator."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # also "inf", "-inf", and "nan" for either sign
 
 
 def _write_csv(path: str, header: List[str], rows: List[List]) -> Tuple[int, str]:

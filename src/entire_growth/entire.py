@@ -144,7 +144,7 @@ def table_coefficients(log_abs_values, name: str = "table",
 
     def la(n):
         n = np.asarray(n, dtype=float)
-        idx = np.clip(n.astype(int), 0, vals.size - 1)
+        idx = np.minimum(np.maximum(n.astype(int), 0), vals.size - 1)
         return np.where(n < vals.size, vals[idx], ZERO)
 
     return CoefficientSequence(name, la, sign_nonnegative=sign_nonnegative,
@@ -207,9 +207,9 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ends with 50 consecutive terms more than 45 nats under its running
     log-sum, and term_fn is never asked for its terms again; otherwise it
     runs to n_max, which defaults to the cap MAX_TERMS = 10^6.  A `finite`
-    series (n_max is its last term) has no stop rule: every term is summed
-    and the sum counts as converged.  A +inf term makes the sum +inf
-    (converged); a NaN term counts as -inf.
+    series (n_max is its last term) has no stop rule: every term is summed,
+    no trailing run is counted, and the sum counts as converged.  A +inf
+    term makes the sum +inf (converged); a NaN term counts as -inf.
 
     The stop is safe for log-concave rows (ln of the terms concave in n, as
     the K0 rows -eps Q(n) of a convex Q are).  While the terms rise, each
@@ -245,17 +245,22 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             t = np.asarray(term_fn(ns, live), dtype=float).reshape(live.size, ns.size)
             n += ns.size
             terms[live] = n
-            t = np.where(np.isnan(t), -math.inf, t)
+            t = np.fmax(t, -math.inf)  # NaN -> -inf
             top, tot = t.max(axis=-1), total[live]
             m = np.maximum(tot, top)
-            summed = m + np.log(np.exp(tot - m) + np.exp(t - m[:, None]).sum(axis=-1))
+            d = t - m[:, None]
+            summed = m + np.log(np.exp(tot - m) + np.exp(d, out=d).sum(axis=-1))
             summed = np.where(top == math.inf, math.inf, summed)
             total[live] = tot = np.where(top > -math.inf, summed, tot)
-            # length of each row's trailing run of negligible terms
-            big = t >= tot[:, None] - _TAIL_LOG
-            run[live] = r = np.where(big.any(axis=-1), np.argmax(big[:, ::-1], axis=-1),
-                                     run[live] + ns.size)
-            keep = (top < math.inf) & ((r < _TAIL_RUN) | finite)
+            keep = top < math.inf
+            if not finite:
+                # length of each row's trailing run of negligible terms: the
+                # distance back to its last big term, if the block has one
+                big = t >= (tot - _TAIL_LOG)[:, None]
+                back = np.argmax(big[:, ::-1], axis=-1)
+                hit = big[np.arange(live.size), ns.size - 1 - back]
+                run[live] = r = np.where(hit, back, run[live] + ns.size)
+                keep &= r < _TAIL_RUN
             if level is not None:
                 keep &= ~(tot >= level[live])
             live = live[keep]
@@ -285,6 +290,8 @@ def log_max_function(f: CoefficientSequence, r):
 def log_majorant(f: CoefficientSequence, r):
     """ln sum_n |c_n| r^n for a series that converges at r, elementwise in r.
 
+    A polynomial's rows 0..max_index are read once per call, in one
+    log_abs_array call, and each block of the sum takes its slice of them.
     Raises TruncationError when an infinite series has not converged
     within MAX_TERMS terms.
     """
@@ -301,8 +308,13 @@ def log_majorant(f: CoefficientSequence, r):
             raise TruncationError(f"series for {f.name} at r={r.ravel()[rising][0]} not "
                                   f"converged within {MAX_TERMS + 1} terms: its terms "
                                   f"still rise at n = {MAX_TERMS}")
+    if f.is_polynomial:
+        la = f.log_abs_array(np.arange(f.max_index + 1, dtype=float))
+        rows_at = lambda ns: la[int(ns[0]):int(ns[0]) + ns.size]
+    else:
+        rows_at = f.log_abs_array
     total, terms, converged = log_series(
-        lambda ns, rows: f.log_abs_array(ns) + ns * lr[rows, None],
+        lambda ns, rows: rows_at(ns) + ns * lr[rows, None],
         f.max_index if f.is_polynomial else MAX_TERMS, finite=f.is_polynomial, shape=r.shape)
     if not np.all(converged):
         raise TruncationError(f"series for {f.name} at r={r[~np.asarray(converged)][0]} "

@@ -367,6 +367,15 @@ def test_every_cfg_manifest_pinned(tmp_path):
         assert (out / "MANIFEST").read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("x, text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (math.copysign(math.nan, -1.0), "nan"), (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"), (1e22, "1e+22"), (0.1, "0.10000000000000001"),
+    (7, "7"), (np.int64(7), "7"), (True, "1")])
+def test_fmt_strings(x, text):
+    assert cli._fmt(x) == text
+
+
 @pytest.mark.parametrize("section", [
     "family = poisson\nlam = 1000",
     # Lambda*(n) = n ln(n/1000) - n is positive only past n = 1000 e

@@ -1,6 +1,7 @@
 """Coefficient sequences, maximal-function summation, order/type estimators."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from entire_growth import bounds, entire
+from entire_growth.bounds import index_decay, k_sum, u_sum
 from entire_growth.entire import (
     ZERO,
     CoefficientSequence,
@@ -19,6 +22,7 @@ from entire_growth.entire import (
     exp_coefficients,
     gamma_order_coefficients,
     gaussian_coefficients,
+    log_majorant,
     log_max_function,
     log_series,
     order_estimate,
@@ -33,6 +37,7 @@ from entire_growth.errors import (
     TruncationError,
     UndefinedOrderError,
 )
+from entire_growth.probgen import poisson
 
 
 def test_import_leaves_scipy_special_unloaded():
@@ -281,6 +286,162 @@ class TestLogSeries:
         assert terms.tolist() == [256, 256, 1280, 2816, 768, 256, 1536]
         for start, rows in calls:
             assert rows == [i for i in range(len(self.ROWS)) if terms[i] > start]
+
+
+def _seeded_table(size, seed=2203):
+    """A seeded log-concave table of ln|c_n|, n < size."""
+    rng = np.random.default_rng(seed)
+    rho, s = rng.uniform(1.2, 2.5), rng.uniform(0.0, 1.0)
+    ns = np.arange(size, dtype=float)
+    bend = np.concatenate([[0.0], np.cumsum(np.cumsum(rng.exponential(1e-3, size - 1)))])
+    return -(gammaln(ns / rho + 1.0) + s * ns + bend)
+
+
+def _gapped_table():
+    """A 600-row seeded table whose rows 200..449 are ZERO."""
+    vals = _seeded_table(600, seed=2301)
+    vals[200:450] = ZERO
+    return table_coefficients(vals)
+
+
+def _series_bytes(module, call):
+    """The bytes of every (total, terms, converged) that module.log_series
+    returns during call(), then of call()'s own result."""
+    parts = []
+    inner = entire.log_series
+
+    def spy(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        parts.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "log_series", spy)
+        parts.append(call())
+    return b"".join(np.asarray(p).tobytes() for p in parts)
+
+
+def _kernel_cases():
+    """name -> a function giving the bytes that the case pins."""
+    rows = TestLogSeries()
+    levels = np.array([math.nan, 1.0, 3.92, 4.9, math.inf, -math.inf, 7.0])
+    # rows whose trailing run starts in the first block and crosses into
+    # the 15-term last block: 36 + 15 terms (stops), 26 + 15 (does not),
+    # one broken by a last-block term, and one that decays smoothly
+    short = [lambda ns: np.where(ns < 220.0, 0.0, -100.0),
+             lambda ns: np.where(ns < 230.0, 0.0, -100.0),
+             lambda ns: np.where((ns < 215.0) | (ns == 265.0), 0.0, -100.0),
+             lambda ns: -0.05 * ns]
+    eps = np.arange(1, bounds.DEFAULT_EPS_POINTS + 1) / (bounds.DEFAULT_EPS_POINTS + 1)
+    decays = {"exp": exp_coefficients, "power_order": lambda: gamma_order_coefficients(2.0),
+              "poisson": lambda: poisson(1.0)}
+    gamma_x = {"inside": np.concatenate([np.linspace(0.0, 1e6, 7),
+                                         [0.5, 3.25, 2047.5, 999999.5]]),
+               "inside_2d": np.outer([0.25, 0.5, 0.75], np.arange(0.0, 4096.0, 16.0)),
+               "below": np.array([-1.0, 0.0, 5.5, -1e300]),
+               "above": np.array([1e6 + 0.5, 3.0, 1e7, np.inf]),
+               "nan": np.array([np.nan, 2.5, 10.0])}
+    radii = np.geomspace(1e-2, 1e6, 20)
+    cases = {
+        "rows": lambda: rows.batch(),
+        "rows_leveled": lambda: rows.batch(level=levels),
+        "short_last_block": lambda: log_series(
+            lambda ns, r: np.stack([short[i](ns) for i in r]), 270, shape=(len(short),)),
+        "table_300": lambda: _series_bytes(
+            entire, lambda: log_majorant(table_coefficients(_seeded_table(300)), radii)),
+        "table_600_gap": lambda: _series_bytes(
+            entire, lambda: log_majorant(_gapped_table(), radii)),
+        "exp_at_22026": lambda: _series_bytes(
+            entire, lambda: log_max_function(exp_coefficients(), 22026.0)),
+    }
+    for name, rule in decays.items():
+        cases[f"k_{name}"] = lambda rule=rule: _series_bytes(
+            bounds, lambda: k_sum(index_decay(rule()).fn, eps))
+        cases[f"u_{name}"] = lambda rule=rule: _series_bytes(
+            bounds, lambda: u_sum(index_decay(rule()).fn, eps))
+    # each row stops once it is within 0.1 nats of its full sum: 17 rows
+    # stop blocks early
+    order_decay = index_decay(gamma_order_coefficients(2.0)).fn
+    cases["u_power_order_leveled"] = lambda: _series_bytes(
+        bounds, lambda: u_sum(order_decay, eps, level=u_sum(order_decay, eps) - 0.1))
+    for name, x in gamma_x.items():
+        cases[f"gamma_decay_{name}"] = lambda x=x: index_decay(exp_coefficients()).fn(x)
+    return cases
+
+
+def _kernel_digest(out):
+    if isinstance(out, tuple):
+        out = b"".join(np.asarray(a).tobytes() for a in out)
+    elif not isinstance(out, bytes):
+        out = np.asarray(out).tobytes()
+    return hashlib.sha256(out).hexdigest()
+
+
+class TestLogSeriesBits:
+    # sha-256 of each case's (total, terms, converged) bytes, or of the
+    # decay's values, taken before the series kernel was trimmed: a speed
+    # edit to log_series or to its term sources must keep every bit
+    DIGESTS = {
+        "rows": "efc2bccee17da82719777666b59b9f17a865b73904dd4ed2147f3d00738fbeb2",
+        "rows_leveled": "37c4b27ccf0135677ab5d3e487c3f3450a86c0a0e59e452b7055ad7be8c5cd7e",
+        "short_last_block": "7e202e9d5b76eb28dc5d603fa57558403436ed193431b7f87afed00f64f30f95",
+        "table_300": "eeb46072616defeac2b32e4320bc71e52cb3d8962ba67b5312a96f6a7252fa55",
+        "table_600_gap": "17668bd489d93752705fbdf8377484f1a2069e328a304095168a184d925fb5d8",
+        "exp_at_22026": "c316275bc5487696d0b95f9d9f542f0f2d54da3c0714a9e332fe6f0d23abdcbe",
+        "k_exp": "1d449ffd3ef265902d57308b8545d83e856942c677ba96fef18d15f63d11d104",
+        "u_exp": "d505560d163a1ac996e69f42b4d6c10994b4d3b1c590ca9b08cae6b5bb078b3a",
+        "k_power_order": "29f1cd45f81ab3031da8e3dfb718c5e4738be22947bf5fd1f1722c0a2dba20f0",
+        "u_power_order": "cc2ace2182dece1120af3f68474399b62e3073b188d121ca7f9940cc4b06c1f9",
+        "k_poisson": "a90640e9fb3ec23aa41e635ec235b6478b38694ce635f740b1691784e4a25898",
+        "u_poisson": "39273bce4ceffff319f7799a34360278875408411bbf4695f30204a83f85d98b",
+        "u_power_order_leveled": "501f888a5fb88c2c2abf2798280f194316679dc6d01963d6b94b80cb4193e0c1",
+        "gamma_decay_inside": "ddc660903e56d77525b72e719ae030e3950389d6700093f0123604f3e9ffa553",
+        "gamma_decay_inside_2d": "389c3545d7062fcfc9df3c79b54c873358e1d6e66a738ee17ee7e66df652c87f",
+        "gamma_decay_below": "5e5175c52086a6c040117dddfccb069bcf6c803e3b45f9582e6f50e58d09f99e",
+        "gamma_decay_above": "fa2aa4c485c3b7fb0579f4801f4a2863f241c094a60af3d377ad005191a45e04",
+        "gamma_decay_nan": "5b1bf4e00406950d4449d1884de162c4c3912a74b91ba6333c9dadb988a0966e",
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_bits_pinned(self, case):
+        assert _kernel_digest(_kernel_cases()[case]()) == self.DIGESTS[case]
+
+    def test_every_case_is_pinned(self):
+        assert sorted(_kernel_cases()) == sorted(self.DIGESTS)
+
+
+class TestSeriesWork:
+    def test_polynomial_rows_read_once_per_call(self):
+        table = _gapped_table()
+        sizes = []
+        counted = dataclasses.replace(
+            table, log_abs_fn=lambda n: sizes.append(np.size(n)) or table.log_abs_fn(n))
+        for r in (np.geomspace(1e-2, 1e6, 20), 3.0):
+            before = len(sizes)
+            got = log_majorant(counted, r)
+            assert sizes[before:] == [600]
+            assert np.asarray(got).tobytes() == np.asarray(log_majorant(table, r)).tobytes()
+
+    def test_finite_series_sums_past_negligible_terms(self, monkeypatch):
+        # c_0 = c_300 = 1 at r = 2: rows 1..299 are ZERO, far more than 50
+        # negligible terms, and the sum still runs through row 300
+        vals = np.full(301, ZERO)
+        vals[[0, 300]] = 0.0
+        f = table_coefficients(vals)
+        lr = math.log(2.0)
+        term = lambda ns, rows: f.log_abs_array(ns) + ns * lr
+        assert log_series(term, 300)[1] == 256  # the stop rule would end it here
+        # a finite series never reads the trailing-run threshold
+        monkeypatch.setattr(entire, "_TAIL_LOG", None)
+        assert log_series(term, 300, finite=True) == (300 * lr, 301, True)
+        assert log_majorant(f, 2.0) == 300 * lr == pytest.approx(207.944154, abs=1e-6)
+        with pytest.raises(TypeError):
+            log_series(term, 300)
+
+    def test_inf_term_stops_a_finite_series(self):
+        total, terms, converged = log_series(
+            lambda ns, rows: np.where(ns == 10.0, np.inf, 0.0), 600, finite=True)
+        assert total == math.inf and terms == 256 and converged
 
 
 class TestOrderEstimate:
