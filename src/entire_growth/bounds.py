@@ -48,6 +48,7 @@ class GrowthFunction:
     it.  Without it, conjugate_at runs the adaptive search, whose window is
     capped in the profile's own units: WINDOW_HARD_CAP log-radius units on R,
     and entire.MAX_TERMS (the series kernel's term bound) on an index domain.
+    A capped value may fall short of the sup: the eps scan counts it as +inf.
     """
 
     name: str
@@ -360,10 +361,8 @@ def r_sum(Q: GrowthFunction, v: float) -> float:
 class EpsilonReport:
     """ln K, ln U and ln Y over the eps grid (see _eps_scan), and the
     minimizing eps: bound = ln Y(eps*) + Q*(v/(1 - eps*)) and S0 = Y(eps*),
-    both NaN when the bound is +inf at every eps.
-
-    qstar_saturated: the Q* window hit its cap at v/(1 - eps_star), so
-    Q*(v/(1 - eps_star)) may fall short and the bound may be too low.
+    both NaN when the bound is +inf at every eps.  ln K is +inf at each eps
+    where Q*(v/(1 - eps)) is +inf or its search window hit its cap.
     """
 
     eps_grid: np.ndarray
@@ -373,7 +372,6 @@ class EpsilonReport:
     eps_star: float
     S0: float
     bound: float
-    qstar_saturated: bool = False
 
     @property
     def c_eff(self) -> float:
@@ -381,82 +379,71 @@ class EpsilonReport:
         return 1.0 / (1.0 - self.eps_star)
 
 
-def _eps_scan(sums, conj, count: int, eps_points: int, name: str):
-    """(bounds, reports): for each of count points v, min over eps of
-    ln Y(eps) + Q*(y), y = v/(1-eps), with one EpsilonReport per v.
+def _eps_scan(Q: GrowthFunction, vs: np.ndarray, eps_points: int):
+    """(bounds, reports): for each v of vs, min over eps of ln Y(eps) +
+    Q*(y), y = v/(1-eps), with one EpsilonReport per v.
 
-    sums(eps, ln_k) gives (ln K0, ln U) elementwise over a 1-D array of eps;
-    they do not depend on v.  ln_k is None on the grid.  In a zoom stage it
-    maps ln K0 at those eps to ln K there, and a U row may stop once its
-    partial sum reaches ln K (see log_series): min(ln K, ln U) is ln K
-    either way, bit for bit, so only the grid's ln U is exact.
-    conj(eps) gives (Q*(y), saturated) elementwise over an array of eps of
-    shape (count, m), row i at the i-th v.  Each term of R_Q(v) splits two
-    ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y - Q(n)) and = ((1-eps) n y -
-    Q((1-eps) n)) + Q((1-eps) n) - Q(n), so ln R_Q(v) <= ln Y + Q*(y) with
-    Y = min(K, U), K = K0 e^(-eps Q*(y)) and K0, U the K/U sums.  ln K is
-    +inf where Q*(y) is, so the bound there is +inf, not NaN.  Q*(y) = -inf
-    means Q = +inf everywhere, so every coefficient vanishes and there is
-    nothing to bound: InputError.
+    Each term of R_Q(v) splits two ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y
+    - Q(n)) and = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so
+    ln R_Q(v) <= ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and
+    K0, U the K/U sums (k_sum, u_sum), which do not depend on v.  A Q*(y)
+    whose search window hit its cap may fall short, so it counts as +inf:
+    ln K is +inf where Q*(y) is, so the bound there is +inf, never too low.
+    Q*(y) = -inf means Q = +inf everywhere, so every coefficient vanishes
+    and there is nothing to bound: InputError.
 
-    One sums call covers the grid for every v.  Each zoom stage takes Q* at
-    every v's own bracket (one conj call), then ln K0 and ln U there (one
-    sums call, its U rows stopping at ln K).  All of them are elementwise,
-    so each v gets the numbers that a scan of it alone gives.  eps* is a
-    point where conj already ran, so its Q* flag comes from that call.
+    One k_sum and one u_sum call cover the grid for every v.  Each zoom
+    stage takes Q* at every v's own bracket (one conjugate call), then ln K0
+    there (one k_sum call), then ln U, each row stopping once its partial sum
+    reaches ln K (see log_series): min(ln K, ln U) is ln K either way, bit
+    for bit, so only the grid's ln U is exact.  All of them are elementwise,
+    so each v gets the numbers that a scan of it alone gives.
     """
 
     def qstar_at(eps):
-        qstar, saturated = conj(eps)
-        if np.any(qstar == -np.inf):
-            raise InputError(f"Q* = -inf for {name}: its decay is +inf everywhere")
-        return qstar, saturated
+        values, capped = Q._conjugate((vs[:, None] / (1.0 - eps)).ravel())
+        if np.any(values == -np.inf):
+            raise InputError(f"Q* = -inf for {Q.name}: its decay is +inf everywhere")
+        return np.where(capped, np.inf, values).reshape(eps.shape)
 
     def log_k(eps, qstar, ln_k0):
-        return np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
+        with np.errstate(invalid="ignore"):  # inf - inf where K0 and Q* are both +inf
+            return np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
 
-    def scan(eps, qstar, ln_k0, ln_u):
-        """ln K, ln Y and ln Y + Q*(y) at each eps of shape (count, m), given
-        Q*(y), ln K0 and ln U there."""
-        ln_k = log_k(eps, qstar, ln_k0)
-        ln_y = np.minimum(ln_k, ln_u)
-        return ln_k, ln_y, ln_y + qstar
-
-    def pick(pts, obj, ln_y, sat):
-        """Per v: the minimizing point, its obj, ln Y and Q* flag, and its
-        neighbours."""
+    def pick(pts, obj, ln_y):
+        """Per v: the minimizing point, its obj and ln Y, and its neighbours."""
         i = np.argmin(obj, axis=1)
         lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
-        return pts[at, i], obj[at, i], ln_y[at, i], sat[at, i], pts[at, lo], pts[at, hi]
+        return pts[at, i], obj[at, i], ln_y[at, i], pts[at, lo], pts[at, hi]
 
-    at = np.arange(count)
+    at = np.arange(vs.size)
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
-    grid = np.broadcast_to(eps_grid, (count, eps_points))
-    qstar, sat = qstar_at(grid)  # refuses Q = +inf before any series runs
-    ln_k0, ln_u = sums(eps_grid, None)
-    ln_k, ln_y, obj = scan(grid, qstar, ln_k0, ln_u)
+    grid = np.broadcast_to(eps_grid, (vs.size, eps_points))
+    qstar = qstar_at(grid)  # refuses Q = +inf before any series runs
+    ln_k = log_k(grid, qstar, k_sum(Q.fn, eps_grid))
+    ln_u = u_sum(Q.fn, eps_grid)
+    ln_y = np.minimum(ln_k, ln_u)
     if not np.all(np.any(np.isfinite(ln_y), axis=1)):
-        raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {name}")
-    eps_star, bound, ln_s0, saturated, lo, hi = pick(grid, obj, ln_y, sat)
+        raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {Q.name}")
+    eps_star, bound, ln_s0, lo, hi = pick(grid, ln_y + qstar, ln_y)
     # zoom into the grid neighbours of the minimum; never above the grid value
     for _ in range(ZOOM_STAGES):
         # np.linspace(lo, hi, ZOOM_POINTS) of each v, in its arithmetic
         pts = np.arange(ZOOM_POINTS) * ((hi - lo) / (ZOOM_POINTS - 1))[:, None] + lo[:, None]
         pts[:, -1] = hi
-        qstar, sat = qstar_at(pts)
-        sums_z = sums(pts.ravel(),
-                      lambda ln_k0: log_k(pts, qstar, ln_k0.reshape(pts.shape)).ravel())
-        _, ln_y_z, obj_z = scan(pts, qstar, *(np.reshape(a, pts.shape) for a in sums_z))
-        eps_z, bound_z, ln_s0_z, sat_z, lo, hi = pick(pts, obj_z, ln_y_z, sat)
+        qstar_z = qstar_at(pts)
+        ln_k_z = log_k(pts, qstar_z, k_sum(Q.fn, pts.ravel()).reshape(pts.shape))
+        ln_u_z = u_sum(Q.fn, pts.ravel(), ln_k_z.ravel()).reshape(pts.shape)
+        ln_y_z = np.minimum(ln_k_z, ln_u_z)
+        eps_z, bound_z, ln_s0_z, lo, hi = pick(pts, ln_y_z + qstar_z, ln_y_z)
         better = bound_z < bound
-        eps_star, bound, ln_s0, saturated = (
-            np.where(better, z, a) for z, a in ((eps_z, eps_star), (bound_z, bound),
-                                                (ln_s0_z, ln_s0), (sat_z, saturated)))
+        eps_star, bound, ln_s0 = (np.where(better, z, a) for z, a in (
+            (eps_z, eps_star), (bound_z, bound), (ln_s0_z, ln_s0)))
     # no eps gives a finite bound: no eps* and no S0
     eps_star, ln_s0 = (np.where(np.isfinite(bound), a, np.nan) for a in (eps_star, ln_s0))
     reports = tuple(EpsilonReport(eps_grid, ln_k[i], ln_u, ln_y[i], float(eps_star[i]),
-                                  float(np.exp(ln_s0[i])), float(bound[i]), bool(saturated[i]))
-                    for i in range(count))
+                                  float(np.exp(ln_s0[i])), float(bound[i]))
+                    for i in range(vs.size))
     return bound, reports
 
 
@@ -479,6 +466,8 @@ def max_function_upper_bounds(Q: GrowthFunction, vs,
         raise InputError("vs must be a nonempty 1-D array")
     if not np.all(np.isfinite(vs)):
         raise InputError(f"v must be finite, not {vs[~np.isfinite(vs)][0]}")
+    if eps_points < 1:
+        raise InputError(f"eps_points {eps_points} must be >= 1")
     if coeffs is not None:
         ns = np.arange(0, 1001)
         la = coeffs.log_abs_array(ns)
@@ -487,19 +476,8 @@ def max_function_upper_bounds(Q: GrowthFunction, vs,
         if bad.size:
             raise InputError(
                 f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
-
-    def sums(eps, ln_k):
-        ln_k0 = k_sum(Q.fn, eps)
-        return ln_k0, u_sum(Q.fn, eps, None if ln_k is None else ln_k(ln_k0))
-
-    def scan(block):
-        def conj(eps):
-            values, saturated = Q._conjugate((block[:, None] / (1.0 - eps)).ravel())
-            return values.reshape(eps.shape), saturated.reshape(eps.shape)
-
-        return _eps_scan(sums, conj, block.size, eps_points, Q.name)
-
-    scans = [scan(vs[i:i + _V_BLOCK]) for i in range(0, vs.size, _V_BLOCK)]
+    scans = [_eps_scan(Q, vs[i:i + _V_BLOCK], eps_points)
+             for i in range(0, vs.size, _V_BLOCK)]
     return np.concatenate([b for b, _ in scans]), sum((r for _, r in scans), ())
 
 

@@ -122,10 +122,8 @@ class FunctionSpec:
     requests.  The models are built here, once, so a bad parameter is a
     config error, and every analysis of the section reuses them."""
 
-    def __init__(self, name: str, section, config_dir: str,
-                 eps_points: int = bounds.DEFAULT_EPS_POINTS):
+    def __init__(self, name: str, section, config_dir: str):
         self.name, self.params, self.config_dir = name, dict(section), config_dir
-        self.eps_points = eps_points
         self.family = section.get("family", "").strip()
         row = _FAMILIES.get(self.family)
         if row is None:
@@ -205,15 +203,12 @@ def _run_tauberian(spec: FunctionSpec):
 
 
 def _run_upper_bound(spec: FunctionSpec):
-    bs, reps = bounds.max_function_upper_bounds(spec.decay(), spec.v_grid,
-                                                eps_points=spec.eps_points)
-    rows = [[v, b, rep.eps_star, rep.c_eff, rep.S0, 1 if rep.qstar_saturated else 0]
-            for v, b, rep in zip(spec.v_grid, bs, reps)]
+    bs, reps = bounds.max_function_upper_bounds(spec.decay(), spec.v_grid)
+    rows = [[v, b, r.eps_star, r.c_eff, r.S0] for v, b, r in zip(spec.v_grid, bs, reps)]
     rep = reps[-1]
     eps_rows = [list(row) for row in zip(rep.eps_grid, rep.ln_k, rep.ln_u, rep.ln_y)]
     return ([("epsilon_report.csv", ["eps", "ln_k", "ln_u", "ln_y"], eps_rows),
-             ("upper_bound.csv",
-              ["v", "log_bound", "eps_star", "c_eff", "s0", "qstar_saturated"], rows)],
+             ("upper_bound.csv", ["v", "log_bound", "eps_star", "c_eff", "s0"], rows)],
             [f"upper_bound: bound {_fmt(rep.bound)} at v={_fmt(spec.v_grid[-1])}, "
              f"eps* {_fmt(rep.eps_star)}"])
 
@@ -301,12 +296,8 @@ def _run_spec(spec: FunctionSpec):
     return artifacts, notes, None
 
 
-def run(config_path: str, output_dir: str, quiet: bool = False,
-        eps_points: int = bounds.DEFAULT_EPS_POINTS) -> int:
+def run(config_path: str, output_dir: str, quiet: bool = False) -> int:
     """Execute a config; returns the process exit status (0, 2 or 3)."""
-    if eps_points < 1:
-        print(f"config error: eps_points {eps_points} must be >= 1", file=sys.stderr)
-        return 2
     parser = configparser.ConfigParser()
     try:
         with open(config_path) as fh:
@@ -322,7 +313,7 @@ def run(config_path: str, output_dir: str, quiet: bool = False,
 
     config_dir = os.path.dirname(os.path.abspath(config_path))
     try:
-        specs = {name: FunctionSpec(name, parser[name], config_dir, eps_points)
+        specs = {name: FunctionSpec(name, parser[name], config_dir)
                  for name in parser.sections()}
         if not specs:
             raise ConfigError("config defines no sections")
@@ -378,10 +369,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="output directory for CSV reports")
     ap.add_argument("--quiet", action="store_true",
                     help="suppress the summary on stdout")
-    ap.add_argument("--eps-points", type=int, default=bounds.DEFAULT_EPS_POINTS,
-                    metavar="N", help="epsilon grid resolution for bounds")
     args = ap.parse_args(argv)
-    return run(args.config, args.out, quiet=args.quiet, eps_points=args.eps_points)
+    return run(args.config, args.out, quiet=args.quiet)
 
 
 if __name__ == "__main__":

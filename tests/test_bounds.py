@@ -1,6 +1,7 @@
 """Coefficient bounds, K/U/Y series, the eps-scan upper bound, diagnostics."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from entire_growth.bounds import (
+    DEFAULT_EPS_POINTS,
     GrowthFunction,
     coeff_upper_bound,
     coeff_upper_bound_many,
@@ -385,10 +387,10 @@ BATCHED = [
     # Q* = +inf at v = 15, past the rule's last slope: bound +inf, eps* NaN
     (index_decay(gamma_order_coefficients(2.0)), [-0.5, 1.0, 3.0, 15.0]),
     (index_decay(table_coefficients(-np.arange(60.0) ** 1.5)), [-2.0, 1.0, 7.0]),
-    # no conj: the adaptive search; saturated at v = 7 (n* past MAX_TERMS)
+    # no conj: the adaptive search; its window caps at v = 7 (n* past MAX_TERMS)
     (GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
                     domain_min=0.0), [-1.0, 1.0, 7.0]),
-    # Stirling without its conj: saturated at v = 14 (e^14 > MAX_TERMS)
+    # Stirling without its conj: its window caps at v = 14 (e^14 > MAX_TERMS)
     (dataclasses.replace(stirling_decay(), conj=None), [-1.0, 2.0, 14.0]),
 ]
 BATCHED_IDS = ["stirling", "quadratic", "quadratic_70v", "index_exp", "index_order2", "table",
@@ -396,12 +398,12 @@ BATCHED_IDS = ["stirling", "quadratic", "quadratic_70v", "index_exp", "index_ord
 
 
 def _scan_bytes(result):
-    """Every number and flag of max_function_upper_bounds' result, as bytes."""
+    """Every number of max_function_upper_bounds' result, as bytes."""
     bounds, reps = result
     return [bounds.tobytes()] + [
         np.array([r.bound, r.eps_star, r.S0]).tobytes() + b"".join(
             getattr(r, name).tobytes() for name in ("eps_grid", "ln_k", "ln_u", "ln_y"))
-        + bytes([r.qstar_saturated]) for r in reps]
+        for r in reps]
 
 
 def _series_terms(monkeypatch, Q, vs, keep_level):
@@ -465,6 +467,61 @@ class TestZoomLevel:
         assert cut["u_sum"] <= 0.55 * full["u_sum"]
 
 
+def _scan_digest(Q, vs, eps_points):
+    """sha-256 of every number of max_function_upper_bounds(Q, vs); for a
+    decay without conj, of (bound, eps*, S0) at each v but the last, where
+    the Q* window caps."""
+    result = max_function_upper_bounds(Q, vs, eps_points=eps_points)
+    if Q.conj is None:
+        bounds, reps = result
+        data = [np.array([bounds[i], r.bound, r.eps_star, r.S0]).tobytes()
+                for i, r in enumerate(reps[:-1])]
+    else:
+        data = _scan_bytes(result)
+    return hashlib.sha256(b"".join(data)).hexdigest()
+
+
+class TestScanBits:
+    # _scan_digest of each case at 19 and at the default 199 eps, taken
+    # before a capped Q* counted as +inf: every number at each v whose Q*
+    # window never caps keeps its bits
+    CASES = dict(zip(BATCHED_IDS, BATCHED),
+                 double_exp=(exp_of_exp(1.9, 5.4).conjugate(), [1.0, 4.0]),
+                 log_power=(power_log(1.0, 2.0).conjugate(), [1.0, 2.0, 10.0, 50.0]))
+    DIGESTS = {
+        ("stirling", 19): "18b94af05aadc23b72c8e547625ab4dba9d7b36a0f4e745b0e3023267513f7c4",
+        ("stirling", 199): "32c2abcf9cc9aebccadbcc99a32ab41ac3f3a4aa124396bc368ea155805961fb",
+        ("quadratic", 19): "182e78d9c638c0495fd5e23ccea809ab98ecc2e87acefe815032d9878b6072f2",
+        ("quadratic", 199): "a80f92d04dac4a20c11f73ff72fca325b4cec9c35f212fa40ea694d9623139ca",
+        ("quadratic_70v", 19): "8c9a5bfbab3223cda433fcac31ecf5a74262cb60e36886cd21a79a3bf97575ca",
+        ("quadratic_70v", 199): "994a5ed48e49cd0c5a0263ed7b5e7dcf729164d582238b90f6e7346856ba2f42",
+        ("index_exp", 19): "a2d703ec5ad0f506ac28fb08ec2f70247606e425de9fe334583df8f4395cbd0e",
+        ("index_exp", 199): "4091430cec3dd7bccad7cb4503564a21ae895a999fb45327c586f0debc9bedfc",
+        ("index_order2", 19): "a83f49a567a2dee4d2a7b037038c74866a96964a81426e24b70aea7e169d9128",
+        ("index_order2", 199): "e5768ea3da39a4875013cc005bcbd970a93f20b707c7c7d28f7f673708953635",
+        ("table", 19): "f8b8b5d8db0d88e7f8e7b277b7a14d0dc042b80b0522d0a97407aed553304ed9",
+        ("table", 199): "ed372d1161dc6095baabbf0f6082a17e9f0ca30b54ddef0cefb0f936a04bfca6",
+        ("callable", 19): "7c8b865c5adcce65ec8041c2b60b1a177463136c92873e37a98b22d63e946143",
+        ("callable", 199): "63ad290514ddb58752cd9f3d4ce7591b056ed90bbc5225089d14ec162d782cb8",
+        ("stirling_window", 19): "3b1441187a4f9099b31a4c88d7c50888cab4906c16c107ca722b2c42ffa1fa05",
+        ("stirling_window", 199): "a4a36b34e334e18a733b327add3bb53fe6701d6a4c1054c7da043c961af88b93",
+        ("double_exp", 19): "eda7dd73f0518b4baa3dc87c3d91688426c1e562bf19038685a6dd41a955cc83",
+        ("double_exp", 199): "e99b3e80e0b7dd765041cc218311bb1453100265c3a1460c870a559396f5a702",
+        ("log_power", 19): "4d5febdebb2a9f74b7f1cee1871e496387769d62bbd3b9bb451f43434afbf81c",
+        ("log_power", 199): "71ed545993b7327403896e77927654d052df72f8138c8853ec7fd20c2dd92f0b",
+    }
+
+    @pytest.mark.parametrize("case, eps_points", list(DIGESTS),
+                             ids=[f"{c}-{e}" for c, e in DIGESTS])
+    def test_bits_pinned(self, case, eps_points):
+        Q, vs = self.CASES[case]
+        assert _scan_digest(Q, vs, eps_points) == self.DIGESTS[case, eps_points]
+
+    def test_every_case_is_pinned(self):
+        assert sorted(self.DIGESTS) == sorted(
+            (c, e) for c in self.CASES for e in (19, DEFAULT_EPS_POINTS))
+
+
 class TestMaxFunctionUpperBound:
     def test_sandwich_exp_family(self):
         Q = stirling_decay()
@@ -502,26 +559,30 @@ class TestMaxFunctionUpperBound:
         fine, _ = max_function_upper_bound(Q, 2.0, eps_points=199)
         assert fine <= coarse + 1e-12
 
-    def test_qstar_saturation_flag(self):
+    def test_capped_qstar_counts_as_infinite(self):
         # a user-built Stirling decay, without a closed conjugate, so Q* is
-        # the adaptive search; v = 7: its argmax e^(v/(1-eps*)) lies inside
-        # the index window
+        # the adaptive search; v = 2 and 7: its argmax e^(v/(1-eps*)) lies
+        # inside the index window
         Q = GrowthFunction("stirling", stirling_decay().fn, domain_min=0.0)
-        bound, rep = max_function_upper_bound(Q, 7.0)
-        assert not rep.qstar_saturated
-        assert bound >= r_sum(Q, 7.0)
-        # v = 14: e^14 > 10^6 = MAX_TERMS, past the cap of an index domain
-        _, rep = max_function_upper_bound(Q, 14.0, eps_points=9)
-        assert rep.qstar_saturated
-        _, rep = max_function_upper_bound(Q, 2.0)
-        assert not rep.qstar_saturated
-        # the closed form Q*(y) = e^y has no window to saturate
-        _, rep = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
-        assert not rep.qstar_saturated
+        for v in (2.0, 7.0):
+            bound, rep = max_function_upper_bound(Q, v)
+            assert r_sum(Q, v) <= bound < math.inf
+            assert 0.0 < rep.eps_star < 1.0
+        # v = 14: e^14 > 10^6 = MAX_TERMS, past the cap of an index domain at
+        # every eps, so ln K and the bound are +inf there
+        bound, rep = max_function_upper_bound(Q, 14.0, eps_points=9)
+        assert bound == rep.bound == math.inf
+        assert math.isnan(rep.eps_star) and math.isnan(rep.S0)
+        assert np.all(rep.ln_k == np.inf)
+        np.testing.assert_array_equal(rep.ln_y, rep.ln_u)
+        # the closed form Q*(y) = e^y has no window to cap: a finite bound,
+        # above ln M_exp(e^14) = e^14
+        bound, _ = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
+        assert math.exp(14.0) <= bound < math.inf
 
-    def test_qstar_flag_without_a_search_after_the_zoom(self, monkeypatch):
-        # the flag at eps* comes from the search that already ran there: one
-        # adaptive search on the grid and one per zoom stage, none after
+    def test_one_search_per_stage(self, monkeypatch):
+        # one adaptive search on the grid and one per zoom stage, none after;
+        # every one caps, so the bound is +inf
         from entire_growth import bounds
         searches = []
         search = bounds.conjugate_of_callable
@@ -529,8 +590,8 @@ class TestMaxFunctionUpperBound:
                             lambda *a, **k: searches.append(1) or search(*a, **k))
         Q = GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
                            domain_min=0.0)
-        _, rep = max_function_upper_bound(Q, 7.0)
-        assert rep.qstar_saturated
+        bound, rep = max_function_upper_bound(Q, 7.0)
+        assert bound == math.inf and math.isnan(rep.eps_star)
         assert len(searches) == 1 + bounds.ZOOM_STAGES
 
     @pytest.mark.parametrize("family, v", [("stirling", 7.0), ("stirling", 9.0),
@@ -547,10 +608,9 @@ class TestMaxFunctionUpperBound:
             f = gamma_order_coefficients(2.0)
         ln_m = log_max_function(f, math.exp(v))
         ln_r = r_sum(Q, v)
-        bound, rep = max_function_upper_bound(Q, v)
+        bound, _ = max_function_upper_bound(Q, v)
         assert ln_m <= ln_r + 1e-12 * (1.0 + abs(ln_r))
-        assert ln_r <= bound
-        assert not rep.qstar_saturated
+        assert ln_r <= bound < math.inf
 
     @pytest.mark.parametrize("Q, v, golden", [
         (stirling_decay(), 2.0, 10.37967265198181),
@@ -580,7 +640,11 @@ class TestMaxFunctionUpperBound:
                            domain_min=0.0)
         bound, rep = max_function_upper_bound(Q, v, eps_points=39)
         assert r_sum(Q, v) <= bound
-        assert np.all(np.isfinite(rep.ln_k))
+        # ln K is finite wherever the Q* search did not cap, +inf where it did
+        # (at v = 1, y = v/(1 - eps) passes ln MAX_TERMS at the last two eps)
+        _, capped = Q._conjugate(v / (1.0 - rep.eps_grid))
+        np.testing.assert_array_equal(np.isfinite(rep.ln_k), ~capped)
+        assert np.sum(capped) == (2 if v == 1.0 else 0)
 
     def test_conjugate_decays(self):
         # the CLI decays of log_power_growth and double_exp: conjugates of
@@ -605,9 +669,11 @@ class TestMaxFunctionUpperBound:
                                               want.S0]).tobytes(), v
             for name in ("eps_grid", "ln_k", "ln_u", "ln_y"):
                 assert getattr(rep, name).tobytes() == getattr(want, name).tobytes()
-            assert rep.qstar_saturated is want.qstar_saturated
-        sat = [rep.qstar_saturated for rep in reps]
-        assert sat == [False] * (len(vs) - 1) + [Q.conj is None]
+            if Q.conj is None and v == vs[-1]:
+                # the Q* window caps at every eps: +inf, never too low
+                assert b == math.inf and math.isnan(rep.eps_star) and math.isnan(rep.S0)
+            elif b < math.inf:
+                assert r_sum(Q, v) <= b
 
     def test_batched_no_finite_bound_at_one_v(self):
         # Q(x) = +inf on (0, 1) makes U infinite at every eps; K is finite
@@ -627,6 +693,9 @@ class TestMaxFunctionUpperBound:
         for bad in ([], [[1.0, 2.0]], [1.0, np.nan]):
             with pytest.raises(InputError):
                 max_function_upper_bounds(stirling_decay(), bad)
+        for bad in (0, -3):
+            with pytest.raises(InputError, match="eps_points"):
+                max_function_upper_bounds(stirling_decay(), [1.0], eps_points=bad)
 
     def test_hypothesis_violation_rejected(self):
         # coefficients decaying slower than exp(-Q) must be refused

@@ -143,32 +143,35 @@ class TestMultiMaxBound:
         with pytest.raises(InputError, match="from_separable"):
             multi_max_bound(Q, (5.0, 5.0))
 
-    def test_qstar_saturation_flag(self):
+    def test_capped_qstar_counts_as_infinite(self):
         from entire_growth.bounds import quadratic_decay, stirling_decay
         # a user-built Stirling decay searches an index window capped at
-        # MAX_TERMS = 10^6 < e^14; the closed form has no window
+        # MAX_TERMS = 10^6 < e^14, so its axis bound, and the sum, are +inf;
+        # the closed form has no window
         user = dataclasses.replace(stirling_decay(), conj=None)
-        for part, saturated in ((user, True), (stirling_decay(), False)):
-            Q = MultiGrowthFunction.from_separable([part, quadratic_decay(0.5)])
-            _, (rep1, rep2) = multi_max_bound(Q, (14.0, 1.0), eps_points=9)
-            assert rep1.qstar_saturated is saturated
-            assert rep2.qstar_saturated is False
+        Q = MultiGrowthFunction.from_separable([user, quadratic_decay(0.5)])
+        bound, (rep1, rep2) = multi_max_bound(Q, (14.0, 1.0), eps_points=9)
+        assert bound == rep1.bound == math.inf
+        assert math.isnan(rep1.eps_star) and math.isnan(rep1.S0)
+        assert math.isfinite(rep2.bound) and 0.0 < rep2.eps_star < 1.0
+        Q = MultiGrowthFunction.from_separable([stirling_decay(), quadratic_decay(0.5)])
+        bound, (rep1, rep2) = multi_max_bound(Q, (14.0, 1.0), eps_points=9)
+        assert math.exp(14.0) <= rep1.bound < math.inf  # ln M_exp(e^14) = e^14
+        assert bound == rep1.bound + rep2.bound
 
 
 def _joint_scan(Q, v, eps_points):
-    """The common-eps scan over a separable Q: one eps for every axis, over
-    the summed per-axis K/U sums and conjugates."""
-    from entire_growth.bounds import _eps_scan, k_sum, u_sum
-    parts, v = Q.separable_parts, np.asarray(v, dtype=float)
-
-    def conj(eps):
-        axes = [p._conjugate((v[j] / (1.0 - eps)).ravel()) for j, p in enumerate(parts)]
-        return (sum(q for q, _ in axes).reshape(eps.shape),
-                np.logical_or.reduce([sat for _, sat in axes]).reshape(eps.shape))
-
-    return _eps_scan(lambda eps, _ln_k: (sum(k_sum(p.fn, eps) for p in parts),
-                                         sum(u_sum(p.fn, eps) for p in parts)),
-                     conj, 1, eps_points, "joint")[0][0]
+    """The common-eps reference over a separable Q: one eps for every axis,
+    the minimum over the eps grid of sum_j (ln Y_j(eps) + Q_j*(v_j/(1-eps)))."""
+    from entire_growth.bounds import k_sum, u_sum
+    eps = np.arange(1, eps_points + 1) / (eps_points + 1)
+    total = 0.0
+    for p, vj in zip(Q.separable_parts, v):
+        qstar, saturated = p.conjugate_at(vj / (1.0 - eps))
+        assert not saturated
+        ln_k = np.where(np.isfinite(qstar), k_sum(p.fn, eps) - eps * qstar, np.inf)
+        total = total + np.minimum(ln_k, u_sum(p.fn, eps)) + qstar
+    return float(np.min(total))
 
 
 @pytest.fixture(scope="module")
@@ -203,9 +206,10 @@ class TestSeparableBound:
             assert bound <= joint + 1e-12 * abs(joint), (v, bound, joint)
 
     def test_per_axis_eps_probe(self, index_pair):
-        # the product section's parts at (r1, r2) = (2, 3) and (e^2, 20)
-        for v, per_axis, common in (((math.log(2.0), math.log(3.0)), 13.073, 13.817),
-                                    ((2.0, math.log(20.0)), 419.40, 420.63)):
+        # the product section's parts at (r1, r2) = (2, 3) and (e^2, 20): the
+        # per-axis eps* gains over the best common eps of the grid
+        for v, per_axis, common in (((math.log(2.0), math.log(3.0)), 13.073, 13.616),
+                                    ((2.0, math.log(20.0)), 419.40, 420.45)):
             bound, _ = multi_max_bound(index_pair, v)
             assert bound == pytest.approx(per_axis, abs=5e-3)
             assert _joint_scan(index_pair, v, 199) == pytest.approx(common, abs=5e-3)
