@@ -48,7 +48,8 @@ class GrowthFunction:
     it.  Without it, conjugate_at runs the adaptive search, whose window is
     capped in the profile's own units: WINDOW_HARD_CAP log-radius units on R,
     and entire.MAX_TERMS (the series kernel's term bound) on an index domain.
-    A capped value may fall short of the sup: the eps scan counts it as +inf.
+    The eps scan runs no search: it reads a decay without conj at the
+    integers, through its exact discrete conjugate (max_function_upper_bounds).
     """
 
     name: str
@@ -64,18 +65,13 @@ class GrowthFunction:
 
     def conjugate_at(self, ys):
         """Conjugate values at ys; returns (values, window saturated flag)."""
-        values, saturated = self._conjugate(ys)
-        return values, bool(np.any(saturated))
-
-    def _conjugate(self, ys):
-        """Conjugate values at ys and, per query, whether its window hit the cap."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if self.conj is not None:
             with np.errstate(over="ignore"):
-                return np.asarray(self.conj(ys), dtype=float), np.zeros(ys.shape, dtype=bool)
+                return np.asarray(self.conj(ys), dtype=float), False
         cap = WINDOW_HARD_CAP if self.domain_min is None else entire.MAX_TERMS
         table = conjugate_of_callable(self.fn, ys, x_min=self.domain_min, hard_cap=cap)
-        return table.gstars, table.saturated
+        return table.gstars, table.window_saturated
 
     def conjugate(self) -> "GrowthFunction":
         """The conjugate profile.  Its conjugate is this profile (fn** = fn
@@ -198,24 +194,54 @@ def index_decay(f: CoefficientSequence) -> GrowthFunction:
 
 def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
     """index_decay of a rule with a gamma_form: the hull is the rows
-    q(n) = -ln|c_n|, n = 0..N, so no row is built before a query needs it.
+    q(n) = -ln|c_n|, n = 0..N, so _row_decay reads them, each only once a
+    query needs it.  _first_rise starts from the inverse of q(n+1) - q(n) ~
+    a ln(a n + (a+1)/2) - b."""
+    a, b = f.gamma_form
+
+    def seed(ys):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.nan_to_num(np.ceil((np.exp((ys + b) / a) - (a - 1.0) / 2.0 - 1.0) / a),
+                                 nan=0.0)
+
+    return _row_decay(f"decay({f.name})", lambda ns: -f.log_abs_array(ns),
+                      f"{f.name}: rows are not convex, so its gamma_form {f.gamma_form} "
+                      f"is false", seed)
+
+
+def _integer_decay(Q: GrowthFunction) -> GrowthFunction:
+    """A decay without conj read at the integers: _row_decay of the rows
+    q(n) = Q(n), +inf below domain_min.  The reverse bound reads Q only at
+    the indices n, where the interpolant of these rows equals Q."""
+    lo = max(Q.domain_min or 0.0, 0.0)
+    q = Q if lo == 0.0 else lambda ns: np.where(ns < lo, np.inf, Q(np.maximum(ns, lo)))
+    return _row_decay(Q.name, q, f"{Q.name}: rows Q(n) are not convex", first=math.ceil(lo))
+
+
+def _row_decay(name: str, q, refusal: str, seed=None, first: int = 0) -> GrowthFunction:
+    """The convex decay whose rows are q(n), n = 0..N (N = entire.MAX_TERMS),
+    with its exact discrete conjugate; no row is built before a query needs
+    it.  q maps float indices to rows, +inf below first or past the last
+    finite row.
 
     Q is np.interp over the rows 0..M, M + 1 doubling as far as the largest
     x asked for (at most N + 1 rows), the same interpolant as over all N + 1
-    rows; rows that are not convex where they are built raise InputError.
-    Q*(y) runs the vertex kernel at k = min{n : q(n+1) - q(n) >= y} (N if
-    none), the hull's searchsorted index.  k is found on the rows' own
-    differences by _first_rise, seeded by inverting q(n+1) - q(n) ~
-    a ln(a n + (a+1)/2) - b.
+    rows, +inf off [0, N] and next to a row at +inf; rows that are not
+    convex where they are built raise InputError(refusal).  Q*(y) runs the
+    vertex kernel at k = min{n >= first : q(n+1) - q(n) >= y} (+inf - +inf
+    counts as a rise; N if none), the hull's searchsorted index, and is +inf
+    past the last slope q(N) - q(N-1).  k is found on the rows' own
+    differences by _first_rise, from seed(ys) if given, else from
+    searchsorted on the differences of the rows built so far (0 before any):
+    the seed moves only the probes, never k.
     """
     n_last = entire.MAX_TERMS
-    a, b = f.gamma_form
-    q = lambda ns: -f.log_abs_array(ns)
-    d_last = entire.last_slope(f)
-    xs = qs = np.zeros(0)
+    with np.errstate(invalid="ignore"):  # +inf - +inf: no last slope
+        d_last = float(np.diff(q(np.array([n_last - 1.0, n_last])))[0])
+    xs = qs = ds = np.zeros(0)
 
     def fn(x):
-        nonlocal xs, qs
+        nonlocal xs, qs, ds
         x = np.asarray(x, dtype=float)
         hi = np.max(x, initial=0.0)
         # every x inside [0, n_last] (never so with a NaN): no masks
@@ -229,9 +255,11 @@ def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
             size = min(size, n_last + 1)
             qs = np.concatenate([qs, q(np.arange(qs.size, size, dtype=float))])
             xs = np.arange(size, dtype=float)
-            if np.any(np.diff(qs, 2) < 0):
-                raise InputError(f"{f.name}: rows are not convex, so its gamma_form "
-                                 f"{f.gamma_form} is false")
+            with np.errstate(invalid="ignore"):
+                ds = np.diff(qs)
+            # convex: no difference below an earlier one (+inf rows only at the ends)
+            if np.any(ds < np.fmax.accumulate(ds)):
+                raise InputError(refusal)
         q_x = np.interp(x, xs, qs)
         return q_x if inside is None else np.where(inside, q_x, np.inf)
 
@@ -240,14 +268,14 @@ def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
         ys = y.ravel()
 
         def rises(ns, i):
-            """q(n+1) - q(n) >= y at the indices ns of the queries i."""
+            """q(n+1) - q(n) >= y (+inf - +inf too) and n >= first, at the
+            indices ns of the queries i."""
             qn = q(np.concatenate([ns, ns + 1]).astype(float)).reshape(2, -1)
-            return qn[1] - qn[0] >= ys[i]
+            with np.errstate(invalid="ignore"):
+                return ~(qn[1] - qn[0] < ys[i]) & (ns >= first)
 
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            seed = np.ceil((np.exp((ys + b) / a) - (a - 1.0) / 2.0 - 1.0) / a)
-        seed = np.clip(np.nan_to_num(seed, nan=0.0), 0, n_last).astype(np.int64)
-        k = _first_rise(rises, seed, n_last)
+        start = np.searchsorted(ds, ys) if seed is None else seed(ys)
+        k = _first_rise(rises, np.clip(start, 0, n_last).astype(np.int64), n_last)
         # vertices k-1, k, k+1 of query j sit at 3j, 3j+1, 3j+2
         cand = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, n_last)],
                         axis=1).ravel().astype(float)
@@ -255,7 +283,7 @@ def _gamma_form_decay(f: CoefficientSequence) -> GrowthFunction:
         out, _ = _vertex_conjugate(cand, q(cand), None, ys, mid, mid - 1, mid + 1)
         return np.where(ys > d_last, np.inf, out).reshape(y.shape)
 
-    return GrowthFunction(f"decay({f.name})", fn, domain_min=0.0, conj=conj)
+    return GrowthFunction(name, fn, domain_min=0.0, conj=conj)
 
 
 def _first_rise(rises, seed, n_max):
@@ -362,7 +390,8 @@ class EpsilonReport:
     """ln K, ln U and ln Y over the eps grid (see _eps_scan), and the
     minimizing eps: bound = ln Y(eps*) + Q*(v/(1 - eps*)) and S0 = Y(eps*),
     both NaN when the bound is +inf at every eps.  ln K is +inf at each eps
-    where Q*(v/(1 - eps)) is +inf or its search window hit its cap.
+    where Q*(v/(1 - eps)) is +inf.  For a decay without conj, Q* is the
+    discrete conjugate of its rows at the integers (max_function_upper_bounds).
     """
 
     eps_grid: np.ndarray
@@ -386,11 +415,10 @@ def _eps_scan(Q: GrowthFunction, vs: np.ndarray, eps_points: int):
     Each term of R_Q(v) splits two ways, n v - Q(n) = -eps Q(n) + (1-eps)(n y
     - Q(n)) and = ((1-eps) n y - Q((1-eps) n)) + Q((1-eps) n) - Q(n), so
     ln R_Q(v) <= ln Y + Q*(y) with Y = min(K, U), K = K0 e^(-eps Q*(y)) and
-    K0, U the K/U sums (k_sum, u_sum), which do not depend on v.  A Q*(y)
-    whose search window hit its cap may fall short, so it counts as +inf:
-    ln K is +inf where Q*(y) is, so the bound there is +inf, never too low.
-    Q*(y) = -inf means Q = +inf everywhere, so every coefficient vanishes
-    and there is nothing to bound: InputError.
+    K0, U the K/U sums (k_sum, u_sum), which do not depend on v.  ln K is
+    +inf where Q*(y) is, so the bound there is +inf.  Q*(y) = -inf means Q
+    = +inf everywhere, so every coefficient vanishes and there is nothing to
+    bound: InputError.
 
     One k_sum and one u_sum call cover the grid for every v.  Each zoom
     stage takes Q* at every v's own bracket (one conjugate call), then ln K0
@@ -401,10 +429,11 @@ def _eps_scan(Q: GrowthFunction, vs: np.ndarray, eps_points: int):
     """
 
     def qstar_at(eps):
-        values, capped = Q._conjugate((vs[:, None] / (1.0 - eps)).ravel())
+        with np.errstate(over="ignore"):
+            values = np.asarray(Q.conj((vs[:, None] / (1.0 - eps)).ravel()), dtype=float)
         if np.any(values == -np.inf):
             raise InputError(f"Q* = -inf for {Q.name}: its decay is +inf everywhere")
-        return np.where(capped, np.inf, values).reshape(eps.shape)
+        return values.reshape(eps.shape)
 
     def log_k(eps, qstar, ln_k0):
         with np.errstate(invalid="ignore"):  # inf - inf where K0 and Q* are both +inf
@@ -453,13 +482,17 @@ def max_function_upper_bounds(Q: GrowthFunction, vs,
     """Upper bounds on ln R_Q(v) (hence on ln M_f(e^v)) at each v of a 1-D
     array vs, from one eps scan over all of them.
 
-    Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  Returns (log_bounds, an
-    array over vs, and a tuple of one EpsilonReport per v).  Each bound is
-    min over eps of ln Y(eps) + Q*(v/(1-eps)) (see _eps_scan); K0 and U do
-    not depend on v, so their grid rows are summed once per block of up to
-    _V_BLOCK v, and each zoom stage sums every v's bracket in one call.  The
-    numbers for each v are those of max_function_upper_bound(Q, v), bit for
-    bit.
+    Hypothesis: |c_n| <= exp(-Q(n)) with Q convex.  The bound reads Q only
+    at the indices n, so a Q without conj is read at the integers: the scan
+    runs on the linear interpolant of its rows Q(n), n <= entire.MAX_TERMS,
+    which equals Q there, with that interpolant's exact discrete conjugate
+    (_integer_decay); rows that are not convex raise InputError.  Returns
+    (log_bounds, an array over vs, and a tuple of one EpsilonReport per v).
+    Each bound is min over eps of ln Y(eps) + Q*(v/(1-eps)) (see _eps_scan);
+    K0 and U do not depend on v, so their grid rows are summed once per
+    block of up to _V_BLOCK v, and each zoom stage sums every v's bracket in
+    one call.  The numbers for each v are those of
+    max_function_upper_bound(Q, v), bit for bit.
     """
     vs = np.asarray(vs, dtype=float)
     if vs.ndim != 1 or not vs.size:
@@ -476,6 +509,8 @@ def max_function_upper_bounds(Q: GrowthFunction, vs,
         if bad.size:
             raise InputError(
                 f"hypothesis |c_n| <= exp(-Q(n)) fails at n={int(ns[bad[0]])}")
+    if Q.conj is None:
+        Q = _integer_decay(Q)
     scans = [_eps_scan(Q, vs[i:i + _V_BLOCK], eps_points)
              for i in range(0, vs.size, _V_BLOCK)]
     return np.concatenate([b for b, _ in scans]), sum((r for _, r in scans), ())

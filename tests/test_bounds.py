@@ -13,6 +13,7 @@ from scipy.special import gammaln, logsumexp
 from entire_growth.bounds import (
     DEFAULT_EPS_POINTS,
     GrowthFunction,
+    _integer_decay,
     coeff_upper_bound,
     coeff_upper_bound_many,
     exp_of_exp,
@@ -295,6 +296,82 @@ class TestGammaFormDecay:
             assert peak < 8 * 2 ** 20, (f.name, peak)
 
 
+def _brute_conjugate(rows, ys):
+    """max over the rows n <= MAX_TERMS of n y - q(n), one y at a time."""
+    ns = np.arange(rows.size, dtype=float)
+    return np.array([np.max(ns * y - rows) for y in ys])
+
+
+def _convex_callables(seed):
+    """Seeded convex decays without conj: a lnGamma(x/rho + 1) + b x, c x^p
+    (1 < p < 3) and Stirling's x ln x - x."""
+    rng = np.random.default_rng(seed)
+    a, rho, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)
+    c, p = rng.uniform(0.1, 2.0), rng.uniform(1.0, 3.0)
+    return [GrowthFunction("gamma", lambda x: a * gammaln(np.asarray(x, float) / rho + 1.0)
+                           + b * np.asarray(x, float), domain_min=0.0),
+            GrowthFunction("power", lambda x: c * np.asarray(x, float) ** p, domain_min=0.0),
+            dataclasses.replace(stirling_decay(), conj=None)]
+
+
+class TestIntegerDecay:
+    """A decay without conj, read at the integers: the interpolant of its
+    rows n <= MAX_TERMS and their exact discrete conjugate."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_conjugate_is_max_over_rows(self, seed):
+        rng = np.random.default_rng(seed + 100)
+        for Q in _convex_callables(seed):
+            rows = Q(np.arange(MAX_TERMS + 1, dtype=float))
+            slopes = np.diff(rows)
+            ys = np.concatenate([rng.uniform(slopes[0] - 2.0, slopes[-1], 40),
+                                 rng.choice(slopes, 8), [slopes[-1] + 1e-9, slopes[-1] + 1.0]])
+            got = _integer_decay(Q).conj(ys)
+            past = ys > slopes[-1]
+            assert np.all(got[past] == np.inf), Q.name
+            assert got[~past].tobytes() == _brute_conjugate(rows, ys[~past]).tobytes(), Q.name
+
+    def test_interpolates_the_rows(self):
+        Q = _convex_callables(4)[0]
+        D = _integer_decay(Q)
+        ns = np.arange(3000.0)
+        assert D.fn(ns).tobytes() == Q(ns).tobytes()
+        xs = np.linspace(-1.0, 50.0, 501)
+        np.testing.assert_array_equal(D.fn(xs), np.where(xs < 0.0, np.inf,
+                                                         np.interp(xs, ns, Q(ns))))
+
+    def test_infinite_rows_at_both_ends(self):
+        # +inf below domain_min = 2.5 and past row 40 (c_n = 0 there): Q* is
+        # the max over the finite rows, finite at every y
+        Q = GrowthFunction("window", domain_min=2.5,
+                           fn=lambda x: np.where(x <= 40.0, (x - 9.0) ** 2 + x, np.inf))
+        ns = np.arange(3.0, 41.0)
+        ys = np.linspace(-30.0, 200.0, 231)
+        got = _integer_decay(Q).conj(ys)
+        assert got.tobytes() == np.array([np.max(ns * y - Q(ns)) for y in ys]).tobytes()
+        assert np.all(r_sum(Q, v) <= max_function_upper_bound(Q, v, eps_points=19)[0]
+                      for v in (-1.0, 2.0, 20.0))
+
+    def test_rows_that_are_not_convex_refused(self):
+        # concave rows, and +inf rows between finite ones
+        for fn in (np.log1p, lambda x: np.where((x > 5.0) & (x < 9.0), np.inf, x * x)):
+            with pytest.raises(InputError, match="not convex"):
+                _integer_decay(GrowthFunction("bad", fn, domain_min=0.0)).fn(np.arange(20.0))
+
+    def test_built_rows_seed_the_search(self):
+        # once its rows are built, a query reads Q at its seed, at one
+        # neighbour and at its three vertices: three calls per conj call
+        calls = []
+        Q = _convex_callables(5)[0]
+        D = _integer_decay(dataclasses.replace(
+            Q, fn=lambda x: calls.append(np.size(x)) or Q.fn(x)))
+        D.fn(np.arange(2000.0))
+        ys = np.diff(Q(np.arange(2000.0)))[[10, 500, 1500]] + 1e-3
+        calls.clear()
+        D.conj(ys)
+        assert len(calls) <= 3
+
+
 class TestAuxiliarySeries:
     def test_k_sum_geometric(self):
         # decay(n) = n gives the geometric series 1/(1 - e^-eps); k_sum is its ln
@@ -387,10 +464,11 @@ BATCHED = [
     # Q* = +inf at v = 15, past the rule's last slope: bound +inf, eps* NaN
     (index_decay(gamma_order_coefficients(2.0)), [-0.5, 1.0, 3.0, 15.0]),
     (index_decay(table_coefficients(-np.arange(60.0) ** 1.5)), [-2.0, 1.0, 7.0]),
-    # no conj: the adaptive search; its window caps at v = 7 (n* past MAX_TERMS)
+    # no conj: read at the integers; at v = 7 every y = v/(1-eps) lies past
+    # the last slope of the rows n <= MAX_TERMS (n* past MAX_TERMS), so +inf
     (GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
                     domain_min=0.0), [-1.0, 1.0, 7.0]),
-    # Stirling without its conj: its window caps at v = 14 (e^14 > MAX_TERMS)
+    # Stirling without its conj: +inf at v = 14 (e^14 > MAX_TERMS)
     (dataclasses.replace(stirling_decay(), conj=None), [-1.0, 2.0, 14.0]),
 ]
 BATCHED_IDS = ["stirling", "quadratic", "quadratic_70v", "index_exp", "index_order2", "table",
@@ -468,23 +546,16 @@ class TestZoomLevel:
 
 
 def _scan_digest(Q, vs, eps_points):
-    """sha-256 of every number of max_function_upper_bounds(Q, vs); for a
-    decay without conj, of (bound, eps*, S0) at each v but the last, where
-    the Q* window caps."""
-    result = max_function_upper_bounds(Q, vs, eps_points=eps_points)
-    if Q.conj is None:
-        bounds, reps = result
-        data = [np.array([bounds[i], r.bound, r.eps_star, r.S0]).tobytes()
-                for i, r in enumerate(reps[:-1])]
-    else:
-        data = _scan_bytes(result)
-    return hashlib.sha256(b"".join(data)).hexdigest()
+    """sha-256 of every number of max_function_upper_bounds(Q, vs)."""
+    return hashlib.sha256(b"".join(
+        _scan_bytes(max_function_upper_bounds(Q, vs, eps_points=eps_points)))).hexdigest()
 
 
 class TestScanBits:
-    # _scan_digest of each case at 19 and at the default 199 eps, taken
-    # before a capped Q* counted as +inf: every number at each v whose Q*
-    # window never caps keeps its bits
+    # _scan_digest of each case at 19 and at the default 199 eps.  The two
+    # decays without conj ("callable", "stirling_window") were pinned when
+    # the scan came to read them at the integers; every other case keeps
+    # the bits it had when a capped Q* came to count as +inf
     CASES = dict(zip(BATCHED_IDS, BATCHED),
                  double_exp=(exp_of_exp(1.9, 5.4).conjugate(), [1.0, 4.0]),
                  log_power=(power_log(1.0, 2.0).conjugate(), [1.0, 2.0, 10.0, 50.0]))
@@ -501,10 +572,10 @@ class TestScanBits:
         ("index_order2", 199): "e5768ea3da39a4875013cc005bcbd970a93f20b707c7c7d28f7f673708953635",
         ("table", 19): "f8b8b5d8db0d88e7f8e7b277b7a14d0dc042b80b0522d0a97407aed553304ed9",
         ("table", 199): "ed372d1161dc6095baabbf0f6082a17e9f0ca30b54ddef0cefb0f936a04bfca6",
-        ("callable", 19): "7c8b865c5adcce65ec8041c2b60b1a177463136c92873e37a98b22d63e946143",
-        ("callable", 199): "63ad290514ddb58752cd9f3d4ce7591b056ed90bbc5225089d14ec162d782cb8",
-        ("stirling_window", 19): "3b1441187a4f9099b31a4c88d7c50888cab4906c16c107ca722b2c42ffa1fa05",
-        ("stirling_window", 199): "a4a36b34e334e18a733b327add3bb53fe6701d6a4c1054c7da043c961af88b93",
+        ("callable", 19): "53738759bc9825ee3834cd36ef567b9fddad586d0142f40433835a6b6be9de38",
+        ("callable", 199): "d158fe04e3699c5ca8c394fd688e1324e0e169cb9c706a03c4e06fbe61116f99",
+        ("stirling_window", 19): "06e17c33e5d0e17c6b7e0c0dedc48abf7378a60d5dd79a8030b071b145d5d616",
+        ("stirling_window", 199): "bb4b669e85efa9729f2b9a4f90e9e8f6f2331e91010e60bf9f2552103f32d64d",
         ("double_exp", 19): "eda7dd73f0518b4baa3dc87c3d91688426c1e562bf19038685a6dd41a955cc83",
         ("double_exp", 199): "e99b3e80e0b7dd765041cc218311bb1453100265c3a1460c870a559396f5a702",
         ("log_power", 19): "4d5febdebb2a9f74b7f1cee1871e496387769d62bbd3b9bb451f43434afbf81c",
@@ -561,15 +632,15 @@ class TestMaxFunctionUpperBound:
 
     def test_capped_qstar_counts_as_infinite(self):
         # a user-built Stirling decay, without a closed conjugate, so Q* is
-        # the adaptive search; v = 2 and 7: its argmax e^(v/(1-eps*)) lies
-        # inside the index window
+        # that of its rows n <= MAX_TERMS; v = 2 and 7: its argmax
+        # e^(v/(1-eps*)) lies inside them
         Q = GrowthFunction("stirling", stirling_decay().fn, domain_min=0.0)
         for v in (2.0, 7.0):
             bound, rep = max_function_upper_bound(Q, v)
             assert r_sum(Q, v) <= bound < math.inf
             assert 0.0 < rep.eps_star < 1.0
-        # v = 14: e^14 > 10^6 = MAX_TERMS, past the cap of an index domain at
-        # every eps, so ln K and the bound are +inf there
+        # v = 14: e^14 > 10^6 = MAX_TERMS, so y = v/(1-eps) lies past the
+        # rows' last slope at every eps: ln K and the bound are +inf there
         bound, rep = max_function_upper_bound(Q, 14.0, eps_points=9)
         assert bound == rep.bound == math.inf
         assert math.isnan(rep.eps_star) and math.isnan(rep.S0)
@@ -580,19 +651,20 @@ class TestMaxFunctionUpperBound:
         bound, _ = max_function_upper_bound(stirling_decay(), 14.0, eps_points=9)
         assert math.exp(14.0) <= bound < math.inf
 
-    def test_one_search_per_stage(self, monkeypatch):
-        # one adaptive search on the grid and one per zoom stage, none after;
-        # every one caps, so the bound is +inf
+    def test_no_search_in_scan(self, monkeypatch):
+        # a decay without conj is read at the integers: no adaptive search;
+        # at v = 7 its argmax lies past MAX_TERMS at every eps, so +inf
         from entire_growth import bounds
-        searches = []
-        search = bounds.conjugate_of_callable
-        monkeypatch.setattr(bounds, "conjugate_of_callable",
-                            lambda *a, **k: searches.append(1) or search(*a, **k))
+
+        def no_search(*a, **k):
+            raise AssertionError("conjugate_of_callable ran")
+
+        monkeypatch.setattr(bounds, "conjugate_of_callable", no_search)
         Q = GrowthFunction("order2", lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0),
                            domain_min=0.0)
+        assert r_sum(Q, 1.0) <= max_function_upper_bound(Q, 1.0)[0] < math.inf
         bound, rep = max_function_upper_bound(Q, 7.0)
         assert bound == math.inf and math.isnan(rep.eps_star)
-        assert len(searches) == 1 + bounds.ZOOM_STAGES
 
     @pytest.mark.parametrize("family, v", [("stirling", 7.0), ("stirling", 9.0),
                                            ("order2", 3.25), ("order2", 3.5),
@@ -620,17 +692,46 @@ class TestMaxFunctionUpperBound:
     def test_refinement_not_above_golden_search(self, Q, v, golden):
         # golden: the bound a 24-step golden-section refinement of the same
         # bracket gives; the zoom must not exceed it by more than 1e-12, nor
-        # the minimum over the eps grid at all
+        # the minimum over the eps grid at all.  The decay without conj is
+        # read at the integers: its rows' interpolant and discrete conjugate
+        D = Q if Q.conj is not None else _integer_decay(Q)
         bound, rep = max_function_upper_bound(Q, v)
         assert bound <= golden + 1e-12
-        qstar, _ = Q.conjugate_at(v / (1.0 - rep.eps_grid))
+        qstar, _ = D.conjugate_at(v / (1.0 - rep.eps_grid))
         assert bound <= np.min(rep.ln_y + qstar)
         # bound = ln S0 + Q*(y*), S0 = Y(eps*) = min(K0 e^(-eps* Q*(y*)), U)
         e = rep.eps_star
-        q_star = float(Q.conjugate_at(v / (1.0 - e))[0][0])
+        q_star = float(D.conjugate_at(v / (1.0 - e))[0][0])
         assert bound == pytest.approx(math.log(rep.S0) + q_star, rel=1e-14)
-        assert math.log(rep.S0) == pytest.approx(min(k_sum(Q.fn, e) - e * q_star,
-                                                     u_sum(Q.fn, e)), rel=1e-12)
+        assert math.log(rep.S0) == pytest.approx(min(k_sum(D.fn, e) - e * q_star,
+                                                     u_sum(D.fn, e)), rel=1e-12)
+
+    # the bounds of the decays without conj when the scan took their Q* from
+    # the golden search over the reals.  Read at the integers, Q* is never
+    # larger, but U reads the rows' interpolant, which lies above a convex Q
+    # between the rows.  At order2 v = -1, where Q*(v/(1-eps)) = 0 either
+    # way, that alone moves the bound up: 1.53998 -> 1.56042 (ln R = 0.4697)
+    SEARCHED = {("order2", -1.0): 1.5399820318853852, ("order2", 1.0): 9.04020205622913,
+                ("order2", 2.5): 152.7868514613511, ("order2", 3.5): 1130.5733899575218,
+                ("order2", 4.0): 3087.5788744822994, ("stirling", 0.0): 1.8867417627424539,
+                ("stirling", 2.0): 10.327167124510762, ("stirling", 7.0): 1134.3116651593334,
+                ("exp_decay", 2.5): 13.415312129131364}
+    ROSE = {("order2", -1.0): 1.5604241220046116}
+
+    @pytest.mark.parametrize("case", list(SEARCHED), ids=[f"{c}-{v}" for c, v in SEARCHED])
+    def test_not_above_the_search(self, case):
+        name, v = case
+        Q = {"order2": GrowthFunction("order2", domain_min=0.0,
+                                      fn=lambda n: gammaln(np.asarray(n, float) / 2.0 + 1.0)),
+             "stirling": dataclasses.replace(stirling_decay(), conj=None),
+             "exp_decay": GrowthFunction("exp_decay", domain_min=0.0,
+                                         fn=lambda n: gammaln(np.maximum(n, 0.0) + 1.0))}[name]
+        bound, _ = max_function_upper_bound(Q, v)
+        assert r_sum(Q, v) <= bound
+        if case in self.ROSE:
+            assert bound == self.ROSE[case]
+        else:
+            assert bound <= self.SEARCHED[case]
 
     @pytest.mark.parametrize("v", [-1.0, 0.0, 1.0])
     def test_positive_decay(self, v):
@@ -640,11 +741,11 @@ class TestMaxFunctionUpperBound:
                            domain_min=0.0)
         bound, rep = max_function_upper_bound(Q, v, eps_points=39)
         assert r_sum(Q, v) <= bound
-        # ln K is finite wherever the Q* search did not cap, +inf where it did
-        # (at v = 1, y = v/(1 - eps) passes ln MAX_TERMS at the last two eps)
-        _, capped = Q._conjugate(v / (1.0 - rep.eps_grid))
-        np.testing.assert_array_equal(np.isfinite(rep.ln_k), ~capped)
-        assert np.sum(capped) == (2 if v == 1.0 else 0)
+        # ln K is finite wherever Q* of the rows n <= MAX_TERMS is, +inf past
+        # their last slope ln MAX_TERMS (at v = 1, the last two eps)
+        qstar = _integer_decay(Q).conj(v / (1.0 - rep.eps_grid))
+        np.testing.assert_array_equal(np.isfinite(rep.ln_k), np.isfinite(qstar))
+        assert np.sum(qstar == np.inf) == (2 if v == 1.0 else 0)
 
     def test_conjugate_decays(self):
         # the CLI decays of log_power_growth and double_exp: conjugates of
@@ -704,11 +805,16 @@ class TestMaxFunctionUpperBound:
             max_function_upper_bound(Q, 1.0, coeffs=exp_coefficients())
 
     def test_no_finite_bound(self):
-        # logarithmic decay: both K and U diverge at every eps
+        # Q = 0: Q*(y) = +inf for y > 0, so K is +inf at every eps, and U
+        # sums exp(0) forever
+        Q = GrowthFunction("zero", lambda n: np.zeros(np.shape(n)), domain_min=0.0)
+        with pytest.raises(NoFiniteBoundError):
+            max_function_upper_bound(Q, 0.5, eps_points=19)
+        # a logarithmic decay is concave, against the bound's hypothesis
         Q = GrowthFunction("log_decay",
                            lambda n: np.log1p(np.asarray(n, float)),
                            domain_min=0.0)
-        with pytest.raises(NoFiniteBoundError):
+        with pytest.raises(InputError, match="not convex"):
             max_function_upper_bound(Q, 0.5, eps_points=19)
 
 

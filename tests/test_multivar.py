@@ -122,7 +122,8 @@ class TestMultiMaxBound:
 
     def test_all_infinite_decay_refused(self):
         # Q = +inf everywhere: Q* = -inf and ln Y = +inf, whose sum is NaN;
-        # the scan refuses the input instead of adding them
+        # the scan refuses the input instead of adding them (and its rows'
+        # last slope, +inf - +inf, warns of nothing)
         from entire_growth.bounds import GrowthFunction
         Q = GrowthFunction("inf", lambda n: np.full(np.shape(n), np.inf), domain_min=0.0)
         with pytest.raises(InputError, match="Q\\* = -inf"):
@@ -145,9 +146,9 @@ class TestMultiMaxBound:
 
     def test_capped_qstar_counts_as_infinite(self):
         from entire_growth.bounds import quadratic_decay, stirling_decay
-        # a user-built Stirling decay searches an index window capped at
-        # MAX_TERMS = 10^6 < e^14, so its axis bound, and the sum, are +inf;
-        # the closed form has no window
+        # a user-built Stirling decay is read at its rows n <= MAX_TERMS =
+        # 10^6 < e^14, whose last slope every y = 14/(1-eps) passes, so its
+        # axis bound, and the sum, are +inf; the closed form has no last row
         user = dataclasses.replace(stirling_decay(), conj=None)
         Q = MultiGrowthFunction.from_separable([user, quadratic_decay(0.5)])
         bound, (rep1, rep2) = multi_max_bound(Q, (14.0, 1.0), eps_points=9)
