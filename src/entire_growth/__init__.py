@@ -31,7 +31,6 @@ from .legendre import (
     conjugate_nd,
     conjugate_of_callable,
     conjugate_point,
-    young_gap,
 )
 from .bounds import (
     EpsilonReport,

@@ -1,8 +1,8 @@
 """Young-Fenchel (Legendre) conjugation engine.
 
 Discrete 1-D and d-dimensional conjugates g*(y) = sup_x (x.y - g(x)),
-biconjugates, Young-inequality gaps, and an adaptive-window conjugate for
-closed-form convex functions.  All routines work on extended reals: +inf
+the biconjugate (the lower convex envelope, read off the same hull), and
+an adaptive-window conjugate for closed-form convex functions.  All routines work on extended reals: +inf
 marks points outside the domain of g; -inf is never a valid sample.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DomainDegenerateError,
-    ExtrapolationError,
     InputError,
     UnsupportedDimensionError,
 )
@@ -42,6 +41,8 @@ class SampledFunction1D:
     """A function g sampled on a strictly increasing grid.
 
     Values may be +inf to mark points outside Dom[g]; -inf is rejected.
+    The samples are not copied and must not change: the lower hull is
+    built on the first conjugation and kept.
     """
 
     xs: np.ndarray
@@ -59,12 +60,10 @@ class SampledFunction1D:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", gs)
 
-    @classmethod
-    def from_callable(cls, fn, lo: float, hi: float, num: int) -> "SampledFunction1D":
-        xs = np.linspace(lo, hi, num)
-        with np.errstate(over="ignore"):
-            gs = np.asarray(fn(xs), dtype=float)
-        return cls(xs, gs)
+    @functools.cached_property
+    def hull(self):
+        """(hx, hg, slopes) of the lower hull (_hull), built once."""
+        return _hull(self.xs, self.gs)
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,6 @@ class ConjugateTable:
     def window_saturated(self) -> bool:
         """Some query's window hit its cap."""
         return self.saturated is not None and bool(np.any(self.saturated))
-
-    def convexity_defect(self) -> float:
-        """Most negative discrete second difference of g* (0 for convex tables)."""
-        if self.ys.size < 3:
-            return 0.0
-        d1 = np.diff(self.gstars) / np.diff(self.ys)
-        return float(min(np.min(np.diff(d1)), 0.0))
-
-    def check_convex(self, tol: Optional[float] = None) -> bool:
-        if tol is None:
-            scale = float(np.max(np.abs(self.gstars[np.isfinite(self.gstars)]), initial=1.0))
-            tol = 1e-12 * max(scale, 1.0)
-        return self.convexity_defect() >= -tol
 
 
 # Points the hull passes may visit, per sample; past it the merge finishes.
@@ -199,7 +185,7 @@ def conjugate_1d(g: SampledFunction1D, ys) -> ConjugateTable:
     go to the smallest x.  Elementwise in ys, which may come in any order.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    hx, hg, slopes = _hull(g.xs, g.gs)
+    hx, hg, slopes = g.hull
     vals, k = _vertex_conjugate(hx, hg, slopes, ys)
     return ConjugateTable(ys, vals, hx[k])
 
@@ -215,36 +201,23 @@ def conjugate_1d_bruteforce(g: SampledFunction1D, ys) -> ConjugateTable:
 
 
 def biconjugate_1d(g: SampledFunction1D, xs_out) -> ConjugateTable:
-    """Double conjugate on xs_out: the convex envelope of the samples.
+    """Double conjugate on xs_out: the lower convex envelope of the samples
+    (Fenchel-Moreau), read off the hull of conjugate_1d.
 
-    The intermediate y-grid is the set of hull edge slopes, which makes the
-    second conjugation exact for the sampled envelope.
+    Each x takes the hull edge e that spans it, or past either end of the
+    hull the first or last edge (the envelope's linear extension), and the
+    value hg[e] + s_e (x - hx[e]); at a hull vertex, g itself, bit for bit.
+    argmax_xs is s_e, the maximizing y of the double conjugate: the smaller
+    slope at a vertex.
     """
     xs_out = np.atleast_1d(np.asarray(xs_out, dtype=float))
-    hx, hg, slopes = _hull(g.xs, g.gs)
-    ys = np.unique(slopes)
-    gstar, _ = _vertex_conjugate(hx, hg, slopes, ys)
-    hy, hs, breaks = _hull(ys, gstar)
-    vals, k = _vertex_conjugate(hy, hs, breaks, xs_out)
-    return ConjugateTable(xs_out, vals, hy[k])
-
-
-def young_gap(g: SampledFunction1D, x: float, y: float, gamma: float) -> float:
-    """Gap g(gamma*x) + g*(y/gamma) - x*y of the generalized Young inequality.
-
-    g is evaluated by linear interpolation between samples; queries outside
-    the sampled window raise.  The gap is >= 0 up to interpolation error.
-    """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    finite = np.isfinite(g.gs)
-    xs, gs = g.xs[finite], g.gs[finite]
-    q = gamma * x
-    if q < xs[0] or q > xs[-1]:
-        raise ExtrapolationError(f"gamma*x = {q} outside sampled window [{xs[0]}, {xs[-1]}]")
-    g_at = float(np.interp(q, xs, gs))
-    gstar = conjugate_1d(g, [y / gamma]).gstars[0]
-    return g_at + gstar - x * y
+    hx, hg, slopes = g.hull
+    e = np.searchsorted(hx[1:-1], xs_out)  # hx[e] < x <= hx[e + 1] inside the hull
+    s = slopes[e]
+    vals = hg[e] + s * (xs_out - hx[e])
+    at = xs_out == hx[1:][e]
+    vals[at] = hg[1:][e[at]]
+    return ConjugateTable(xs_out, vals, s)
 
 
 @dataclass(frozen=True)
