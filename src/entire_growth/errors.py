@@ -13,10 +13,6 @@ class DomainDegenerateError(EntireGrowthError):
     """Fewer than two finite samples; the conjugate is degenerate."""
 
 
-class ExtrapolationError(EntireGrowthError):
-    """Query point falls outside the sampled window."""
-
-
 class UnsupportedDimensionError(EntireGrowthError):
     """Requested dimension above the supported cap (d <= 3)."""
 

@@ -1,9 +1,10 @@
 """Young-Fenchel (Legendre) conjugation engine.
 
 Discrete 1-D and d-dimensional conjugates g*(y) = sup_x (x.y - g(x)),
-the biconjugate (the lower convex envelope, read off the same hull), and
-an adaptive-window conjugate for closed-form convex functions.  All routines work on extended reals: +inf
-marks points outside the domain of g; -inf is never a valid sample.
+the 1-D biconjugate (the lower convex envelope, read off the same hull),
+and an adaptive-window conjugate for closed-form convex functions.  All
+routines work on extended reals: +inf marks points outside the domain of
+g; -inf is never a valid sample.
 """
 
 from __future__ import annotations
