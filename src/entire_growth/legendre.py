@@ -26,6 +26,7 @@ from .errors import (
 WINDOW_HARD_CAP = 700.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def _as_increasing_array(xs, name: str, min_size: int = 2) -> np.ndarray:
@@ -235,26 +236,35 @@ def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     """Vectorized golden-section maximization of a concave h on [lo, hi].
 
     h maps a stack of k probe rows, shape (k,) + lo.shape, to its values,
-    so each step evaluates both inner points in one call.  120 steps shrink
-    the bracket by 0.618^120 ~ 1e-25 of its width.  A step's whole state is
-    (lo, hi), so the search stops at the first step that leaves every
-    bracket bit for bit unchanged: the rest would too.
+    so each step evaluates both inner points in one call.  A query stays
+    live while hi - lo > sqrt(eps) (1 + |lo| + |hi|), Brent's tolerance on
+    its current bracket.  Near its max x* a smooth h falls by h''(x - x*)^2
+    / 2, about an ulp of h once |x - x*| ~ sqrt(eps) |x|, so past that
+    width the two probe values differ only by rounding (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5).  A query that is
+    no longer live keeps its bracket, so the search is elementwise in the
+    queries; it ends when none is live, after at most 120 steps.  The
+    argmax is the first maximum of h over (midpoint, lo, hi), in one call:
+    a bracket closed on an edge of the window returns that edge exactly.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     for _ in range(120):
+        live = hi - lo > _SQRT_EPS * (1.0 + np.abs(lo) + np.abs(hi))
+        if not live.any():
+            break
         step = _INVPHI * (hi - lo)
         probes = np.empty((2,) + lo.shape)
         c = np.subtract(hi, step, out=probes[0])
         d = np.add(lo, step, out=probes[1])
         hc, hd = h(probes)
         left = hc >= hd  # keep smaller x on ties
-        new_lo, new_hi = np.where(left, lo, c), np.where(left, d, hi)
-        if new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes():
-            break
-        lo, hi = new_lo, new_hi
-    mid = 0.5 * (lo + hi)
-    return mid, h(mid[None])[0]
+        lo, hi = np.where(live & ~left, c, lo), np.where(live & left, d, hi)
+    points = np.stack((0.5 * (lo + hi), lo, hi))
+    vals = h(points)
+    best = np.argmax(vals, axis=0)[None]  # the first maximum: the midpoint on ties
+    return (np.take_along_axis(points, best, axis=0)[0],
+            np.take_along_axis(vals, best, axis=0)[0])
 
 
 def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
@@ -265,7 +275,9 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
     Each window edge doubles while h(x) = x*y - fn(x) still rises across the
     edge's last unit, up to the hard cap.  h is concave, so an edge where it
     no longer rises proves the argmax lies inside; one golden-section search
-    on the final window then finds it.  An edge at the cap sets the saturated
+    on the final window then finds it, to Brent's tolerance on each bracket
+    (_golden_max).  A window that capped with h still rising there returns
+    the cap itself as its argmax.  An edge at the cap sets the saturated
     flag while h still rises there by more than 1e-12 (1 + |value|); a
     supremum approached only at infinity (e.g. sup_x -e^x = 0) is not
     flagged.  x_min pins the left edge of Dom[fn] (e.g. 0 for index-domain
@@ -273,7 +285,8 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
     one-query calls bit for bit.  For m queries, each expansion step
     evaluates fn once, on the edge and inner probes of both free sides (2m
     points per side), and so does each golden step, on the 2m points of
-    both probes.  Returns a ConjugateTable (ys need not be sorted).
+    both probes; the search ends with one call on 3m points.  Returns a
+    ConjugateTable (ys need not be sorted).
     """
     ys_arr = np.atleast_1d(np.asarray(ys, dtype=float))
     # ys once per probe row: a multiply without broadcasting is faster
