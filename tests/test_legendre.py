@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from entire_growth import legendre
-from entire_growth.bounds import power_log, stirling_decay
+from entire_growth.bounds import exp_of_exp, power_log, power_of_exp, stirling_decay
 from entire_growth.entire import MAX_TERMS, table_coefficients
 from entire_growth.errors import (
     DomainDegenerateError,
@@ -29,6 +29,7 @@ from entire_growth.legendre import (
     conjugate_of_callable,
     conjugate_point,
 )
+from entire_growth.probgen import poisson_growth
 
 
 def random_sampled(rng, convex=False, max_samples=512):
@@ -405,30 +406,63 @@ def golden_120(h, lo, hi):
     return mid, h(mid)
 
 
+_EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
+
+# h takes query rows on its last axis: golden_120 passes one probe, shape
+# (4,), and _golden_max a stack of probes, shape (k, 4)
+GOLDEN_ROWS = {
+    # flat top on [-1, 1]
+    "flat_top": (lambda x: -np.maximum(np.abs(x) - 1.0, 0.0),
+                 [-5.0, -3.0, -0.5, -700.0], [5.0, 0.5, 4.0, 700.0]),
+    # unique interior max at 1.5 and 5, still rising at the cap 700 in the
+    # last two rows
+    "bracket_at_cap": (lambda x: np.array([3.0, 10.0, 2000.0, 1e6]) * x - x * x,
+                       [0.0, 0.0, 0.0, 0.0], [700.0, 700.0, 700.0, 700.0]),
+}
+
+
+def _golden_rows(name):
+    h, lo, hi = GOLDEN_ROWS[name]
+    calls = []
+    arg, val = _golden_max(lambda x: calls.append(1) or h(x), lo, hi)
+    return arg, val, golden_120(h, lo, hi), len(calls)
+
+
 class TestGoldenMax:
-    # h takes query rows on its last axis: golden_120 passes one probe,
-    # shape (4,), and _golden_max a stack of probes, shape (k, 4)
-    @pytest.mark.parametrize("h, lo, hi", [
-        # flat top on [-1, 1]: ties keep the smaller x
-        (lambda x: -np.maximum(np.abs(x) - 1.0, 0.0),
-         [-5.0, -3.0, -0.5, -700.0], [5.0, 0.5, 4.0, 700.0]),
-        # still rising at the cap 700 in the last two rows
-        (lambda x: np.array([3.0, 10.0, 2000.0, 1e6]) * x - x * x,
-         [0.0, 0.0, 0.0, 0.0], [700.0, 700.0, 700.0, 700.0])],
-        ids=["flat_top", "bracket_at_cap"])
-    def test_stops_at_fixed_point_with_120_step_bits(self, h, lo, hi):
-        calls = []
-        arg, val = _golden_max(lambda x: calls.append(1) or h(x), lo, hi)
-        ref_arg, ref_val = golden_120(h, lo, hi)
-        assert arg.tobytes() == ref_arg.tobytes() and val.tobytes() == ref_val.tobytes()
+    @pytest.mark.parametrize("name", list(GOLDEN_ROWS))
+    def test_values_near_120_steps_and_batch_bits(self, name):
+        h, lo, hi = GOLDEN_ROWS[name]
+        arg, val, (ref_arg, ref_val), calls = _golden_rows(name)
+        assert np.all(np.abs(val - ref_val) <= 1e-14 * (1.0 + np.abs(ref_val)))
         # one call per step (at most 120), on both probes, and one on the
-        # midpoint
-        assert len(calls) <= 120 + 1
+        # midpoint and both edges
+        assert calls <= 120 + 1
         # one row at a time gives the same bits as the batch
         for i in range(len(lo)):
-            one = _golden_max(lambda x: h(np.repeat(x, 4, axis=1))[:, i:i + 1],
+            one = _golden_max(lambda x: h(np.repeat(x, 4, axis=-1))[..., i:i + 1],
                               lo[i:i + 1], hi[i:i + 1])
             assert one[0].tobytes() == arg[i:i + 1].tobytes()
+            assert one[1].tobytes() == val[i:i + 1].tobytes()
+
+    def test_flat_top_argmax_inside_the_top(self):
+        arg = _golden_rows("flat_top")[0]
+        assert np.all(np.abs(arg) <= 1.0)
+
+    def test_argmax_within_brent_tolerance_or_at_the_cap(self):
+        arg, _, (ref_arg, _), _ = _golden_rows("bracket_at_cap")
+        # 3x - x^2 and 10x - x^2: a unique interior max
+        assert np.all(np.abs(arg[:2] - ref_arg[:2]) <= _SQRT_EPS * (1.0 + 2.0 * np.abs(ref_arg[:2])))
+        # still rising at 700: the cap itself
+        assert np.all(arg[2:] == 700.0)
+
+    def test_max_at_left_edge_zero_stops_early(self):
+        # floats are dense near 0: a bracket closing on it never reached a
+        # bit-level fixed point, and took all 121 calls
+        calls = []
+        arg, val = _golden_max(lambda x: calls.append(1) or -x, [0.0], [4.0])
+        assert arg[0] == 0.0 and val[0] == 0.0
+        assert len(calls) <= 50
 
 
 def _table_profile(seed=2203, size=300):
@@ -462,16 +496,46 @@ def _search_digest(table):
                           + table.saturated.tobytes()).hexdigest()
 
 
+# closed-form conjugates of the _search_cases with one
+SEARCH_EXACT = {
+    "exp": lambda y: xlogy(y, y) - y,
+    "square": lambda y: y * y / 4.0,
+    "stirling": np.exp,
+    "power_log": lambda y: y * y / 4.0,
+}
+
+
+def _assert_near_closed_form(table, exact):
+    """Unsaturated values within 2e-14 (1 + |exact|) of the closed form and
+    never above it by more than 16 ulps of 1 + |exact|: the closed forms
+    round too."""
+    ok = ~table.saturated
+    g, ex = table.gstars[ok], exact(table.ys[ok])
+    scale = 1.0 + np.abs(ex)
+    assert np.all(np.abs(g - ex) <= 2e-14 * scale)
+    assert np.all(g - ex <= 16.0 * _EPS * scale)
+
+
 class TestAdaptiveSearchBits:
-    # sha-256 of (gstars, argmax_xs, saturated) per case, taken before the
-    # search evaluated both golden probes in one call: a speed edit to the
-    # search must keep every bit
+    # sha-256 of (gstars, argmax_xs, saturated) per case, taken once the
+    # search stopped at Brent's tolerance and returned the best of its
+    # midpoint and edges, behind the closed-form checks: a speed edit to
+    # the search must keep every bit
     DIGESTS = {
-        "exp": "3b0b8980c7bfc082de5c4d590df9d9d4140f4fad0255b79502fd9d32ba90c3f2",
-        "square": "c02fdb0c0913a785a6ac2b24abc3edee9b8a3fac5358ca6e6122281f7604d901",
-        "stirling": "08888cd8142cbf217bceadcad1f6ee82dd9780b89379e914e9e186d0987a77bf",
-        "table": "7f0d2413a2a6c9da00a8a8ac8c3882fe76f36114f7346cfbb118fbf926c1b4fe",
-        "power_log": "df2a08b39ea98d4293825b6e2225c13858661354e7c0e003599dd1a5033d2b4d",
+        "exp": "d3c956a491ddc1feb2af1c4762f70fbcc28ac6e80e3642073d7c4b41098788cc",
+        "square": "2f3e1d0399ff5c4464b44b8d40cb6ec50e2ded5c9daa1de87bbeefb1bcb1bcc6",
+        "stirling": "e7a8edde5cd20e7e5f4c6859a385b703cb1cfe21c7dc7dd8a796e351e1698f4f",
+        "table": "b56b1dc6b0500778402cd2fb4b8007660e0a30a830ae02b9e507c9195310ba8b",
+        "power_log": "8d4b92e53b8abd4f8f14ce4c406f88b45682bf2889785dabc435551b0b7d0cef",
+    }
+    # flat indices of the saturated queries, as the 120-step search flagged
+    # them
+    SATURATED = {
+        "exp": [0, 38],
+        "square": [0, 1, 39, 40],
+        "stirling": [39, 40],
+        "table": [11],
+        "power_log": list(range(1399, 2000)),
     }
 
     @pytest.mark.parametrize("case", list(DIGESTS))
@@ -483,16 +547,31 @@ class TestAdaptiveSearchBits:
         monkeypatch.setattr(legendre, "_golden_max",
                             lambda *a: search_from.append(len(sizes)) or golden(*a))
         t = conjugate_of_callable(lambda x: sizes.append(np.size(x)) or fn(x), ys, **kwargs)
+        assert np.flatnonzero(t.saturated).tolist() == self.SATURATED[case]
+        if case in SEARCH_EXACT:
+            _assert_near_closed_form(t, SEARCH_EXACT[case])
         assert _search_digest(t) == self.DIGESTS[case]
-        assert t.window_saturated
         # one call per window-expansion step, on the edge and inner probes
         # of each free side; then one per golden step, on both probes, and
-        # one on the final midpoint
+        # one on the midpoint and both edges
         m, sides = ys.size, 1 if "x_min" in kwargs else 2
         expand, search = sizes[:search_from[0]], sizes[search_from[0]:]
         assert expand and set(expand) == {2 * sides * m}
-        assert search[:-1] == [2 * m] * (len(search) - 1) and search[-1] == m
+        assert search[:-1] == [2 * m] * (len(search) - 1) and search[-1] == 3 * m
         assert len(search) <= 120 + 1
+
+    def test_seeded_growth_profiles_near_closed_form(self):
+        # the bench's conjugate-kernels profiles, 12 draws per family in its
+        # parameter ranges, on the index grid n = 1..2000
+        rng = np.random.default_rng(3001)
+        u = lambda lo, hi: float(rng.uniform(lo, hi))
+        ns = np.arange(1.0, 2001.0)
+        for _ in range(12):
+            for p in (power_of_exp(u(0.8, 1.25), u(0.8, 1.25)), power_log(u(1.0, 2.0), u(2.5, 3.0)),
+                      exp_of_exp(u(0.8, 1.25), u(0.8, 1.25)), poisson_growth(u(1.0, 4.0))):
+                t = conjugate_of_callable(p.fn, ns, x_min=p.domain_min)
+                assert not t.window_saturated
+                _assert_near_closed_form(t, p.conj)
 
 
 def _kernel_sample(kind, size, seed=4099):
