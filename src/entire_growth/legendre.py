@@ -262,9 +262,8 @@ def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
         lo, hi = np.where(live & ~left, c, lo), np.where(live & left, d, hi)
     points = np.stack((0.5 * (lo + hi), lo, hi))
     vals = h(points)
-    best = np.argmax(vals, axis=0)[None]  # the first maximum: the midpoint on ties
-    return (np.take_along_axis(points, best, axis=0)[0],
-            np.take_along_axis(vals, best, axis=0)[0])
+    best = np.argmax(vals, axis=0)  # the first maximum: the midpoint on ties
+    return np.choose(best, points), np.choose(best, vals)
 
 
 def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
