@@ -2,33 +2,29 @@
 
 Core pieces: a discrete/adaptive Young-Fenchel conjugation engine, Taylor
 coefficient models with maximal-function evaluation, the K/U/Y reverse-bound
-machinery with Tauberian ratio diagnostics, regularly varying growth scales,
-a several-variables extension, and probability generating functions.
+machinery with Tauberian ratio diagnostics, the paper's worked examples, a
+separable several-variables extension, and probability generating
+functions.
 """
 
 from .entire import (
     ZERO,
     CoefficientSequence,
     coefficients_from_csv,
-    derivative_coeffs,
     exp_coefficients,
     gamma_order_coefficients,
-    gaussian_coefficients,
     log_max_function,
     order_estimate,
     polynomial_coefficients,
-    power_decay_coefficients,
     table_coefficients,
     type_estimate,
 )
 from .legendre import (
     ConjugateTable,
     SampledFunction1D,
-    SampledFunctionND,
     biconjugate_1d,
     conjugate_1d,
     conjugate_1d_bruteforce,
-    conjugate_nd,
     conjugate_of_callable,
     conjugate_point,
 )
@@ -52,17 +48,7 @@ from .bounds import (
     tauberian_report,
     u_sum,
 )
-from .scales import (
-    RegVarScale,
-    conjugate_asymptotic,
-    conjugate_numeric,
-    conjugate_ratio,
-    example_31_check,
-    example_33_check,
-    phi_scale,
-    psi_scale,
-    refined_decay_profile,
-)
+from .scales import example_31_check, example_33_check
 from .multivar import (
     MultiGrowthFunction,
     factorizable_demo,
@@ -72,10 +58,7 @@ from .multivar import (
 )
 from .probgen import (
     DiscreteDistribution,
-    degenerate,
-    distribution_from_csv,
     generating_function_log,
-    geometric,
     poisson,
     poisson_growth,
     prob_tauberian_report,

@@ -116,25 +116,6 @@ def gamma_order_coefficients(rho: float, c4: float = 1.0) -> CoefficientSequence
                                gamma_form=(1.0 / rho, math.log(c4) / rho))
 
 
-def power_decay_coefficients(alpha: float) -> CoefficientSequence:
-    """c_0 = 1 and c_n = n^(-alpha*n) for n >= 1."""
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-
-    def la(n):
-        n = np.asarray(n, dtype=float)
-        return np.where(n > 0, -alpha * n * np.log(np.maximum(n, 1.0)), 0.0)
-
-    return CoefficientSequence(f"power_decay(alpha={alpha:g})", la)
-
-
-def gaussian_coefficients(a: float = 1.0) -> CoefficientSequence:
-    """c_n = exp(-a*n^2)."""
-    if a <= 0:
-        raise InputError("a must be positive")
-    return CoefficientSequence(f"gaussian(a={a:g})", lambda n: -a * np.asarray(n, float) ** 2)
-
-
 def table_coefficients(log_abs_values, name: str = "table",
                        sign_nonnegative: bool = True) -> CoefficientSequence:
     """Finite table of ln|c_n| values, n = 0..len-1; ZERO marks gaps."""
@@ -373,15 +354,3 @@ def type_estimate(f: CoefficientSequence, rho: float, n_min: int, n_max: int) ->
         raise InputError("need n_max > n_min >= 1")
     return _limsup_estimate(f, n_min, n_max, np.isfinite,
                             lambda ns, la: np.exp(np.log(ns) / rho + la / ns))
-
-
-def derivative_coeffs(f: CoefficientSequence) -> CoefficientSequence:
-    """Coefficient rule of f': c_k[f'] = (k+1) c_{k+1}[f]."""
-
-    def la(k):
-        k = np.asarray(k, dtype=float)
-        return np.log(k + 1.0) + f.log_abs_array(k + 1.0)
-
-    new_max = None if f.max_index is None else max(f.max_index - 1, 0)
-    return CoefficientSequence(f"d/dz[{f.name}]", la,
-                               sign_nonnegative=f.sign_nonnegative, max_index=new_max)

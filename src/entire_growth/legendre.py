@@ -1,10 +1,10 @@
 """Young-Fenchel (Legendre) conjugation engine.
 
-Discrete 1-D and d-dimensional conjugates g*(y) = sup_x (x.y - g(x)),
-the 1-D biconjugate (the lower convex envelope, read off the same hull),
-and an adaptive-window conjugate for closed-form convex functions.  All
-routines work on extended reals: +inf marks points outside the domain of
-g; -inf is never a valid sample.
+Discrete 1-D conjugates g*(y) = sup_x (x y - g(x)), the biconjugate (the
+lower convex envelope, read off the same hull), and an adaptive-window
+conjugate for closed-form convex functions.  All routines work on
+extended reals: +inf marks points outside the domain of g; -inf is never
+a valid sample.
 """
 
 from __future__ import annotations
@@ -12,30 +12,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DomainDegenerateError,
-    InputError,
-    UnsupportedDimensionError,
-)
+from .errors import DomainDegenerateError, InputError
 
 # Hard cap for adaptive windows, in log-domain units: keeps e^x representable.
 WINDOW_HARD_CAP = 700.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-
-def _as_increasing_array(xs, name: str, min_size: int = 2) -> np.ndarray:
-    a = np.asarray(xs, dtype=float)
-    if a.ndim != 1 or a.size < min_size:
-        raise InputError(f"{name} must be a 1-D sequence with at least {min_size} entries")
-    if not np.all(np.diff(a) > 0):
-        raise InputError(f"{name} must be strictly increasing")
-    return a
 
 
 @dataclass(frozen=True)
@@ -51,7 +38,11 @@ class SampledFunction1D:
     gs: np.ndarray
 
     def __post_init__(self):
-        xs = _as_increasing_array(self.xs, "xs")
+        xs = np.asarray(self.xs, dtype=float)
+        if xs.ndim != 1 or xs.size < 2:
+            raise InputError("xs must be a 1-D sequence with at least 2 entries")
+        if not np.all(np.diff(xs) > 0):
+            raise InputError("xs must be strictly increasing")
         gs = np.asarray(self.gs, dtype=float)
         if gs.shape != xs.shape:
             raise InputError("xs and gs must have equal length")
@@ -93,15 +84,15 @@ class ConjugateTable:
 
 
 # Points the hull passes may visit, per sample; past it the merge finishes.
-# A fibre of up to this many points never reaches the merge.
+# A set of up to this many points never reaches the merge.
 _HULL_PASS_BUDGET = 256
 
 
-def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray, row=None) -> np.ndarray:
-    """Monotone-chain merge over the points idx (increasing x in each row)."""
+def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Monotone-chain merge over the points idx (increasing x)."""
     hull: list = []
     for i in idx:
-        while len(hull) >= 2 and (row is None or row[hull[-2]] == row[i]):
+        while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # pop b when slope(a,b) > slope(b,i), i.e. b lies strictly above
             if (gs[b] - gs[a]) * (xs[i] - xs[b]) > (gs[i] - gs[b]) * (xs[b] - xs[a]):
@@ -112,28 +103,22 @@ def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray, row=None) ->
     return np.asarray(hull, dtype=int)
 
 
-def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray, row=None) -> np.ndarray:
+def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of the finite sample points.
 
     Each pass applies the merge's pop test to every consecutive triple of
     survivors and drops all popped points, each strictly above a chord, at
     once.  When nothing pops, the survivors are the merge's hull, collinear
     points kept.  Past the pass budget the merge finishes the survivors.
-    With row labels (nondecreasing, one per point, x increasing within a
-    row) a triple pops only inside one row, so one set of passes hulls
-    every row at once.
     """
     idx = np.flatnonzero(np.isfinite(gs))
     work = 0
     while idx.size > 2:
         work += idx.size
         if work > _HULL_PASS_BUDGET * xs.size:
-            return _hull_by_merge(xs, gs, idx, row)
+            return _hull_by_merge(xs, gs, idx)
         dx, dg = np.diff(xs[idx]), np.diff(gs[idx])
         pop = dg[:-1] * dx[1:] > dg[1:] * dx[:-1]
-        if row is not None:
-            r = row[idx]
-            pop &= r[:-2] == r[2:]
         if not pop.any():
             break
         idx = idx[np.concatenate(([True], ~pop, [True]))]
@@ -324,78 +309,3 @@ def conjugate_point(fn, y: float, **kwargs) -> ConjugatePoint:
     table = conjugate_of_callable(fn, [float(y)], **kwargs)
     return ConjugatePoint(float(y), float(table.gstars[0]),
                           float(table.argmax_xs[0]), table.window_saturated)
-
-
-@dataclass(frozen=True)
-class SampledFunctionND:
-    """A function g sampled on a product grid in up to 3 dimensions."""
-
-    grids: Sequence[np.ndarray]
-    values: np.ndarray
-
-    def __post_init__(self):
-        grids = [_as_increasing_array(ax, f"grid[{i}]", min_size=1)
-                 for i, ax in enumerate(self.grids)]
-        if len(grids) < 1 or len(grids) > 3:
-            raise UnsupportedDimensionError(f"dimension {len(grids)} not supported (d <= 3)")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != tuple(ax.size for ax in grids):
-            raise InputError("value table shape must match the product grid")
-        if np.any(np.isneginf(values)) or np.any(np.isnan(values)):
-            raise InputError("values must be finite or +inf")
-        object.__setattr__(self, "grids", tuple(grids))
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.grids)
-
-    @classmethod
-    def from_separable(cls, parts: Sequence[SampledFunction1D]) -> "SampledFunctionND":
-        return cls([p.xs for p in parts], functools.reduce(np.add.outer, [p.gs for p in parts]))
-
-
-def _conjugate_rows(xs: np.ndarray, gs: np.ndarray, ys: np.ndarray):
-    """Conjugate of every row of gs (rows, xs.size) on the increasing ys: one
-    set of hull passes, then one searchsorted.  A vertex's key is row (m + 1)
-    + #{ys <= its edge slope} (+inf at a row's last vertex), query j's is
-    row (m + 1) + j + 1: the keys below it are the earlier rows' vertices and
-    its row's with slope < y_j, so the 1-D search's vertex k, exactly.
-    Returns the values, -inf on a row with no finite sample.
-    """
-    rows, n, m = gs.shape[0], xs.size, ys.size
-    idx = _lower_hull_indices(np.tile(xs, rows), gs.ravel(), np.repeat(np.arange(rows), n))
-    hr, hi = np.divmod(idx, n)
-    hx, hg = xs[hi], gs.ravel()[idx]
-    e = np.flatnonzero(hr[1:] == hr[:-1])  # vertices with a next one in their row
-    slopes = np.full(idx.size, np.inf)
-    slopes[e] = (hg[e + 1] - hg[e]) / (hx[e + 1] - hx[e])
-    keys = hr * (m + 1) + np.searchsorted(ys, slopes, "right")
-    counts = np.bincount(hr, minlength=rows)
-    has = np.flatnonzero(counts)
-    first = (np.cumsum(counts) - counts)[has, None]
-    k = np.searchsorted(keys, has[:, None] * (m + 1) + np.arange(1, m + 1))
-    vals = np.full((rows, m), -np.inf)
-    vals[has] = _vertex_conjugate(hx, hg, None, ys, k, first, first + counts[has, None] - 1)[0]
-    return vals
-
-
-def _conjugate_passes(grids, values: np.ndarray, query_grids):
-    """max over the sample grid of x.y - g(x) on the product of the increasing
-    query grids, as nested one-axis sups (Lucet, Numer. Algorithms 16, 1997):
-    the last axis first, each later pass on -(the previous result), all
-    fibres of an axis in one _conjugate_rows."""
-    vals = values
-    for a in reversed(range(len(grids))):
-        g = np.moveaxis(vals if a == len(grids) - 1 else -vals, a, -1)
-        out = _conjugate_rows(grids[a], g.reshape(-1, g.shape[-1]), query_grids[a])
-        vals = np.moveaxis(out.reshape(g.shape[:-1] + (query_grids[a].size,)), -1, a)
-    return vals
-
-
-def conjugate_nd(g: SampledFunctionND, query_grids) -> SampledFunctionND:
-    """d-dimensional conjugate on a product query grid (_conjugate_passes)."""
-    qs = [_as_increasing_array(q, f"query[{i}]", min_size=1) for i, q in enumerate(query_grids)]
-    if len(qs) != g.dimension:
-        raise InputError("query grid dimension mismatch")
-    return SampledFunctionND(qs, _conjugate_passes(g.grids, g.values, qs))

@@ -2,10 +2,9 @@
 
 Multi-index coefficient bounds and reverse bounds, and the
 factorizable-function checks.  Dimension is capped at 3.  A separable
-profile is answered axis by axis by the 1-D engine of bounds.  Any other
-profile has a coefficient bound, conjugated on a sampled product grid by
-the d-pass hull kernel of legendre, but no reverse bound: a lattice sup
-under-estimates Q*, which is the unsafe side there.
+profile is answered axis by axis by the 1-D engine of bounds.  Both
+bounds refuse any other profile: a conjugate sampled on a lattice
+under-estimates the real one, and neither bound may rest on that.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ import numpy as np
 from .bounds import DEFAULT_EPS_POINTS, GrowthFunction, max_function_upper_bound
 from .entire import CoefficientSequence, log_max_function
 from .errors import InputError, UnsupportedDimensionError
-from .legendre import _conjugate_passes
-
-_COEFF_AXIS = np.linspace(-12.0, 12.0, 241)  # per-axis samples of a growth Lambda
 
 
 @dataclass(frozen=True)
@@ -58,34 +54,21 @@ class MultiGrowthFunction:
 
 
 def multi_coeff_bound(Lambda: MultiGrowthFunction, k):
-    """Log upper bound on |c_k|: returns -Lambda*(k).  A separable Lambda
-    conjugates axis by axis, Lambda*(k) = sum_j Lambda_j*(k_j); any other
-    by _multi_conjugate on the window [-12, 12]^d.  k is one multi-index (a
-    float comes back) or a stack of shape (K, d), all conjugated in one call
-    (an array of K)."""
+    """Log upper bound on |c_k|: returns -Lambda*(k) = -sum_j Lambda_j*(k_j)
+    for a separable Lambda, conjugated axis by axis.  k is one multi-index
+    (a float comes back) or a stack of shape (K, d), all conjugated in one
+    call (an array of K).  Any other Lambda raises InputError before any
+    conjugate runs."""
     k = np.asarray(k, dtype=float)
     if (k.ndim not in (1, 2) or k.shape[-1] != Lambda.dimension
             or not np.all(np.isfinite(k)) or np.any(k < 0)):
         raise InputError("multi-index must be finite, nonnegative, of matching dimension")
+    if not Lambda.separable:
+        raise InputError("multi_coeff_bound needs a separable Lambda: build it with "
+                         "MultiGrowthFunction.from_separable")
     ks = k.reshape(-1, Lambda.dimension)
-    if Lambda.separable:
-        out = -sum(p.conjugate_at(ks[:, j])[0] for j, p in enumerate(Lambda.separable_parts))
-    else:
-        out = -_multi_conjugate(Lambda, ks, _COEFF_AXIS)
+    out = -sum(p.conjugate_at(ks[:, j])[0] for j, p in enumerate(Lambda.separable_parts))
     return float(out[0]) if k.ndim == 1 else out
-
-
-def _multi_conjugate(Q: MultiGrowthFunction, ys: np.ndarray, axis: np.ndarray):
-    """Q*(y) = sup_x (x.y - Q(x)) for each row y of ys, as the sup over the
-    sampled lattice axis^d only, which lower-bounds the real sup:
-    _conjugate_passes on the product of the distinct query coordinates,
-    read off at each row.
-    """
-    axes = [axis] * Q.dimension
-    values = np.asarray(Q.fn(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)), dtype=float)
-    queries = [np.unique(ys[:, j]) for j in range(Q.dimension)]
-    at = tuple(np.searchsorted(q, ys[:, j]) for j, q in enumerate(queries))
-    return _conjugate_passes(axes, values, queries)[at]
 
 
 def multi_max_bound(Q: MultiGrowthFunction, v,

@@ -169,14 +169,13 @@ class TestBatchedConjugates:
         multivar.multi_coeff_bound(multivar.MultiGrowthFunction.from_separable(
             [bounds.power_of_exp(), bounds.power_of_exp()]), (3, 4))
         bounds.coeff_upper_bound(bounds.power_of_exp(), 5)
-        scales.conjugate_numeric(scales.psi_scale(2.0, 1.0), 10.0)
 
         # every coefficient family takes Q* of its decay in closed form: the
         # adaptive search is not reached from upper_bound
         def search(*args, **kwargs):
             raise AssertionError("conjugate_of_callable called")
 
-        for mod in (entire_growth, legendre, bounds, scales):
+        for mod in (entire_growth, legendre, bounds):
             monkeypatch.setattr(mod, "conjugate_of_callable", search)
         (tmp_path / "c.csv").write_text("n,ln_abs_c\n0,0.0\n1,-1.0\n2,-2.5\n3,-6.0\n")
         cfg.write_text("".join(

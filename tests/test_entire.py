@@ -18,16 +18,13 @@ from entire_growth.entire import (
     ZERO,
     CoefficientSequence,
     coefficients_from_csv,
-    derivative_coeffs,
     exp_coefficients,
     gamma_order_coefficients,
-    gaussian_coefficients,
     log_majorant,
     log_max_function,
     log_series,
     order_estimate,
     polynomial_coefficients,
-    power_decay_coefficients,
     table_coefficients,
     type_estimate,
 )
@@ -38,6 +35,21 @@ from entire_growth.errors import (
     UndefinedOrderError,
 )
 from entire_growth.probgen import poisson
+
+
+def power_decay_coefficients(alpha):
+    """c_0 = 1 and c_n = n^(-alpha n) for n >= 1."""
+
+    def la(n):
+        n = np.asarray(n, dtype=float)
+        return np.where(n > 0, -alpha * n * np.log(np.maximum(n, 1.0)), 0.0)
+
+    return CoefficientSequence(f"power_decay(alpha={alpha:g})", la)
+
+
+def gaussian_coefficients(a=1.0):
+    """c_n = exp(-a n^2)."""
+    return CoefficientSequence(f"gaussian(a={a:g})", lambda n: -a * np.asarray(n, float) ** 2)
 
 
 def test_import_leaves_scipy_special_unloaded():
@@ -505,35 +517,6 @@ class TestTypeEstimate:
             type_estimate(exp_coefficients(), -1.0, 1, 10)
 
 
-class TestDerivative:
-    def test_exp_fixed_point(self):
-        d = derivative_coeffs(exp_coefficients())
-        ns = np.arange(0, 50)
-        np.testing.assert_allclose(d.log_abs_array(ns),
-                                   exp_coefficients().log_abs_array(ns),
-                                   rtol=0, atol=1e-12)
-
-    def test_polynomial_rule(self):
-        d = derivative_coeffs(polynomial_coefficients([1.0, 1.0, 1.0]))
-        assert d.log_abs(0) == pytest.approx(0.0)
-        assert d.log_abs(1) == pytest.approx(math.log(2.0))
-        assert d.log_abs(2) == ZERO
-
-    def test_power_family_rule(self):
-        # c_n = n^-n gives c_k[f'] = (k+1)^(-k)
-        d = derivative_coeffs(power_decay_coefficients(1.0))
-        for k in (1, 5, 20):
-            assert d.log_abs(k) == pytest.approx(-k * math.log(k + 1.0), rel=1e-12)
-
-    def test_integral_round_trip(self):
-        f = exp_coefficients()
-        d = derivative_coeffs(f)
-        ks = np.arange(0, 1001, dtype=float)
-        recovered = d.log_abs_array(ks) - np.log(ks + 1.0)
-        np.testing.assert_allclose(recovered, f.log_abs_array(ks + 1.0),
-                                   rtol=1e-15, atol=1e-15)
-
-
 class TestCsvRoundTrip:
     def test_table_round_trip(self, tmp_path):
         p = tmp_path / "coeffs.csv"
@@ -543,6 +526,14 @@ class TestCsvRoundTrip:
         assert f.log_abs(1) == ZERO
         assert f.log_abs(2) == -1.5
         assert f.max_index == 2
+
+    def test_gapped_table_sums_every_term(self, tmp_path):
+        # masses 1/2 at k = 0 and k = 300: ln E 2^xi = ln(1/2) + 300 ln 2, up
+        # to log1p(2^-300)
+        p = tmp_path / "gap.csv"
+        p.write_text("k,ln_mass\n0,%r\n300,%r\n" % (math.log(0.5), math.log(0.5)))
+        assert log_majorant(coefficients_from_csv(p), 2.0) == pytest.approx(
+            math.log(0.5) + 300 * math.log(2.0), rel=1e-14)
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

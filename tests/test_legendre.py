@@ -12,20 +12,14 @@ from scipy.special import gammaln, xlogy
 from entire_growth import legendre
 from entire_growth.bounds import exp_of_exp, power_log, power_of_exp, stirling_decay
 from entire_growth.entire import MAX_TERMS, table_coefficients
-from entire_growth.errors import (
-    DomainDegenerateError,
-    InputError,
-    UnsupportedDimensionError,
-)
+from entire_growth.errors import DomainDegenerateError, InputError
 from entire_growth.legendre import (
     SampledFunction1D,
-    SampledFunctionND,
     _golden_max,
     _lower_hull_indices,
     biconjugate_1d,
     conjugate_1d,
     conjugate_1d_bruteforce,
-    conjugate_nd,
     conjugate_of_callable,
     conjugate_point,
 )
@@ -187,30 +181,6 @@ class TestLowerHull:
         np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
                                       _hull_by_merge(xs, gs))
         assert merges
-
-    def test_rows_match_merge_per_row(self):
-        # one labelled call hulls every row as the merge does row by row:
-        # convex, non-convex and gapped rows, and rows with 0 or 1 finite point
-        rng = np.random.default_rng(17)
-        xs, gs, rows = [], [], []
-        for r in range(40):
-            g = random_sampled(rng, convex=bool(r % 3 == 0), max_samples=64)
-            row_gs = g.gs.copy()
-            if r % 3 == 2:
-                row_gs[rng.random(row_gs.size) < 0.4] = np.inf
-            if r % 7 == 4:
-                row_gs[:] = np.inf
-            if r % 7 == 5:
-                row_gs[1:] = np.inf
-            xs.append(g.xs)
-            gs.append(row_gs)
-            rows.append(np.full(g.xs.size, r))
-        expect, offset = [], 0
-        for x, g in zip(xs, gs):
-            expect.extend(offset + i for i in _hull_by_merge(x, g))
-            offset += x.size
-        xs, gs, rows = (np.concatenate(a) for a in (xs, gs, rows))
-        np.testing.assert_array_equal(_lower_hull_indices(xs, gs, rows), expect)
 
 
 class TestValidation:
@@ -607,58 +577,6 @@ class TestConjugate1DBits:
             t = conjugate_1d(g, ys)
             digest = hashlib.sha256(t.gstars.tobytes() + t.argmax_xs.tobytes()).hexdigest()
             assert digest == self.DIGESTS[kind, size]
-
-
-class TestConjugateND:
-    def test_separable_matches_sum(self):
-        xs = np.linspace(-4, 4, 81)
-        part = SampledFunction1D(xs, 0.5 * xs ** 2)
-        g = SampledFunctionND.from_separable([part, part])
-        q = np.linspace(-2, 2, 9)
-        res = conjugate_nd(g, [q, q])
-        t1 = conjugate_1d(part, q).gstars
-        np.testing.assert_allclose(res.values, t1[:, None] + t1[None, :],
-                                   rtol=0, atol=1e-12)
-
-    def test_bruteforce_consistency(self):
-        rng = np.random.default_rng(21)
-        xs = np.linspace(-2, 2, 17)
-        vals = rng.normal(0, 1, (17, 17))
-        g = SampledFunctionND([xs, xs], vals)
-        q = np.linspace(-1, 1, 5)
-        res = conjugate_nd(g, [q, q])
-        for i, yi in enumerate(q):
-            for j, yj in enumerate(q):
-                ref = np.max(xs[:, None] * yi + xs[None, :] * yj - vals)
-                assert res.values[i, j] == pytest.approx(ref, abs=1e-12)
-
-    def test_dimension_cap(self):
-        xs = np.linspace(0, 1, 3)
-        with pytest.raises(UnsupportedDimensionError):
-            SampledFunctionND([xs] * 4, np.zeros((3, 3, 3, 3)))
-
-    def test_three_dimensions_at_scale(self):
-        # 64^3 non-separable samples with +inf gaps and 16^3 queries, past
-        # what a product-grid brute force can afford; 50 queries checked
-        rng = np.random.default_rng(29)
-        xs = np.linspace(-3, 3, 64)
-        vals = rng.normal(0, 4, (64,) * 3)
-        vals[rng.random(vals.shape) < 0.2] = np.inf
-        q = np.linspace(-2, 2, 16)
-        res = conjugate_nd(SampledFunctionND([xs] * 3, vals), [q] * 3).values
-        mesh = np.meshgrid(xs, xs, xs, indexing="ij")
-        for i, j, k in rng.integers(0, 16, (50, 3)):
-            ref = np.max(mesh[0] * q[i] + mesh[1] * q[j] + mesh[2] * q[k] - vals)
-            assert abs(res[i, j, k] - ref) <= 1e-12 * (1.0 + abs(ref))
-
-    def test_separable_three_dimensions(self):
-        rng = np.random.default_rng(31)
-        parts = [random_sampled(rng, convex=bool(a % 2), max_samples=40) for a in range(3)]
-        qs = [np.linspace(-3, 3, 7), np.linspace(-1, 2, 5), np.linspace(0, 4, 6)]
-        res = conjugate_nd(SampledFunctionND.from_separable(parts), qs).values
-        t = [conjugate_1d(p, q).gstars for p, q in zip(parts, qs)]
-        expect = t[0][:, None, None] + t[1][None, :, None] + t[2][None, None, :]
-        np.testing.assert_allclose(res, expect, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -37,29 +37,9 @@ class TestMultiCoeffBound:
                       + coeff_upper_bound(power_of_exp(), k[1]))
             assert multi_coeff_bound(Lam, k) == pytest.approx(expect, abs=1e-12)
 
-    def test_nonseparable_brute_force(self):
-        # Lambda(v1, v2) = e^(v1) + e^(v2) + v1 v2 coupling, small window
-        def fn(v):
-            v = np.asarray(v, dtype=float)
-            return np.exp(v[..., 0]) + np.exp(v[..., 1]) + 0.1 * v[..., 0] * v[..., 1]
-
-        Lam = MultiGrowthFunction(2, fn)
-        got = multi_coeff_bound(Lam, (2, 3))
-        # direct grid maximum of k.v - Lambda(v)
-        g = np.linspace(-12.0, 12.0, 241)
-        v1, v2 = np.meshgrid(g, g, indexing="ij")
-        vals = 2.0 * v1 + 3.0 * v2 - (np.exp(v1) + np.exp(v2) + 0.1 * v1 * v2)
-        assert got == pytest.approx(-np.max(vals), abs=1e-6)
-
-    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "separable"])
-    def test_batch_equals_loop(self, coupled):
+    def test_batch_equals_loop(self):
         # one call over a stack of K multi-indices gives each one's bits
-        def fn(v):
-            v = np.asarray(v, dtype=float)
-            return (np.exp(v[..., 0]) + np.exp(v[..., 1])
-                    + 0.5 * np.exp(0.5 * (v[..., 0] + v[..., 1])))
-
-        Lam = MultiGrowthFunction(2, fn) if coupled else exp_pair()
+        Lam = exp_pair()
         ks = np.array([(i, j) for i in range(0, 40, 5) for j in range(0, 40, 5)], dtype=float)
         got = multi_coeff_bound(Lam, ks)
         assert got.shape == (ks.shape[0],)
@@ -102,24 +82,6 @@ class TestMultiMaxBound:
         got = -multi_coeff_bound(Q, v[None, :] / (1.0 - eps_grid[:, None]))
         np.testing.assert_array_equal(got, ref)
 
-    def test_lattice_qstar_matches_query_loop(self):
-        # non-separable Q: the d-pass kernel equals a max over the sampled
-        # box [0, 64]^2 taken query by query
-        from entire_growth import multivar
-        from entire_growth.bounds import stirling_decay
-        s = stirling_decay().fn
-        Q = MultiGrowthFunction(
-            2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
-        axis = np.linspace(0.0, 64.0, 257)
-        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        vals = Q.fn(pts)
-        eps_grid = np.arange(1, 10) / 40.0
-        for v in np.stack(np.meshgrid(np.arange(1, 7), np.arange(1, 7)), -1).reshape(-1, 2):
-            ys = v[None, :] / (1.0 - eps_grid[:, None])
-            ref = np.array([np.max(pts[:, 0] * y[0] + pts[:, 1] * y[1] - vals) for y in ys])
-            got = multivar._multi_conjugate(Q, ys, axis)
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-
     def test_all_infinite_decay_refused(self):
         # Q = +inf everywhere: Q* = -inf and ln Y = +inf, whose sum is NaN;
         # the scan refuses the input instead of adding them (and its rows'
@@ -131,7 +93,8 @@ class TestMultiMaxBound:
 
     def test_nonseparable_refused(self, monkeypatch):
         # a lattice Q* would under-estimate the real one, so a non-separable
-        # Q is refused before any series runs
+        # Q is refused before any series runs, and by the coefficient bound
+        # before any conjugate runs
         from entire_growth import bounds
 
         def no_series(*a, **k):
@@ -143,6 +106,8 @@ class TestMultiMaxBound:
             2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
         with pytest.raises(InputError, match="from_separable"):
             multi_max_bound(Q, (5.0, 5.0))
+        with pytest.raises(InputError, match="from_separable"):
+            multi_coeff_bound(Q, (2.0, 3.0))
 
     def test_capped_qstar_counts_as_infinite(self):
         from entire_growth.bounds import quadratic_decay, stirling_decay

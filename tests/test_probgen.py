@@ -15,14 +15,19 @@ from entire_growth.errors import (
     TruncationError,
 )
 from entire_growth.probgen import (
-    degenerate,
-    distribution_from_csv,
+    DiscreteDistribution,
     generating_function_log,
-    geometric,
     poisson,
     poisson_growth,
     prob_tauberian_report,
 )
+
+
+def geometric(p):
+    """Geometric(p) on {0, 1, ...}: masses (1-p) p^k, radius 1/p."""
+    return DiscreteDistribution(f"geometric(p={p:g})",
+                                lambda k: math.log1p(-p) + np.asarray(k, float) * math.log(p),
+                                radius=1.0 / p)
 
 
 class TestPoisson:
@@ -81,53 +86,11 @@ class TestGeometric:
             prob_tauberian_report(geometric(0.3), poisson_growth(1.0),
                                   [2.0], [10])
 
-    def test_bad_p(self):
-        with pytest.raises(InputError):
-            geometric(1.0)
-
-
-class TestDegenerate:
-    def test_point_mass_gf(self):
-        d = degenerate(3)
-        for r in (0.5, 2.0):
-            assert generating_function_log(d, r) == pytest.approx(3.0 * math.log(r))
-
-    def test_at_zero(self):
-        assert generating_function_log(degenerate(0), 7.0) == pytest.approx(0.0)
-
-
-class TestCsvDistribution:
-    def test_round_trip(self, tmp_path):
-        p = tmp_path / "mass.csv"
-        p.write_text("k,ln_mass\n0,%r\n1,%r\n2,ZERO\n"
-                     % (math.log(0.25), math.log(0.75)))
-        d = distribution_from_csv(p)
-        assert d.log_abs(0) == pytest.approx(math.log(0.25))
-        assert d.log_abs(2) == -math.inf
-        assert generating_function_log(d, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gapped_table_sums_every_term(self, tmp_path):
-        # masses 1/2 at k = 0 and k = 300: E 2^xi = (1 + 2^300) / 2
-        p = tmp_path / "gap.csv"
-        p.write_text("k,ln_mass\n0,%r\n300,%r\n" % (math.log(0.5), math.log(0.5)))
-        d = distribution_from_csv(p)
-        assert generating_function_log(d, 2.0) == pytest.approx(
-            math.log(0.5) + 300 * math.log(2.0), rel=1e-14)
-
-    def test_unnormalized_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("k,ln_mass\n0,%r\n1,%r\n" % (math.log(0.5), math.log(0.4)))
-        with pytest.raises(InputError):
-            distribution_from_csv(p)
-
 
 class TestLawIsCoefficientSequence:
-    def test_every_law_is_a_coefficient_sequence(self, tmp_path):
-        p = tmp_path / "mass.csv"
-        p.write_text("k,ln_mass\n0,%r\n1,%r\n" % (math.log(0.25), math.log(0.75)))
-        for d in (poisson(2.0), geometric(0.5), degenerate(3), distribution_from_csv(p)):
+    def test_every_law_is_a_coefficient_sequence(self):
+        for d in (poisson(2.0), geometric(0.5)):
             assert isinstance(d, CoefficientSequence), d.name
-        assert degenerate(3).is_polynomial
         assert geometric(0.5).radius == 2.0 and poisson(2.0).radius == math.inf
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 50.0])
@@ -141,16 +104,6 @@ class TestLawIsCoefficientSequence:
         ys = np.linspace(-10.0, 20.0, 3001)
         assert np.array_equal(q.fn(xs), ref.fn(xs))
         assert np.array_equal(q.conj(ys), ref.conj(ys))
-
-    @pytest.mark.parametrize("excess, ok", [(5e-13, True), (2e-12, False)])
-    def test_normalization_tolerance(self, tmp_path, excess, ok):
-        p = tmp_path / "mass.csv"
-        p.write_text("k,ln_mass\n0,%r\n1,%r\n" % (math.log(0.5), math.log(0.5 + excess)))
-        if ok:
-            assert distribution_from_csv(p).max_index == 1
-        else:
-            with pytest.raises(InputError, match="sum to"):
-                distribution_from_csv(p)
 
 
 class TestProbTauberian:

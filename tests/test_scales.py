@@ -1,6 +1,4 @@
-"""Regularly varying scales and the three worked growth/decay checks."""
-
-import math
+"""The three worked growth/decay checks."""
 
 import numpy as np
 import pytest
@@ -13,63 +11,7 @@ from entire_growth.bounds import (
 )
 from entire_growth.errors import InputError
 from entire_growth.legendre import conjugate_of_callable
-from entire_growth.scales import (
-    RegVarScale,
-    conjugate_asymptotic,
-    conjugate_numeric,
-    conjugate_ratio,
-    example_31_check,
-    example_33_check,
-    phi_scale,
-    psi_scale,
-    refined_decay_profile,
-)
-
-
-class TestRegVarScale:
-    def test_pure_power_values(self):
-        s = RegVarScale(m=2.0, C1=3.0)
-        assert s(2.0) == pytest.approx(12.0)
-        assert s.m_conj == 2.0
-        assert s.domain_min == 1.0
-
-    def test_log_factor_values(self):
-        s = psi_scale(m=3.0, q=2.0, C1=0.5)
-        lam = 10.0
-        assert s(lam) == pytest.approx(0.5 * 1000.0 * math.log(10.0) ** 2)
-        assert s.domain_min == math.e
-
-    def test_parameter_validation(self):
-        with pytest.raises(InputError):
-            RegVarScale(m=1.0)
-        with pytest.raises(InputError):
-            RegVarScale(m=2.0, q=-1.0)
-        with pytest.raises(InputError):
-            RegVarScale(m=2.0, C1=0.0)
-
-    def test_conjugate_exponent(self):
-        assert RegVarScale(m=1.5).m_conj == pytest.approx(3.0)
-        assert RegVarScale(m=3.0).m_conj == pytest.approx(1.5)
-
-
-class TestConjugateAsymptotic:
-    def test_pure_power_exact(self):
-        # q = 0: the asymptotic constant is exact at every x
-        s = phi_scale(m=2.0, L_const=2.0)  # s(lam) = lam^2
-        for x in (3.0, 10.0, 50.0):
-            assert conjugate_asymptotic(s, x) == pytest.approx(x * x / 4.0, rel=1e-12)
-            assert conjugate_numeric(s, x) == pytest.approx(x * x / 4.0, rel=1e-8)
-
-    def test_ratio_tends_to_one_with_log_factor(self):
-        # leading term only: the gap closes at a 1/ln(x) rate
-        s = psi_scale(m=2.0, q=1.0)
-        ratios = [conjugate_ratio(s, x) for x in (1e2, 1e4, 1e6, 1e8)]
-        assert all(0.0 < r < 1.0 for r in ratios)
-        assert all(b > a for a, b in zip(ratios, ratios[1:]))
-
-    def test_domain_guard(self):
-        with pytest.raises(InputError):
-            conjugate_asymptotic(psi_scale(2.0, 1.0), 1.0)
+from entire_growth.scales import example_31_check, example_33_check
 
 
 class TestExample31:
@@ -121,19 +63,6 @@ class TestExample32:
             power_of_exp(C=1.0, rho=-1.0)
         with pytest.raises(InputError):
             coeff_upper_bound(power_of_exp(C=1.0, rho=2.0), -5)
-
-
-class TestRefinedDecay:
-    def test_formula_spot_check(self):
-        n = np.array([100.0])
-        got = refined_decay_profile(2.0, 1.5, n)[0]
-        expect = (100 * math.log(100.0)
-                  + 1.5 * 100 * math.log(math.log(100.0)) - 100) / 2.0
-        assert got == pytest.approx(expect, rel=1e-14)
-
-    def test_domain_guard(self):
-        with pytest.raises(InputError):
-            refined_decay_profile(2.0, 1.0, [2.0])
 
 
 class TestExample33:
