@@ -177,7 +177,7 @@ def index_decay(f: CoefficientSequence) -> GrowthFunction:
     ns = np.arange((f.max_index if f.is_polynomial else entire.MAX_TERMS) + 1,
                    dtype=float)
     q = -f.log_abs_array(ns)
-    hx, hq, slopes = _hull(ns, q)
+    hx, hq, slopes, _ = _hull(ns, q)
     if hx.size < 2:
         raise InputError(f"{f.name}: need at least two nonzero coefficients")
 

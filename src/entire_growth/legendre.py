@@ -55,8 +55,13 @@ class SampledFunction1D:
 
     @functools.cached_property
     def hull(self):
-        """(hx, hg, slopes) of the lower hull (_hull), built once."""
-        return _hull(self.xs, self.gs)
+        """(hx, hg, slopes, vertex) of the lower hull (_hull), built once;
+        vertex marks the samples that are hull vertices, in n bytes where
+        their indices would take 8 per vertex."""
+        hx, hg, slopes, idx = _hull(self.xs, self.gs)
+        vertex = np.zeros(self.xs.size, dtype=bool)
+        vertex[idx] = True
+        return hx, hg, slopes, vertex
 
 
 @dataclass(frozen=True)
@@ -103,33 +108,32 @@ def _hull_by_merge(xs: np.ndarray, gs: np.ndarray, idx: np.ndarray) -> np.ndarra
     return np.asarray(hull, dtype=int)
 
 
-def _lower_hull_indices(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of the finite sample points.
+def _hull(xs: np.ndarray, gs: np.ndarray):
+    """(hx, hg, slopes, idx): the lower convex hull of the finite samples,
+    its edge slopes, and the indices of its vertices among the samples.
 
     Each pass applies the merge's pop test to every consecutive triple of
     survivors and drops all popped points, each strictly above a chord, at
     once.  When nothing pops, the survivors are the merge's hull, collinear
-    points kept.  Past the pass budget the merge finishes the survivors.
+    points kept, and that pass's differences give the slopes, divided in
+    place.  The pass does not keep its gathers of xs and gs: held through
+    the pop test, they raise the peak memory by two arrays of the hull's
+    size.  Past the pass budget the merge finishes the survivors.
     """
     idx = np.flatnonzero(np.isfinite(gs))
     work = 0
     while idx.size > 2:
         work += idx.size
         if work > _HULL_PASS_BUDGET * xs.size:
-            return _hull_by_merge(xs, gs, idx)
+            idx = _hull_by_merge(xs, gs, idx)
+            break
         dx, dg = np.diff(xs[idx]), np.diff(gs[idx])
         pop = dg[:-1] * dx[1:] > dg[1:] * dx[:-1]
         if not pop.any():
-            break
+            return xs[idx], gs[idx], np.divide(dg, dx, out=dg), idx
         idx = idx[np.concatenate(([True], ~pop, [True]))]
-    return idx
-
-
-def _hull(xs: np.ndarray, gs: np.ndarray):
-    """Lower hull vertices (hx, hg) of the finite samples and its edge slopes."""
-    idx = _lower_hull_indices(xs, gs)
     hx, hg = xs[idx], gs[idx]
-    return hx, hg, np.diff(hg) / np.diff(hx)
+    return hx, hg, np.diff(hg) / np.diff(hx), idx
 
 
 def _vertex_conjugate(hx: np.ndarray, hg: np.ndarray, slopes: np.ndarray, ys,
@@ -172,7 +176,7 @@ def conjugate_1d(g: SampledFunction1D, ys) -> ConjugateTable:
     go to the smallest x.  Elementwise in ys, which may come in any order.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    hx, hg, slopes = g.hull
+    hx, hg, slopes, _ = g.hull
     vals, k = _vertex_conjugate(hx, hg, slopes, ys)
     return ConjugateTable(ys, vals, hx[k])
 
@@ -195,11 +199,24 @@ def biconjugate_1d(g: SampledFunction1D, xs_out) -> ConjugateTable:
     hull the first or last edge (the envelope's linear extension), and the
     value hg[e] + s_e (x - hx[e]); at a hull vertex, g itself, bit for bit.
     argmax_xs is s_e, the maximizing y of the double conjugate: the smaller
-    slope at a vertex.
+    slope at a vertex.  On the samples themselves (xs_out is g.xs), e is
+    the count of interior vertices before each sample, read off the hull's
+    vertex mask by one np.repeat over the gaps between interior vertices
+    (the merge of Lucet's linear-time transform); any other xs_out finds e
+    by a binary search, with the same e.
     """
     xs_out = np.atleast_1d(np.asarray(xs_out, dtype=float))
-    hx, hg, slopes = g.hull
-    e = np.searchsorted(hx[1:-1], xs_out)  # hx[e] < x <= hx[e + 1] inside the hull
+    hx, hg, slopes, vertex = g.hull
+    if xs_out is g.xs:
+        # edge k spans the samples from vertex k (excluded) to vertex k + 1;
+        # the first edge also takes those before it, the last those after
+        at_vertex = np.flatnonzero(vertex)
+        gaps = at_vertex[1:] - at_vertex[:-1]
+        gaps[0] += at_vertex[0] + 1
+        gaps[-1] += xs_out.size - 1 - at_vertex[-1]
+        e = np.repeat(np.arange(gaps.size), gaps)
+    else:
+        e = np.searchsorted(hx[1:-1], xs_out)  # hx[e] < x <= hx[e + 1] inside the hull
     s = slopes[e]
     vals = hg[e] + s * (xs_out - hx[e])
     at = xs_out == hx[1:][e]
@@ -221,7 +238,8 @@ def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     """Vectorized golden-section maximization of a concave h on [lo, hi].
 
     h maps a stack of k probe rows, shape (k,) + lo.shape, to its values,
-    so each step evaluates both inner points in one call.  A query stays
+    so each step evaluates both inner points in one call, on one probe
+    buffer that the search allocates once.  A query stays
     live while hi - lo > sqrt(eps) (1 + |lo| + |hi|), Brent's tolerance on
     its current bracket.  Near its max x* a smooth h falls by h''(x - x*)^2
     / 2, about an ulp of h once |x - x*| ~ sqrt(eps) |x|, so past that
@@ -234,12 +252,13 @@ def _golden_max(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
+    probes = np.empty((2,) + lo.shape)
     for _ in range(120):
-        live = hi - lo > _SQRT_EPS * (1.0 + np.abs(lo) + np.abs(hi))
+        width = hi - lo
+        live = width > _SQRT_EPS * (1.0 + np.abs(lo) + np.abs(hi))
         if not live.any():
             break
-        step = _INVPHI * (hi - lo)
-        probes = np.empty((2,) + lo.shape)
+        step = _INVPHI * width
         c = np.subtract(hi, step, out=probes[0])
         d = np.add(lo, step, out=probes[1])
         hc, hd = h(probes)
@@ -280,8 +299,9 @@ def conjugate_of_callable(fn: Callable[[np.ndarray], np.ndarray], ys,
         """x*y - fn(x) on a stack of up to 4 probe rows, shape (k,) +
         ys.shape, in one fn call."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = ys_rows[:len(x)] * x - np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-        return np.where(np.isnan(out), -np.inf, out)
+            out = ys_rows[:len(x)] * x
+            out -= np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        return np.fmax(out, -np.inf, out=out)  # NaN -> -inf
 
     left_fixed = x_min is not None
     lo = np.full(ys_arr.shape, x_min if left_fixed else -1.0)

@@ -240,7 +240,7 @@ def _hull_decay(f):
     """Q, Q* and the slopes of a rule from the hull of its rows n <= MAX_TERMS,
     as index_decay builds them for a rule without a gamma_form."""
     ns = np.arange(MAX_TERMS + 1, dtype=float)
-    hx, hq, slopes = _hull(ns, -f.log_abs_array(ns))
+    hx, hq, slopes, _ = _hull(ns, -f.log_abs_array(ns))
     assert hx.size == ns.size  # convex rows: every row is a vertex
 
     def fn(x):

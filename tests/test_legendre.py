@@ -16,7 +16,7 @@ from entire_growth.errors import DomainDegenerateError, InputError
 from entire_growth.legendre import (
     SampledFunction1D,
     _golden_max,
-    _lower_hull_indices,
+    _hull,
     biconjugate_1d,
     conjugate_1d,
     conjugate_1d_bruteforce,
@@ -117,7 +117,7 @@ class TestConjugate1D:
         for offset in (0.0, 7.3):
             gs = 100.0 * xs + offset + 1e-12 * xs ** 2
             g = SampledFunction1D(xs, gs)
-            hull = _lower_hull_indices(xs, gs)
+            hull = _hull(xs, gs)[3]
             ys = np.unique(np.diff(gs[hull]) / np.diff(xs[hull]))
             fast = conjugate_1d(g, ys).gstars
             slow = conjugate_1d_bruteforce(g, ys).gstars
@@ -164,7 +164,7 @@ class TestLowerHull:
             if kind == "spiked":  # a convex run with spikes, each popped in a pass
                 spikes = rng.random(gs.size) < 0.2
                 gs[spikes] += rng.exponential(5.0, np.count_nonzero(spikes))
-            np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
+            np.testing.assert_array_equal(_hull(xs, gs)[3],
                                           _hull_by_merge(xs, gs))
 
     def test_flat_run_then_deep_drop(self, monkeypatch):
@@ -178,7 +178,7 @@ class TestLowerHull:
         xs = np.arange(2000, dtype=float)
         gs = np.zeros(2000)
         gs[-1] = -1e6
-        np.testing.assert_array_equal(_lower_hull_indices(xs, gs),
+        np.testing.assert_array_equal(_hull(xs, gs)[3],
                                       _hull_by_merge(xs, gs))
         assert merges
 
@@ -203,12 +203,35 @@ def _biconjugate_by_double_conjugation(g, xs_out):
     """The conjugate on the hull's distinct edge slopes, then the conjugate
     of that: exact for the sampled envelope, and the reference for
     biconjugate_1d.  Returns the values and the maximizing slopes."""
-    hx, hg, slopes = legendre._hull(g.xs, g.gs)
+    hx, hg, slopes, _ = legendre._hull(g.xs, g.gs)
     ys = np.unique(slopes)
     gstar, _ = legendre._vertex_conjugate(hx, hg, slopes, ys)
-    hy, hs, breaks = legendre._hull(ys, gstar)
+    hy, hs, breaks, _ = legendre._hull(ys, gstar)
     vals, k = legendre._vertex_conjugate(hy, hs, breaks, xs_out)
     return vals, hy[k]
+
+
+def _biconjugate_cases():
+    """Random sampled functions, then the edge cases of the edge count at
+    the samples, each with a generator for its extra query points."""
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        g = random_sampled(rng, convex=bool(seed % 2))
+        if seed % 4 == 3:  # +inf gaps, at least two finite samples left
+            gs = g.gs.copy()
+            gs[1:-1][rng.random(gs.size - 2) < 0.3] = np.inf
+            g = SampledFunction1D(g.xs, gs)
+        yield g, rng
+    xs = np.linspace(-3.0, 3.0, 13)
+    outside = xs ** 2
+    outside[:3] = outside[-2:] = np.inf  # +inf before the first vertex and after the last
+    for gs in (outside,
+               -xs ** 2,  # concave: a two-vertex hull
+               np.abs(xs) + np.where(np.abs(xs) > 2.0, xs ** 2, 0.0),  # collinear runs
+               np.full(xs.size, 1.5),  # one collinear run
+               np.exp(xs)):  # every sample a vertex
+        yield SampledFunction1D(xs, gs), np.random.default_rng(0)
+    yield SampledFunction1D(np.array([-1.0, 2.0]), np.array([3.0, -0.5])), np.random.default_rng(1)
 
 
 class TestBiconjugate:
@@ -217,15 +240,10 @@ class TestBiconjugate:
         # bit for bit; the double conjugation's value to a few rounding
         # errors elsewhere, also on the linear extension past both ends;
         # argmax_xs the slope of the edge spanning x, the left one at a
-        # vertex, with the first and last edge outside the hull
+        # vertex, with the first and last edge outside the hull; on the
+        # samples themselves (edges by a count) the binary search's bits
         eps = 2.0 ** -52
-        for seed in range(120):
-            rng = np.random.default_rng(seed)
-            g = random_sampled(rng, convex=bool(seed % 2))
-            if seed % 4 == 3:  # +inf gaps, at least two finite samples left
-                gs = g.gs.copy()
-                gs[1:-1][rng.random(gs.size - 2) < 0.3] = np.inf
-                g = SampledFunction1D(g.xs, gs)
+        for g, rng in _biconjugate_cases():
             idx = _hull_by_merge(g.xs, g.gs)
             hx, hg = g.xs[idx], g.gs[idx]
             slopes = np.diff(hg) / np.diff(hx)
@@ -237,13 +255,16 @@ class TestBiconjugate:
             assert np.all(np.abs(env.gstars - ref) <= tol), seed
             edge = np.count_nonzero(hx[None, 1:-1] < xs[:, None], axis=1)
             np.testing.assert_array_equal(env.argmax_xs, slopes[edge])
+            at_samples = biconjugate_1d(g, g.xs)
+            assert at_samples.gstars.tobytes() == env.gstars[:g.xs.size].tobytes()
+            assert at_samples.argmax_xs.tobytes() == env.argmax_xs[:g.xs.size].tobytes()
 
     def test_hull_built_once(self, monkeypatch):
         # two conjugates and a biconjugate of one g share its hull; a second
         # g on the same arrays builds its own
         calls = []
-        build = legendre._lower_hull_indices
-        monkeypatch.setattr(legendre, "_lower_hull_indices",
+        build = legendre._hull
+        monkeypatch.setattr(legendre, "_hull",
                             lambda *a: calls.append(1) or build(*a))
         xs = np.linspace(-3.0, 3.0, 101)
         gs = np.abs(xs) ** 1.5
@@ -570,13 +591,33 @@ class TestConjugate1DBits:
         ("noisy", 100000): "f7aa70bed777626e9bf407ac35186ad39a30c496ca7b47e268720ae8fa896459",
     }
 
+    # the same for biconjugate_1d(g, g.xs), taken while every x found its
+    # edge by a binary search
+    BICONJUGATE_DIGESTS = {
+        ("half_square", 1000): "513f0e0d7b0415155109d9d36a167883a5908b97c3e747cc2f380f7788343dc4",
+        ("half_square", 10000): "6f418fdd7de278a2aaa7872b9505a2e5304c331b6ce2485b5b12c23f4f8d6c19",
+        ("half_square", 100000): "21ef2403d454d7a936290002602eda26b1facf8d72f651286681847cc8d800fc",
+        ("noisy", 1000): "8c2a8ffb4ad05edb23ca6c0acc8868afc5bb29c14d9746bcb1cbffe564d3da46",
+        ("noisy", 10000): "ae348c3e4fa7376332ce36edba6cdb4b037e83b25c21d12c6a0eefe26f4d5c8a",
+        ("noisy", 100000): "c8f8d1b95358fae8baf7d72bda151970a4fd0f5b707ac52af816318a341e5786",
+    }
+
+    @staticmethod
+    def _digest(t):
+        return hashlib.sha256(t.gstars.tobytes() + t.argmax_xs.tobytes()).hexdigest()
+
     @pytest.mark.parametrize("kind,size", list(DIGESTS))
     def test_bits_pinned(self, kind, size):
         g, ys = _kernel_sample(kind, size)
         for _ in range(2):  # the hull's first build, then its cached copy
-            t = conjugate_1d(g, ys)
-            digest = hashlib.sha256(t.gstars.tobytes() + t.argmax_xs.tobytes()).hexdigest()
-            assert digest == self.DIGESTS[kind, size]
+            assert self._digest(conjugate_1d(g, ys)) == self.DIGESTS[kind, size]
+
+    @pytest.mark.parametrize("kind,size", list(BICONJUGATE_DIGESTS))
+    def test_biconjugate_bits_pinned(self, kind, size):
+        # g.xs itself counts its edges; a copy of it searches for them
+        g, _ = _kernel_sample(kind, size)
+        for xs in (g.xs, g.xs.copy()):
+            assert self._digest(biconjugate_1d(g, xs)) == self.BICONJUGATE_DIGESTS[kind, size]
 
 
 @settings(max_examples=50, deadline=None)
