@@ -243,7 +243,7 @@ class TestBiconjugate:
         # vertex, with the first and last edge outside the hull; on the
         # samples themselves (edges by a count) the binary search's bits
         eps = 2.0 ** -52
-        for g, rng in _biconjugate_cases():
+        for case, (g, rng) in enumerate(_biconjugate_cases()):
             idx = _hull_by_merge(g.xs, g.gs)
             hx, hg = g.xs[idx], g.gs[idx]
             slopes = np.diff(hg) / np.diff(hx)
@@ -252,7 +252,7 @@ class TestBiconjugate:
             np.testing.assert_array_equal(biconjugate_1d(g, hx).gstars, hg)
             ref, _ = _biconjugate_by_double_conjugation(g, xs)
             tol = 4.0 * eps * (np.abs(xs) * np.max(np.abs(slopes)) + np.abs(ref) + 1.0)
-            assert np.all(np.abs(env.gstars - ref) <= tol), seed
+            assert np.all(np.abs(env.gstars - ref) <= tol), case
             edge = np.count_nonzero(hx[None, 1:-1] < xs[:, None], axis=1)
             np.testing.assert_array_equal(env.argmax_xs, slopes[edge])
             at_samples = biconjugate_1d(g, g.xs)
