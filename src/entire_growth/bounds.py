@@ -36,6 +36,8 @@ ZOOM_STAGES = 5
 _V_BLOCK = 64
 # rows a gamma-form decay builds first; each growth doubles them
 _FIRST_ROWS = 1024
+# terms at the end of each Tauberian ratio sequence that its terminal mean takes
+_TAUBERIAN_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -571,7 +573,6 @@ class TauberianReport:
     lhs_ratios: np.ndarray
     n_grid: np.ndarray
     rhs_ratios: np.ndarray
-    excluded_ns: np.ndarray
     terminal_lhs: float
     terminal_rhs: float
 
@@ -581,10 +582,11 @@ class TauberianReport:
 
 
 def tauberian_report(f: CoefficientSequence, Lambda: GrowthFunction,
-                     r_grid, n_grid, window: int = 5) -> TauberianReport:
+                     r_grid, n_grid) -> TauberianReport:
     """Ratio sequences ln M_f(r)/Lambda(ln r) and |ln 1/|c_n||/Lambda*(n).
 
-    Reports windowed terminal means of both sides; no limit is asserted.
+    Reports the means of the last _TAUBERIAN_WINDOW = 5 ratios of each side
+    (all of them when there are fewer); no limit is asserted.
     Whenever ln M_f(e^v) <= Lambda(v), the Cauchy bound gives
     ln|c_n| <= -Lambda*(n), so every reported rhs ratio (Lambda*(n) > 0)
     is >= 1.
@@ -601,10 +603,7 @@ def tauberian_report(f: CoefficientSequence, Lambda: GrowthFunction,
     ok = np.isfinite(lstar) & (lstar > 0)
     if not np.any(ok):
         raise InputError(f"no n in n_grid has 0 < {Lambda.name}*(n) < inf")
-    excluded = n[~ok]
     la = f.log_abs_array(n[ok])
     rhs = np.abs(la) / lstar[ok]
-    w_l = min(window, lhs.size)
-    w_r = min(window, rhs.size)
-    return TauberianReport(r, lhs, n[ok], rhs, excluded,
-                           float(np.mean(lhs[-w_l:])), float(np.mean(rhs[-w_r:])))
+    return TauberianReport(r, lhs, n[ok], rhs, float(np.mean(lhs[-_TAUBERIAN_WINDOW:])),
+                           float(np.mean(rhs[-_TAUBERIAN_WINDOW:])))

@@ -124,6 +124,10 @@ class FunctionSpec:
 
     def __init__(self, name: str, section, config_dir: str):
         self.name, self.params, self.config_dir = name, dict(section), config_dir
+        # the name is the section's directory under the output root
+        if name in (".", "..", "MANIFEST", "summary.txt") or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"[{name}] section name must be one plain path component "
+                              "other than MANIFEST and summary.txt")
         self.family = section.get("family", "").strip()
         row = _FAMILIES.get(self.family)
         if row is None:
@@ -169,8 +173,9 @@ class FunctionSpec:
     def decay(self) -> bounds.GrowthFunction:
         """Decay profile: the convex envelope of Q(n) = -ln|c_n| with its
         discrete conjugate, or the growth conjugate if no coefficient model
-        exists.  Built on demand: a rule without a gamma_form builds 10^6
-        rows and their hull."""
+        exists.  Built on demand: a table builds all its rows and their
+        hull; every rule a family builds has a gamma_form, and reads only
+        the rows its queries need."""
         if self.coeffs is None:
             return self.growth.conjugate()
         return bounds.index_decay(self.coeffs)
@@ -300,10 +305,13 @@ def run(config_path: str, output_dir: str, quiet: bool = False) -> int:
     """Execute a config; returns the process exit status (0, 2 or 3)."""
     parser = configparser.ConfigParser()
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"config error: {config_path}: {exc}", file=sys.stderr)
         return 2
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
@@ -330,9 +338,12 @@ def run(config_path: str, output_dir: str, quiet: bool = False) -> int:
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return 2
 
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     results = [(name, _run_spec(spec)) for name, spec in specs.items()]
-
-    os.makedirs(output_dir, exist_ok=True)
     manifest, summary, errors = [], [], []
     for name, (artifacts, notes, error) in results:
         for relpath, header, rows in artifacts:

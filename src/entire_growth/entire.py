@@ -25,10 +25,13 @@ from .errors import (
 #: log-domain marker for a vanishing coefficient (ln 0)
 ZERO = float("-inf")
 
-# series truncation (see log_series)
+# series truncation (see log_series): terms per block, and the stop rule
+_BLOCK = 256
 _TAIL_RUN = 50
 _TAIL_LOG = 45.0
 MAX_TERMS = 10 ** 6
+# indices of assert_entire's trend check
+_TREND_N0, _TREND_N1 = 16, 2048
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,9 @@ class CoefficientSequence:
 
     name: str
     log_abs_fn: Callable[[np.ndarray], np.ndarray]
-    sign_nonnegative: bool = True
     max_index: Optional[int] = None
     gamma_form: Optional[Tuple[float, float]] = None
     _entire_checked: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def log_abs(self, n: int) -> float:
-        """ln|c_n|, or ZERO (-inf) for a vanishing coefficient."""
-        return float(self.log_abs_array([n])[0])
 
     def log_abs_array(self, ns) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
@@ -66,10 +64,10 @@ class CoefficientSequence:
     def is_polynomial(self) -> bool:
         return self.max_index is not None
 
-    def assert_entire(self, n0: int = 16, n1: int = 2048) -> None:
-        """Numerical radius-of-convergence check on the available range.
+    def assert_entire(self) -> None:
+        """Numerical radius-of-convergence check on n in [16, 2048].
 
-        Requires (1/n) ln|c_n| to trend down (toward -inf) past n0.
+        Requires (1/n) ln|c_n| to trend down (toward -inf) past n = 16.
         Polynomials are entire by definition and skip the trend check, and
         so does a declared gamma_form with a > 0: -ln|c_n| = lnGamma(a n +
         1) - b n + c grows faster than any multiple of n, while the probe
@@ -82,7 +80,7 @@ class CoefficientSequence:
             raise NotEntireError(f"{self.name}: fails entirety trend check")
         ok = True
         if not (self.is_polynomial or (self.gamma_form and self.gamma_form[0] > 0)):
-            ns = np.arange(n0, n1 + 1)
+            ns = np.arange(_TREND_N0, _TREND_N1 + 1)
             la = self.log_abs_array(ns)
             finite = np.isfinite(la)
             if np.count_nonzero(finite) >= 8:
@@ -116,8 +114,7 @@ def gamma_order_coefficients(rho: float, c4: float = 1.0) -> CoefficientSequence
                                gamma_form=(1.0 / rho, math.log(c4) / rho))
 
 
-def table_coefficients(log_abs_values, name: str = "table",
-                       sign_nonnegative: bool = True) -> CoefficientSequence:
+def table_coefficients(log_abs_values, name: str = "table") -> CoefficientSequence:
     """Finite table of ln|c_n| values, n = 0..len-1; ZERO marks gaps."""
     vals = np.asarray(log_abs_values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
@@ -128,8 +125,7 @@ def table_coefficients(log_abs_values, name: str = "table",
         idx = np.minimum(np.maximum(n.astype(int), 0), vals.size - 1)
         return np.where(n < vals.size, vals[idx], ZERO)
 
-    return CoefficientSequence(name, la, sign_nonnegative=sign_nonnegative,
-                               max_index=vals.size - 1)
+    return CoefficientSequence(name, la, max_index=vals.size - 1)
 
 
 def polynomial_coefficients(coeffs, name: str = "polynomial") -> CoefficientSequence:
@@ -137,7 +133,7 @@ def polynomial_coefficients(coeffs, name: str = "polynomial") -> CoefficientSequ
     c = np.asarray(coeffs, dtype=float)
     with np.errstate(divide="ignore"):
         la = np.where(c == 0.0, ZERO, np.log(np.abs(np.where(c == 0.0, 1.0, c))))
-    return table_coefficients(la, name=name, sign_nonnegative=bool(np.all(c >= 0)))
+    return table_coefficients(la, name=name)
 
 
 def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequence:
@@ -176,10 +172,10 @@ def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequen
 
 
 def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               n_max: int = MAX_TERMS, block: int = 256, finite: bool = False,
+               n_max: int = MAX_TERMS, finite: bool = False,
                shape: tuple = (), level=None):
     """ln sum_{n=0}^{n_max} exp(term_fn(n)) for each series of a batch of
-    the given shape, summed in blocks of `block` terms.
+    the given shape, summed in blocks of _BLOCK = 256 terms.
 
     term_fn(ns, rows) gives the terms at indices ns of the series still
     running, rows being their flat indices into the batch: an array of
@@ -222,7 +218,7 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= n_max and live.size:
-            ns = np.arange(n, min(n + block, n_max + 1), dtype=float)
+            ns = np.arange(n, min(n + _BLOCK, n_max + 1), dtype=float)
             t = np.asarray(term_fn(ns, live), dtype=float).reshape(live.size, ns.size)
             n += ns.size
             terms[live] = n
@@ -261,8 +257,8 @@ def log_max_function(f: CoefficientSequence, r):
     """ln of the coefficient-sum majorant sum_n |c_n| r^n, elementwise in r.
 
     Exact equal to ln M_f(r) when all coefficients are nonnegative; an upper
-    bound on it otherwise (flagged by f.sign_nonnegative).  f must pass the
-    entirety check; see log_majorant for the sum itself.
+    bound on it otherwise.  f must pass the entirety check; see log_majorant
+    for the sum itself.
     """
     f.assert_entire()
     return log_majorant(f, r)

@@ -6,6 +6,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -506,6 +508,64 @@ class TestErrorPaths:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "unrecognized arguments: --eps-points 19" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", "MANIFEST",
+                                      "summary.txt", "a\0b"],
+                             ids=["dotdot", "slash", "backslash", "dot", "two-dots",
+                                  "MANIFEST", "summary", "nul"])
+    def test_section_name_not_a_path_component_exit_two(self, tmp_path, capsys, name):
+        # a section's CSVs go under <out>/<name>/: any other name could write
+        # outside --out or onto a root file
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{name}]\nfamily = exp\nanalyses = gamma\n")
+        assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 2
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+        err = capsys.readouterr().err
+        assert "one plain path component" in err and "Traceback" not in err
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[x]\nfamily = exp\nanalyses = coeff_bound\n# \xff\xfe\n")
+        assert run(str(cfg), str(tmp_path / "out"), quiet=True) == 2
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_not_a_directory_exit_two(self, tmp_path, capsys, monkeypatch, under):
+        # the output directory is made before any analysis runs
+        def no_analysis(spec):
+            raise AssertionError("an analysis ran")
+
+        monkeypatch.setattr(cli, "_run_spec", no_analysis)
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("[x]\nfamily = exp\nanalyses = coeff_bound\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        assert run(str(cfg), str(blocker / "out" if under else blocker), quiet=True) == 2
+        assert blocker.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["blocker", "ok.cfg"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["dotdot", "MANIFEST", "out-file", "not-utf8"])
+    def test_refusals_through_the_module(self, tmp_path, case):
+        # python -m entire_growth.cli: exit 2, no traceback, nothing written
+        head = {"dotdot": b"[../escaped]\n", "MANIFEST": b"[MANIFEST]\n"}.get(case, b"[x]\n")
+        tail = b"# \xff\n" if case == "not-utf8" else b""
+        (tmp_path / "c.cfg").write_bytes(head + b"family = exp\nanalyses = coeff_bound\n" + tail)
+        out = tmp_path / "out"
+        if case == "out-file":
+            out.write_text("keep\n")
+        before = sorted(os.listdir(tmp_path))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entire_growth.cli", "--config", str(tmp_path / "c.cfg"),
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("text", [
         "[x]\nfamily = exp\nanalyses = order_type\nrho = abc\n",

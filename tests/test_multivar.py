@@ -48,7 +48,11 @@ class TestMultiCoeffBound:
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
-            MultiGrowthFunction(4, lambda v: np.sum(np.asarray(v), axis=-1))
+            MultiGrowthFunction.from_separable([power_of_exp()] * 4)
+
+    def test_dimension_is_the_part_count(self):
+        for d in (1, 2, 3):
+            assert MultiGrowthFunction.from_separable([power_of_exp()] * d).dimension == d
 
 
 class TestMultiMaxBound:
@@ -90,24 +94,6 @@ class TestMultiMaxBound:
         Q = GrowthFunction("inf", lambda n: np.full(np.shape(n), np.inf), domain_min=0.0)
         with pytest.raises(InputError, match="Q\\* = -inf"):
             max_function_upper_bound(Q, 1.0)
-
-    def test_nonseparable_refused(self, monkeypatch):
-        # a lattice Q* would under-estimate the real one, so a non-separable
-        # Q is refused before any series runs, and by the coefficient bound
-        # before any conjugate runs
-        from entire_growth import bounds
-
-        def no_series(*a, **k):
-            raise AssertionError("a series ran")
-
-        monkeypatch.setattr(bounds, "k_sum", no_series)
-        s = stirling_decay().fn
-        Q = MultiGrowthFunction(
-            2, lambda k: s(k[..., 0]) + s(k[..., 1]) + 0.1 * k[..., 0] * k[..., 1])
-        with pytest.raises(InputError, match="from_separable"):
-            multi_max_bound(Q, (5.0, 5.0))
-        with pytest.raises(InputError, match="from_separable"):
-            multi_coeff_bound(Q, (2.0, 3.0))
 
     def test_capped_qstar_counts_as_infinite(self):
         from entire_growth.bounds import quadratic_decay, stirling_decay
