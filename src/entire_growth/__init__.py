@@ -57,7 +57,6 @@ from .multivar import (
     multi_max_bound,
 )
 from .probgen import (
-    DiscreteDistribution,
     generating_function_log,
     poisson,
     poisson_growth,

@@ -334,8 +334,7 @@ def run(config_path: str, output_dir: str, quiet: bool = False) -> int:
                                       "with a coefficient model")
             spec.parts = [specs[part] for part in spec.parts]
     except ConfigError as exc:
-        loc = f" line {exc.line}" if exc.line else ""
-        print(f"config error{loc}: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -345,22 +344,26 @@ def run(config_path: str, output_dir: str, quiet: bool = False) -> int:
         return 2
     results = [(name, _run_spec(spec)) for name, spec in specs.items()]
     manifest, summary, errors = [], [], []
-    for name, (artifacts, notes, error) in results:
-        for relpath, header, rows in artifacts:
-            count, digest = _write_csv(os.path.join(output_dir, relpath), header, rows)
-            manifest.append((relpath, digest, count))
-        summary.extend(f"[{name}] {note}" for note in notes)
-        if error:
-            errors.append(error)
+    try:  # a write that fails (say, a file where a section's directory goes) is exit 3
+        for name, (artifacts, notes, error) in results:
+            for relpath, header, rows in artifacts:
+                count, digest = _write_csv(os.path.join(output_dir, relpath), header, rows)
+                manifest.append((relpath, digest, count))
+            summary.extend(f"[{name}] {note}" for note in notes)
+            if error:
+                errors.append(error)
 
-    with open(os.path.join(output_dir, "summary.txt"), "w", newline="\n") as fh:
-        for line in summary:
-            fh.write(line + "\n")
-        for err in errors:
-            fh.write(f"ERROR {err}\n")
-    with open(os.path.join(output_dir, "MANIFEST"), "w", newline="\n") as fh:
-        for relpath, digest, count in manifest:
-            fh.write(f"{relpath},{digest},{count}\n")
+        with open(os.path.join(output_dir, "summary.txt"), "w", newline="\n") as fh:
+            for line in summary:
+                fh.write(line + "\n")
+            for err in errors:
+                fh.write(f"ERROR {err}\n")
+        with open(os.path.join(output_dir, "MANIFEST"), "w", newline="\n") as fh:
+            for relpath, digest, count in manifest:
+                fh.write(f"{relpath},{digest},{count}\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     if not quiet:
         for line in summary:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -41,15 +41,14 @@ class CoefficientSequence:
     gamma_form = (a, b) declares that -ln|c_n| = lnGamma(a n + 1) - b n + c
     for some constant c.  Such rows are convex in n (digamma increases), so
     every row is a vertex of their lower hull; bounds.index_decay and
-    log_majorant rely on that.  (a, b) only seed searches on the rows, which
-    read every value from log_abs_fn.
+    log_max_function rely on that.  (a, b) only seed searches on the rows,
+    which read every value from log_abs_fn.
     """
 
     name: str
     log_abs_fn: Callable[[np.ndarray], np.ndarray]
     max_index: Optional[int] = None
     gamma_form: Optional[Tuple[float, float]] = None
-    _entire_checked: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def log_abs_array(self, ns) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
@@ -74,22 +73,16 @@ class CoefficientSequence:
         can read a slow start (Poisson(1000) for n < 1000) as a finite
         radius.
         """
-        if self._entire_checked:
-            if self._entire_checked[0]:
-                return
-            raise NotEntireError(f"{self.name}: fails entirety trend check")
-        ok = True
-        if not (self.is_polynomial or (self.gamma_form and self.gamma_form[0] > 0)):
-            ns = np.arange(_TREND_N0, _TREND_N1 + 1)
-            la = self.log_abs_array(ns)
-            finite = np.isfinite(la)
-            if np.count_nonzero(finite) >= 8:
-                ratio = la[finite] / ns[finite]
-                k = ratio.size // 4
-                ok = (np.mean(ratio[-k:]) < np.mean(ratio[:k])) and ratio[-1] < 0
-        self._entire_checked.append(ok)
-        if not ok:
-            raise NotEntireError(f"{self.name}: fails entirety trend check")
+        if self.is_polynomial or (self.gamma_form and self.gamma_form[0] > 0):
+            return
+        ns = np.arange(_TREND_N0, _TREND_N1 + 1)
+        la = self.log_abs_array(ns)
+        finite = np.isfinite(la)
+        if np.count_nonzero(finite) >= 8:
+            ratio = la[finite] / ns[finite]
+            k = ratio.size // 4
+            if not (np.mean(ratio[-k:]) < np.mean(ratio[:k]) and ratio[-1] < 0):
+                raise NotEntireError(f"{self.name}: fails entirety trend check")
 
 
 def exp_coefficients() -> CoefficientSequence:
@@ -246,41 +239,26 @@ def log_series(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return tuple(a.reshape(shape)[()] for a in (total, terms, converged))
 
 
-def last_slope(f: CoefficientSequence) -> float:
-    """q(MAX_TERMS) - q(MAX_TERMS - 1), q(n) = -ln|c_n|: the last edge
-    slope of a rule's rows n <= MAX_TERMS when they are convex."""
-    q = -f.log_abs_array(np.array([MAX_TERMS - 1.0, MAX_TERMS]))
-    return float(q[1] - q[0])
-
-
 def log_max_function(f: CoefficientSequence, r):
     """ln of the coefficient-sum majorant sum_n |c_n| r^n, elementwise in r.
 
-    Exact equal to ln M_f(r) when all coefficients are nonnegative; an upper
-    bound on it otherwise.  f must pass the entirety check; see log_majorant
-    for the sum itself.
+    Exactly ln M_f(r) when all coefficients are nonnegative; an upper bound
+    on it otherwise.  f must pass the entirety check.  A polynomial's rows
+    0..max_index are read once per call, in one log_abs_array call, and
+    each block of the sum takes its slice of them.  Raises TruncationError
+    when an infinite series has not converged within MAX_TERMS terms.
     """
     f.assert_entire()
-    return log_majorant(f, r)
-
-
-def log_majorant(f: CoefficientSequence, r):
-    """ln sum_n |c_n| r^n for a series that converges at r, elementwise in r.
-
-    A polynomial's rows 0..max_index are read once per call, in one
-    log_abs_array call, and each block of the sum takes its slice of them.
-    Raises TruncationError when an infinite series has not converged
-    within MAX_TERMS terms.
-    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise InputError("r must be positive")
     lr = np.log(r).ravel()
     if f.gamma_form is not None and not f.is_polynomial:
-        # convex rows: past the last slope the terms still rise at n =
-        # MAX_TERMS, each within ln(n + 1) < 45 nats of the running sum, so
-        # the series cannot stop in time
-        rising = np.isfinite(lr) & (lr > last_slope(f))
+        # convex rows q(n) = -ln|c_n|: past their last slope q(MAX_TERMS) -
+        # q(MAX_TERMS - 1) the terms still rise at n = MAX_TERMS, each within
+        # ln(n + 1) < 45 nats of the running sum, so the series cannot stop
+        q = -f.log_abs_array(np.array([MAX_TERMS - 1.0, MAX_TERMS]))
+        rising = np.isfinite(lr) & (lr > q[1] - q[0])
         if np.any(rising):
             raise TruncationError(f"series for {f.name} at r={r.ravel()[rising][0]} not "
                                   f"converged within {MAX_TERMS + 1} terms: its terms "

@@ -13,10 +13,6 @@ class DomainDegenerateError(EntireGrowthError):
     """Fewer than two finite samples; the conjugate is degenerate."""
 
 
-class UnsupportedDimensionError(EntireGrowthError):
-    """Requested dimension above the supported cap (d <= 3)."""
-
-
 class TruncationError(EntireGrowthError):
     """Series summation failed to converge within the term budget."""
 
@@ -33,10 +29,6 @@ class NotEntireError(EntireGrowthError):
     """Coefficients fail the infinite-radius-of-convergence check."""
 
 
-class DivergenceError(EntireGrowthError):
-    """Series evaluated at or beyond its radius of convergence."""
-
-
 class InvalidGrowthError(EntireGrowthError):
     """Growth function is non-positive or otherwise unusable on the grid."""
 
@@ -47,10 +39,6 @@ class NoFiniteBoundError(EntireGrowthError):
 
 class ConfigError(EntireGrowthError):
     """CLI configuration file could not be parsed or validated."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
 
 
 class WindowSaturationWarning(UserWarning):

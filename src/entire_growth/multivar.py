@@ -1,11 +1,11 @@
 """Several-complex-variables extension.
 
 Multi-index coefficient bounds and reverse bounds, and the
-factorizable-function checks.  Dimension is capped at 3.  A profile is
-separable, one 1-D profile per axis, and both bounds answer it axis by
-axis with the 1-D engine of bounds.  There is no non-separable form: its
-conjugate sampled on a lattice under-estimates the real one, and neither
-bound may rest on that.
+factorizable-function checks.  A profile is separable, one 1-D profile
+per axis, and both bounds answer it axis by axis with the 1-D engine of
+bounds, so any dimension d >= 1 costs d one-axis bounds.  There is no
+non-separable form: its conjugate sampled on a lattice under-estimates
+the real one, and neither bound may rest on that.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .bounds import (
     max_function_upper_bound,
 )
 from .entire import CoefficientSequence, log_max_function
-from .errors import InputError, UnsupportedDimensionError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class MultiGrowthFunction:
     @classmethod
     def from_separable(cls, parts: Sequence[GrowthFunction]) -> "MultiGrowthFunction":
         parts = tuple(parts)
-        if not 1 <= len(parts) <= 3:
-            raise UnsupportedDimensionError(f"dimension {len(parts)} not supported (d <= 3)")
+        if not parts:
+            raise InputError("a separable profile needs at least one part")
         return cls(parts)
 
     @property

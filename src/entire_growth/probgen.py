@@ -4,34 +4,25 @@ probabilistic Tauberian diagnostics.
 The generating function E z^xi is the power series with probability masses
 as coefficients, so a law is a CoefficientSequence of log masses and the
 whole growth/decay machinery applies to it as it stands.  The Poisson law
-has an entire generating function (radius inf).  A law built with a finite
-radius has a series that diverges past it, and both the generating
-function and the Tauberian report refuse it rather than truncate it.
+has an entire generating function.  A law whose generating function is not
+entire is refused, as any coefficient rule is, by assert_entire: its series
+diverges past the radius, and nothing here truncates it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import GrowthFunction, TauberianReport, tauberian_report
-from .entire import CoefficientSequence, log_majorant
-from .errors import DivergenceError, InputError, NotEntireError
+from .bounds import GrowthFunction, tauberian_report
+from .entire import CoefficientSequence, log_max_function
+from .errors import InputError
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution(CoefficientSequence):
-    """Law of a nonnegative integer random variable: log_abs_fn gives the
-    log masses ln P(xi = k), and radius is the radius of convergence of
-    E z^xi (inf for an entire generating function)."""
-
-    radius: float = math.inf
-
-
-def poisson(lam: float) -> DiscreteDistribution:
-    """Poisson(lambda): entire generating function exp(lambda (z - 1))."""
+def poisson(lam: float) -> CoefficientSequence:
+    """Poisson(lambda): masses ln P(xi = k) = -lambda + k ln lambda - ln k!,
+    generating function exp(lambda (z - 1))."""
     if lam <= 0:
         raise InputError("lambda must be positive")
 
@@ -40,8 +31,7 @@ def poisson(lam: float) -> DiscreteDistribution:
         k = np.asarray(k, dtype=float)
         return -lam + k * math.log(lam) - gammaln(k + 1.0)
 
-    return DiscreteDistribution(f"poisson(lam={lam:g})", lm,
-                                gamma_form=(1.0, math.log(lam)))
+    return CoefficientSequence(f"poisson(lam={lam:g})", lm, gamma_form=(1.0, math.log(lam)))
 
 
 def poisson_growth(lam: float) -> GrowthFunction:
@@ -60,21 +50,9 @@ def poisson_growth(lam: float) -> GrowthFunction:
                           lambda v: lam * (np.exp(np.asarray(v, float)) - 1.0), conj=conj)
 
 
-def generating_function_log(dist: DiscreteDistribution, r: float) -> float:
-    """ln E r^xi = ln sum_k P(xi = k) r^k.
+#: ln E r^xi = ln sum_k P(xi = k) r^k: the masses are nonnegative, so this
+#: is ln M of the generating function exactly
+generating_function_log = log_max_function
 
-    Coefficients are nonnegative, so this is exactly ln M_g(r).  Radii at or
-    beyond a finite convergence radius raise.
-    """
-    if r >= dist.radius:
-        raise DivergenceError(
-            f"{dist.name}: series diverges at r={r} (radius {dist.radius})")
-    return log_majorant(dist, r)
-
-
-def prob_tauberian_report(dist: DiscreteDistribution, LambdaP: GrowthFunction,
-                          r_grid, n_grid) -> TauberianReport:
-    """Tauberian ratio diagnostics with the mass sequence as coefficients."""
-    if dist.radius < math.inf:
-        raise NotEntireError(f"{dist.name}: generating function is not entire")
-    return tauberian_report(dist, LambdaP, r_grid, n_grid)
+#: Tauberian ratio diagnostics with the masses as coefficients
+prob_tauberian_report = tauberian_report

@@ -567,6 +567,28 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("blocked", ["x", "MANIFEST"])
+    def test_write_error_exit_three(self, tmp_path, blocked):
+        # a file where a section's directory goes (out/x), or a directory
+        # where MANIFEST goes: exit 3 with `error: ...`, no traceback
+        (tmp_path / "c.cfg").write_text("[x]\nfamily = exp\nanalyses = coeff_bound\n"
+                                        "n_grid = 1:5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocked == "x":
+            (out / "x").write_text("keep\n")
+        else:
+            (out / "MANIFEST").mkdir()
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entire_growth.cli", "--config", str(tmp_path / "c.cfg"),
+             "--out", str(out), "--quiet"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        if blocked == "x":
+            assert (out / "x").read_text() == "keep\n"
+
     @pytest.mark.parametrize("text", [
         "[x]\nfamily = exp\nanalyses = order_type\nrho = abc\n",
         "[x]\nfamily = poisson\nlam = 2\nanalyses = coeff_bound\nrho = abc\n",

@@ -20,7 +20,6 @@ from entire_growth.entire import (
     coefficients_from_csv,
     exp_coefficients,
     gamma_order_coefficients,
-    log_majorant,
     log_max_function,
     log_series,
     order_estimate,
@@ -146,8 +145,8 @@ class TestLogMaxFunction:
             f.assert_entire()
 
     def test_replace_gets_its_own_entirety_verdict(self):
-        # a copy made by dataclasses.replace does not inherit the cached
-        # verdict of the rule it was made from
+        # a copy made by dataclasses.replace is judged on its own rule, not
+        # on the verdict of the rule it was made from
         ones = CoefficientSequence("ones", lambda n: np.zeros_like(np.asarray(n, float)))
         with pytest.raises(NotEntireError):
             ones.assert_entire()
@@ -359,9 +358,9 @@ def _kernel_cases():
         "short_last_block": lambda: log_series(
             lambda ns, r: np.stack([short[i](ns) for i in r]), 270, shape=(len(short),)),
         "table_300": lambda: _series_bytes(
-            entire, lambda: log_majorant(table_coefficients(_seeded_table(300)), radii)),
+            entire, lambda: log_max_function(table_coefficients(_seeded_table(300)), radii)),
         "table_600_gap": lambda: _series_bytes(
-            entire, lambda: log_majorant(_gapped_table(), radii)),
+            entire, lambda: log_max_function(_gapped_table(), radii)),
         "exp_at_22026": lambda: _series_bytes(
             entire, lambda: log_max_function(exp_coefficients(), 22026.0)),
     }
@@ -429,9 +428,9 @@ class TestSeriesWork:
             table, log_abs_fn=lambda n: sizes.append(np.size(n)) or table.log_abs_fn(n))
         for r in (np.geomspace(1e-2, 1e6, 20), 3.0):
             before = len(sizes)
-            got = log_majorant(counted, r)
+            got = log_max_function(counted, r)
             assert sizes[before:] == [600]
-            assert np.asarray(got).tobytes() == np.asarray(log_majorant(table, r)).tobytes()
+            assert np.asarray(got).tobytes() == np.asarray(log_max_function(table, r)).tobytes()
 
     def test_finite_series_sums_past_negligible_terms(self, monkeypatch):
         # c_0 = c_300 = 1 at r = 2: rows 1..299 are ZERO, far more than 50
@@ -445,7 +444,7 @@ class TestSeriesWork:
         # a finite series never reads the trailing-run threshold
         monkeypatch.setattr(entire, "_TAIL_LOG", None)
         assert log_series(term, 300, finite=True) == (300 * lr, 301, True)
-        assert log_majorant(f, 2.0) == 300 * lr == pytest.approx(207.944154, abs=1e-6)
+        assert log_max_function(f, 2.0) == 300 * lr == pytest.approx(207.944154, abs=1e-6)
         with pytest.raises(TypeError):
             log_series(term, 300)
 
@@ -529,7 +528,7 @@ class TestCsvRoundTrip:
         # to log1p(2^-300)
         p = tmp_path / "gap.csv"
         p.write_text("k,ln_mass\n0,%r\n300,%r\n" % (math.log(0.5), math.log(0.5)))
-        assert log_majorant(coefficients_from_csv(p), 2.0) == pytest.approx(
+        assert log_max_function(coefficients_from_csv(p), 2.0) == pytest.approx(
             math.log(0.5) + 300 * math.log(2.0), rel=1e-14)
 
     def test_empty_rejected(self, tmp_path):

@@ -14,7 +14,7 @@ from entire_growth.entire import (
     log_max_function,
     table_coefficients,
 )
-from entire_growth.errors import InputError, UnsupportedDimensionError
+from entire_growth.errors import InputError
 from entire_growth.multivar import (
     MultiGrowthFunction,
     factorizable_demo,
@@ -46,12 +46,8 @@ class TestMultiCoeffBound:
         np.testing.assert_array_equal(got, [multi_coeff_bound(Lam, k) for k in ks])
         assert isinstance(multi_coeff_bound(Lam, ks[3]), float)
 
-    def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimensionError):
-            MultiGrowthFunction.from_separable([power_of_exp()] * 4)
-
     def test_dimension_is_the_part_count(self):
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             assert MultiGrowthFunction.from_separable([power_of_exp()] * d).dimension == d
 
 
@@ -157,6 +153,18 @@ class TestSeparableBound:
             joint = _joint_scan(Q, v, 49)
             assert bound <= joint + 1e-12 * abs(joint), (v, bound, joint)
 
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_any_dimension_is_the_sum_of_axis_bounds(self, d):
+        # no cap on d: the bound is, bit for bit, the sum of the 1-D bounds
+        from entire_growth.bounds import quadratic_decay, stirling_decay
+        parts = [stirling_decay(), quadratic_decay(0.5), quadratic_decay(2.0)] * 2
+        Q = MultiGrowthFunction.from_separable(parts[:d])
+        v = np.linspace(0.5, 3.0, d)
+        bound, reps = multi_max_bound(Q, v, eps_points=19)
+        axes = [max_function_upper_bound(p, vj, eps_points=19) for p, vj in zip(parts, v)]
+        assert len(reps) == d
+        assert bound == sum(b for b, _ in axes)
+
     def test_per_axis_eps_probe(self, index_pair):
         # the product section's parts at (r1, r2) = (2, 3) and (e^2, 20): the
         # per-axis eps* gains over the best common eps of the grid
@@ -176,8 +184,9 @@ class TestSeparableBound:
     lambda: multi_max_bound(_decay_pair(), (1.0, -math.inf)),
     lambda: multi_max_bound(_decay_pair(), [[1.0], [2.0]]),
     lambda: multi_max_bound(_decay_pair(), [1.0]),
+    lambda: MultiGrowthFunction.from_separable(()),
 ], ids=["1d-nan", "1d-inf", "coeff-nan", "coeff-inf", "multi-nan", "multi-inf",
-        "multi-column", "multi-short"])
+        "multi-column", "multi-short", "no-parts"])
 def test_non_finite_or_misshaped_input_refused(call):
     # refused before any series or conjugate runs (a RuntimeWarning here
     # is an error)

@@ -8,14 +8,8 @@ from scipy.special import gammaln
 
 from entire_growth.bounds import index_decay
 from entire_growth.entire import CoefficientSequence
-from entire_growth.errors import (
-    DivergenceError,
-    InputError,
-    NotEntireError,
-    TruncationError,
-)
+from entire_growth.errors import InputError, NotEntireError, TruncationError
 from entire_growth.probgen import (
-    DiscreteDistribution,
     generating_function_log,
     poisson,
     poisson_growth,
@@ -24,10 +18,10 @@ from entire_growth.probgen import (
 
 
 def geometric(p):
-    """Geometric(p) on {0, 1, ...}: masses (1-p) p^k, radius 1/p."""
-    return DiscreteDistribution(f"geometric(p={p:g})",
-                                lambda k: math.log1p(-p) + np.asarray(k, float) * math.log(p),
-                                radius=1.0 / p)
+    """Geometric(p) on {0, 1, ...}: masses (1-p) p^k, radius 1/p, so its
+    generating function is not entire."""
+    return CoefficientSequence(f"geometric(p={p:g})",
+                               lambda k: math.log1p(-p) + np.asarray(k, float) * math.log(p))
 
 
 class TestPoisson:
@@ -67,19 +61,12 @@ class TestPoisson:
 
 
 class TestGeometric:
-    def test_gf_inside_radius(self):
-        p = 0.5
-        d = geometric(p)
-        for r in (0.5, 1.0, 1.5):
-            expect = math.log((1.0 - p) / (1.0 - p * r))
-            assert generating_function_log(d, r) == pytest.approx(expect, rel=1e-9)
-
-    def test_divergence_at_radius(self):
-        d = geometric(0.5)
-        with pytest.raises(DivergenceError):
-            generating_function_log(d, 2.0)
-        with pytest.raises(DivergenceError):
-            generating_function_log(d, 5.0)
+    def test_not_entire_refused(self):
+        # refused by the entirety check every rule passes through, inside
+        # the radius 2 as well as at it
+        for r in (0.5, 2.0):
+            with pytest.raises(NotEntireError):
+                generating_function_log(geometric(0.5), r)
 
     def test_tauberian_refused(self):
         with pytest.raises(NotEntireError):
@@ -91,7 +78,6 @@ class TestLawIsCoefficientSequence:
     def test_every_law_is_a_coefficient_sequence(self):
         for d in (poisson(2.0), geometric(0.5)):
             assert isinstance(d, CoefficientSequence), d.name
-        assert geometric(0.5).radius == 2.0 and poisson(2.0).radius == math.inf
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 50.0])
     def test_index_decay_of_the_law_itself(self, lam):
