@@ -65,15 +65,19 @@ class GrowthFunction:
             out = np.asarray(self.fn(v), dtype=float)
         return out if out.ndim else float(out)
 
-    def conjugate_at(self, ys):
-        """Conjugate values at ys; returns (values, window saturated flag)."""
+    def conjugate_at(self, ys) -> np.ndarray:
+        """Conjugate values at ys.  A search whose window hit its cap warns
+        (WindowSaturationWarning): its values stay valid bounds, maybe loose."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if self.conj is not None:
             with np.errstate(over="ignore"):
-                return np.asarray(self.conj(ys), dtype=float), False
+                return np.asarray(self.conj(ys), dtype=float)
         cap = WINDOW_HARD_CAP if self.domain_min is None else entire.MAX_TERMS
         table = conjugate_of_callable(self.fn, ys, x_min=self.domain_min, hard_cap=cap)
-        return table.gstars, table.window_saturated
+        if table.window_saturated:
+            warnings.warn(f"conjugate window saturated for {self.name}",
+                          WindowSaturationWarning)
+        return table.gstars
 
     def conjugate(self) -> "GrowthFunction":
         """The conjugate profile.  Its conjugate is this profile (fn** = fn
@@ -83,7 +87,7 @@ class GrowthFunction:
         if lo is not None:
             fn = lambda x: np.where(np.asarray(x, float) < lo, np.inf,
                                     self.fn(np.maximum(x, lo)))
-        forward = self.conj or (lambda ys: self.conjugate_at(ys)[0])
+        forward = self.conj or self.conjugate_at
         return GrowthFunction(f"{self.name}*", forward, conj=fn)
 
 
@@ -340,11 +344,7 @@ def coeff_upper_bound(Lambda: GrowthFunction, n: int) -> float:
 
 def coeff_upper_bound_many(Lambda: GrowthFunction, ns) -> np.ndarray:
     """Vectorized -Lambda*(n) over an index grid."""
-    lstar, saturated = Lambda.conjugate_at(np.asarray(ns, float))
-    if saturated:
-        warnings.warn(f"conjugate window saturated for {Lambda.name}",
-                      WindowSaturationWarning)
-    return 0.0 - lstar  # +0.0, not -0.0, where Lambda*(n) = 0
+    return 0.0 - Lambda.conjugate_at(ns)  # +0.0, not -0.0, where Lambda*(n) = 0
 
 
 def _log_sum(term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], shape=(),
@@ -422,57 +422,52 @@ def _eps_scan(Q: GrowthFunction, vs: np.ndarray, eps_points: int):
     = +inf everywhere, so every coefficient vanishes and there is nothing to
     bound: InputError.
 
-    One k_sum and one u_sum call cover the grid for every v.  Each zoom
-    stage takes Q* at every v's own bracket (one conjugate call), then ln K0
-    there (one k_sum call), then ln U, each row stopping once its partial sum
-    reaches ln K (see log_series): min(ln K, ln U) is ln K either way, bit
-    for bit, so only the grid's ln U is exact.  All of them are elementwise,
-    so each v gets the numbers that a scan of it alone gives.
+    Each stage evaluates its eps points in one routine: Q*(y) at every v
+    (one conjugate call), then ln K0 (one k_sum call), then ln U (one u_sum
+    call).  The grid is one row of eps shared by every v, with ln U exact.
+    Each zoom stage takes a row per v, its bracket, and each ln U row stops
+    once its partial sum reaches ln K (see log_series): min(ln K, ln U) is
+    ln K either way, bit for bit, so only the grid's ln U is exact.  All of
+    them are elementwise, so each v gets the numbers that a scan of it alone
+    gives.
     """
+    at = np.arange(vs.size)
 
-    def qstar_at(eps):
+    def stage(pts, exact_u):
+        """ln K, ln U (exact, or each row stopped at its ln K) and ln Y at
+        the eps points pts (one row, or one per v), and per v the minimizing
+        point, its bound and ln Y, and the points next to it."""
         with np.errstate(over="ignore"):
-            values = np.asarray(Q.conj((vs[:, None] / (1.0 - eps)).ravel()), dtype=float)
-        if np.any(values == -np.inf):
+            qstar = np.asarray(Q.conj((vs[:, None] / (1.0 - pts)).ravel()), dtype=float)
+        if np.any(qstar == -np.inf):  # before any series runs
             raise InputError(f"Q* = -inf for {Q.name}: its decay is +inf everywhere")
-        return values.reshape(eps.shape)
-
-    def log_k(eps, qstar, ln_k0):
+        qstar = qstar.reshape(vs.size, -1)
+        ln_k0 = k_sum(Q.fn, pts.ravel()).reshape(pts.shape)
         with np.errstate(invalid="ignore"):  # inf - inf where K0 and Q* are both +inf
-            return np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
-
-    def pick(pts, obj, ln_y):
-        """Per v: the minimizing point, its obj and ln Y, and its neighbours."""
+            ln_k = np.where(np.isfinite(qstar), ln_k0 - pts * qstar, np.inf)
+        ln_u = u_sum(Q.fn, pts.ravel(), None if exact_u else ln_k.ravel()).reshape(pts.shape)
+        ln_y = np.minimum(ln_k, ln_u)
+        obj, pts = ln_y + qstar, np.broadcast_to(pts, qstar.shape)
         i = np.argmin(obj, axis=1)
         lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
-        return pts[at, i], obj[at, i], ln_y[at, i], pts[at, lo], pts[at, hi]
+        return ln_k, ln_u, ln_y, (pts[at, i], obj[at, i], ln_y[at, i], pts[at, lo], pts[at, hi])
 
-    at = np.arange(vs.size)
     eps_grid = (np.arange(1, eps_points + 1)) / (eps_points + 1)
-    grid = np.broadcast_to(eps_grid, (vs.size, eps_points))
-    qstar = qstar_at(grid)  # refuses Q = +inf before any series runs
-    ln_k = log_k(grid, qstar, k_sum(Q.fn, eps_grid))
-    ln_u = u_sum(Q.fn, eps_grid)
-    ln_y = np.minimum(ln_k, ln_u)
+    ln_k, ln_u, ln_y, (eps_star, bound, ln_s0, lo, hi) = stage(eps_grid[None, :], True)
     if not np.all(np.any(np.isfinite(ln_y), axis=1)):
         raise NoFiniteBoundError(f"Y(eps) infinite across the grid for {Q.name}")
-    eps_star, bound, ln_s0, lo, hi = pick(grid, ln_y + qstar, ln_y)
     # zoom into the grid neighbours of the minimum; never above the grid value
     for _ in range(ZOOM_STAGES):
         # np.linspace(lo, hi, ZOOM_POINTS) of each v, in its arithmetic
         pts = np.arange(ZOOM_POINTS) * ((hi - lo) / (ZOOM_POINTS - 1))[:, None] + lo[:, None]
         pts[:, -1] = hi
-        qstar_z = qstar_at(pts)
-        ln_k_z = log_k(pts, qstar_z, k_sum(Q.fn, pts.ravel()).reshape(pts.shape))
-        ln_u_z = u_sum(Q.fn, pts.ravel(), ln_k_z.ravel()).reshape(pts.shape)
-        ln_y_z = np.minimum(ln_k_z, ln_u_z)
-        eps_z, bound_z, ln_s0_z, lo, hi = pick(pts, ln_y_z + qstar_z, ln_y_z)
+        *_, (eps_z, bound_z, ln_s0_z, lo, hi) = stage(pts, False)
         better = bound_z < bound
         eps_star, bound, ln_s0 = (np.where(better, z, a) for z, a in (
             (eps_z, eps_star), (bound_z, bound), (ln_s0_z, ln_s0)))
     # no eps gives a finite bound: no eps* and no S0
     eps_star, ln_s0 = (np.where(np.isfinite(bound), a, np.nan) for a in (eps_star, ln_s0))
-    reports = tuple(EpsilonReport(eps_grid, ln_k[i], ln_u, ln_y[i], float(eps_star[i]),
+    reports = tuple(EpsilonReport(eps_grid, ln_k[i], ln_u[0], ln_y[i], float(eps_star[i]),
                                   float(np.exp(ln_s0[i])), float(bound[i]))
                     for i in range(vs.size))
     return bound, reports
@@ -599,7 +594,7 @@ def tauberian_report(f: CoefficientSequence, Lambda: GrowthFunction,
     if np.any(lam <= 0):
         raise InvalidGrowthError(f"{Lambda.name} must be positive on ln(r_grid)")
     lhs = log_max_function(f, r) / lam
-    lstar, _ = Lambda.conjugate_at(n)
+    lstar = Lambda.conjugate_at(n)
     ok = np.isfinite(lstar) & (lstar > 0)
     if not np.any(ok):
         raise InputError(f"no n in n_grid has 0 < {Lambda.name}*(n) < inf")

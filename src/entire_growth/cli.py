@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import os
 import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -33,20 +34,21 @@ from .errors import ConfigError, EntireGrowthError
 
 def _fmt(x) -> str:
     """Fixed float formatting: 17 significant digits, '.' separator."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")  # also "inf", "-inf", and "nan" for either sign
 
 
-def _write_csv(path: str, header: List[str], rows: List[List]) -> Tuple[int, str]:
-    """Write a CSV with '\n' endings; returns the data row count and the
-    sha-256 of the bytes written."""
+def _write_csv(path: str, table: dict) -> Tuple[int, str]:
+    """Write a table {header: column} with '\n' endings: a float column with
+    _fmt, any other with str, a short column padded with empty cells.
+    Returns the data row count and the sha-256 of the bytes written."""
+    cols = [[h] + list(map(_fmt if c.dtype.kind == "f" else str, c.tolist()))
+            for h, c in ((h, np.asarray(c)) for h, c in table.items())]
+    data = "".join(",".join(row) + "\n"
+                   for row in itertools.zip_longest(*cols, fillvalue="")).encode()
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    data = "".join(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v))
-                            for v in row) + "\n" for row in [header] + rows).encode()
     with open(path, "wb") as fh:
         fh.write(data)
-    return len(rows), hashlib.sha256(data).hexdigest()
+    return max(map(len, cols)) - 1, hashlib.sha256(data).hexdigest()
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -181,27 +183,23 @@ class FunctionSpec:
         return bounds.index_decay(self.coeffs)
 
 
-# --- analyses: each takes the spec and returns ([(file, header, rows)], notes)
+# --- analyses: each takes the spec and returns ({file: {header: column}}, notes)
 
 
 def _run_coeff_bound(spec: FunctionSpec, label: str = "coeff_bound"):
     la = spec.coeffs.log_abs_array(spec.n_grid)
     bnd = bounds.coeff_upper_bound_many(spec.growth, spec.n_grid)
-    rows = [[int(n), lav, bv, bv - lav] for n, lav, bv in zip(spec.n_grid, la, bnd)]
-    worst = float(np.min(bnd - la))
-    return ([(f"{label}.csv", ["n", "ln_abs_c", "log_bound", "slack"], rows)],
-            [f"{label}: min slack {_fmt(worst)} over n in "
+    slack = bnd - la
+    return ({f"{label}.csv": {"n": spec.n_grid, "ln_abs_c": la, "log_bound": bnd,
+                              "slack": slack}},
+            [f"{label}: min slack {_fmt(np.min(slack))} over n in "
              f"[{spec.n_grid[0]}, {spec.n_grid[-1]}]"])
 
 
 def _run_tauberian(spec: FunctionSpec):
     rep = bounds.tauberian_report(spec.coeffs, spec.growth, spec.r_grid, spec.n_grid)
-    rows = [[_fmt(rep.r_grid[i]) if i < rep.r_grid.size else "",
-             _fmt(rep.lhs_ratios[i]) if i < rep.r_grid.size else "",
-             str(int(rep.n_grid[i])) if i < rep.n_grid.size else "",
-             _fmt(rep.rhs_ratios[i]) if i < rep.n_grid.size else ""]
-            for i in range(max(rep.r_grid.size, rep.n_grid.size))]
-    return ([("tauberian.csv", ["r", "lhs_ratio", "n", "rhs_ratio"], rows)],
+    return ({"tauberian.csv": {"r": rep.r_grid, "lhs_ratio": rep.lhs_ratios,
+                               "n": rep.n_grid, "rhs_ratio": rep.rhs_ratios}},
             [f"tauberian: terminal lhs {_fmt(rep.terminal_lhs)}, "
              f"terminal rhs {_fmt(rep.terminal_rhs)}, "
              f"gap {_fmt(rep.terminal_gap)}"])
@@ -209,19 +207,20 @@ def _run_tauberian(spec: FunctionSpec):
 
 def _run_upper_bound(spec: FunctionSpec):
     bs, reps = bounds.max_function_upper_bounds(spec.decay(), spec.v_grid)
-    rows = [[v, b, r.eps_star, r.c_eff, r.S0] for v, b, r in zip(spec.v_grid, bs, reps)]
     rep = reps[-1]
-    eps_rows = [list(row) for row in zip(rep.eps_grid, rep.ln_k, rep.ln_u, rep.ln_y)]
-    return ([("epsilon_report.csv", ["eps", "ln_k", "ln_u", "ln_y"], eps_rows),
-             ("upper_bound.csv", ["v", "log_bound", "eps_star", "c_eff", "s0"], rows)],
+    return ({"epsilon_report.csv": {"eps": rep.eps_grid, "ln_k": rep.ln_k,
+                                    "ln_u": rep.ln_u, "ln_y": rep.ln_y},
+             "upper_bound.csv": {"v": spec.v_grid, "log_bound": bs,
+                                 "eps_star": [r.eps_star for r in reps],
+                                 "c_eff": [r.c_eff for r in reps],
+                                 "s0": [r.S0 for r in reps]}},
             [f"upper_bound: bound {_fmt(rep.bound)} at v={_fmt(spec.v_grid[-1])}, "
              f"eps* {_fmt(rep.eps_star)}"])
 
 
 def _run_gamma(spec: FunctionSpec):
     rep = bounds.gamma_condition(spec.growth, spec.eps0, spec.v_grid)
-    rows = [[v, r] for v, r in zip(rep.v_grid, rep.ratios)]
-    return ([("gamma.csv", ["v", "ratio"], rows)],
+    return ({"gamma.csv": {"v": rep.v_grid, "ratio": rep.ratios}},
             [f"gamma: estimate {_fmt(rep.gamma_estimate)}, "
              f"holds {str(rep.holds).lower()}"])
 
@@ -229,10 +228,9 @@ def _run_gamma(spec: FunctionSpec):
 def _run_example_31(spec: FunctionSpec):
     m = spec.num("m")
     rep = scales.example_31_check(m, spec.num("c"), spec.n_grid[spec.n_grid >= 2])
-    rows = [[int(n), ls, ce, rep.exponent_fit]
-            for n, ls, ce in zip(rep.n_grid, rep.lam_star, rep.constant_estimates)]
-    return ([("example_31.csv", ["n", "conj_value", "constant_estimate", "exponent_fit"],
-              rows)],
+    return ({"example_31.csv": {"n": rep.n_grid, "conj_value": rep.lam_star,
+                                "constant_estimate": rep.constant_estimates,
+                                "exponent_fit": np.full(rep.n_grid.size, rep.exponent_fit)}},
             [f"example_31: exponent fit {_fmt(rep.exponent_fit)} "
              f"(conjugate exponent {_fmt(m / (m - 1.0))}), "
              f"constant {_fmt(rep.constant_estimate)}"])
@@ -241,17 +239,16 @@ def _run_example_31(spec: FunctionSpec):
 def _run_example_33(spec: FunctionSpec):
     rep = scales.example_33_check(spec.num("c5"), spec.num("c6"),
                                   spec.n_grid[spec.n_grid >= 3])
-    rows = [[int(n), ls, ld, rt] for n, ls, ld, rt in
-            zip(rep.n_grid, rep.lam_star, rep.leading, rep.ratios)]
-    return ([("example_33.csv", ["n", "conj_value", "leading_term", "ratio"], rows)],
+    return ({"example_33.csv": {"n": rep.n_grid, "conj_value": rep.lam_star,
+                                "leading_term": rep.leading, "ratio": rep.ratios}},
             [f"example_33: terminal leading-term ratio {_fmt(rep.ratios[-1])}"])
 
 
 def _run_order_type(spec: FunctionSpec):
     order = entire.order_estimate(spec.coeffs, spec.n_min, spec.n_max)
     typ = entire.type_estimate(spec.coeffs, spec.rho, spec.n_min, spec.n_max)
-    return ([("order_type.csv", ["quantity", "value"],
-              [["order", order.value], ["type", typ.value]])],
+    return ({"order_type.csv": {"quantity": ["order", "type"],
+                                "value": [order.value, typ.value]}},
             [f"order_type: order estimate {_fmt(order.value)}",
              f"order_type: type estimate {_fmt(typ.value)} (rho={_fmt(spec.rho)})"])
 
@@ -262,11 +259,10 @@ def _run_factorized(spec: FunctionSpec):
     rep = multivar.factorizable_demo(s1.coeffs, s2.coeffs, float(r1), float(r2),
                                      s1.growth, s2.growth,
                                      k_grid=spec.n_grid[:50], l_grid=spec.n_grid[:50])
-    rows = [["log_max_product", rep.log_max_product],
-            ["log_max_factor_1", rep.log_max_factors[0]],
-            ["log_max_factor_2", rep.log_max_factors[1]],
-            ["bound_holds", 1 if rep.bound_holds else 0]]
-    return ([("factorized.csv", ["quantity", "value"], rows)],
+    return ({"factorized.csv": {
+                "quantity": ["log_max_product", "log_max_factor_1", "log_max_factor_2",
+                             "bound_holds"],
+                "value": [rep.log_max_product, *rep.log_max_factors, rep.bound_holds]}},
             [f"factorized: ln M {_fmt(rep.log_max_product)}, "
              f"coefficient bounds hold {str(rep.bound_holds).lower()}"])
 
@@ -282,7 +278,7 @@ _ANALYSES = {"coeff_bound": _run_coeff_bound, "tauberian": _run_tauberian,
 def _run_spec(spec: FunctionSpec):
     """Run all analyses of one section.  Returns (artifacts, notes, error).
 
-    artifacts: list of (relative path, header, rows) completed before any
+    artifacts: list of (relative path, table) completed before any
     failure, so partial results can still be flushed.  error: the first
     failing analysis and its exception, named by type unless it is an
     EntireGrowthError.
@@ -295,8 +291,7 @@ def _run_spec(spec: FunctionSpec):
             return artifacts, notes, f"[{spec.name}] {analysis}: {exc}"
         except Exception as exc:  # a fault in the analysis: still no traceback
             return artifacts, notes, f"[{spec.name}] {analysis}: {type(exc).__name__}: {exc}"
-        artifacts.extend((f"{spec.name}/{file}", header, rows)
-                         for file, header, rows in files)
+        artifacts.extend((f"{spec.name}/{file}", table) for file, table in files.items())
         notes.extend(nts)
     return artifacts, notes, None
 
@@ -346,8 +341,8 @@ def run(config_path: str, output_dir: str, quiet: bool = False) -> int:
     manifest, summary, errors = [], [], []
     try:  # a write that fails (say, a file where a section's directory goes) is exit 3
         for name, (artifacts, notes, error) in results:
-            for relpath, header, rows in artifacts:
-                count, digest = _write_csv(os.path.join(output_dir, relpath), header, rows)
+            for relpath, table in artifacts:
+                count, digest = _write_csv(os.path.join(output_dir, relpath), table)
                 manifest.append((relpath, digest, count))
             summary.extend(f"[{name}] {note}" for note in notes)
             if error:

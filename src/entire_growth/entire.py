@@ -135,7 +135,8 @@ def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequen
     A first cell "n", "k" or empty marks a header or blank row; later rows
     for the same index win and missing indices are ZERO.  Any other row
     that is not an integer index in [0, MAX_TERMS] and a number below +inf
-    (or ZERO) raises InputError naming the file and line.
+    (or ZERO) raises InputError naming the file and line, and so does a
+    table with no nonzero coefficient.
     """
     entries = {}
     try:
@@ -156,8 +157,8 @@ def coefficients_from_csv(path, name: Optional[str] = None) -> CoefficientSequen
                 entries[n] = v
     except (csv.Error, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: unreadable table ({exc})") from None
-    if not entries:
-        raise InputError(f"no table rows in {path}")
+    if not any(v > ZERO for v in entries.values()):  # an empty table too
+        raise InputError(f"{path}: no nonzero coefficient")
     vals = np.full(max(entries) + 1, ZERO)
     for n, v in entries.items():
         vals[n] = v

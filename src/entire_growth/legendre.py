@@ -77,11 +77,6 @@ class ConjugateTable:
     argmax_xs: np.ndarray
     saturated: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=float))
-        object.__setattr__(self, "gstars", np.asarray(self.gstars, dtype=float))
-        object.__setattr__(self, "argmax_xs", np.asarray(self.argmax_xs, dtype=float))
-
     @property
     def window_saturated(self) -> bool:
         """Some query's window hit its cap."""

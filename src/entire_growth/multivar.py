@@ -53,7 +53,7 @@ def multi_coeff_bound(Lambda: MultiGrowthFunction, k):
             or not np.all(np.isfinite(k)) or np.any(k < 0)):
         raise InputError("multi-index must be finite, nonnegative, of matching dimension")
     ks = k.reshape(-1, Lambda.dimension)
-    out = -sum(p.conjugate_at(ks[:, j])[0] for j, p in enumerate(Lambda.separable_parts))
+    out = -sum(p.conjugate_at(ks[:, j]) for j, p in enumerate(Lambda.separable_parts))
     return float(out[0]) if k.ndim == 1 else out
 
 

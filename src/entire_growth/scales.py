@@ -35,14 +35,16 @@ def example_31_check(m: float, C3: float, n_grid) -> PowerLawFitReport:
     Lambda = power_log(C=C3, m=m)
     n = np.asarray(n_grid, dtype=float)
     lam_star = -coeff_upper_bound_many(Lambda, n)
-    pos = (n > 1) & (lam_star > 0)
+    mc = m / (m - 1.0)
+    pos = (n > 1) & (lam_star > 0) & (lam_star < np.inf)
     if np.count_nonzero(pos) < 2:
-        raise InputError("need at least two indices above 1 for the exponent fit")
+        raise InputError(f"need at least two indices above 1 for the exponent fit where "
+                         f"Lambda*(n) ~ n^{mc:.6g} is positive and does not overflow")
     ln_n = np.log(n[pos])
     ln_ls = np.log(lam_star[pos])
     slope = float(np.polyfit(ln_n, ln_ls, 1)[0])
-    mc = m / (m - 1.0)
-    consts = np.where(n > 0, lam_star / np.maximum(n, 1.0) ** mc, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN where Lambda* overflows
+        consts = np.where(n > 0, lam_star / np.maximum(n, 1.0) ** mc, np.nan)
     return PowerLawFitReport(n, lam_star, slope, consts,
                              float(consts[np.isfinite(consts)][-1]))
 
@@ -66,7 +68,7 @@ def example_33_check(C5: float, C6: float, n_grid) -> DoubleExpReport:
     n = np.asarray(n_grid, dtype=float)
     if n.size == 0 or np.any(n < 3):
         raise InputError("n_grid must be non-empty and lie in [3, inf)")
-    lam_star, _ = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
+    lam_star = exp_of_exp(C5=C5, C6=C6).conjugate_at(n)
     leading = n * np.log(np.log(n))
     ratios = lam_star / leading
     return DoubleExpReport(n, lam_star, leading, ratios)

@@ -109,36 +109,34 @@ class TestClosedConjugates:
         oracle = conjugate_of_callable(p.fn, ys, x_min=p.domain_min, hard_cap=cap)
         inside = np.abs(oracle.argmax_xs) < cap - 1.0
         assert np.count_nonzero(inside) > 10
-        closed, saturated = p.conjugate_at(ys)
+        closed = p.conjugate_at(ys)
         np.testing.assert_allclose(closed[inside], oracle.gstars[inside],
                                    rtol=1e-9, atol=1e-12)
-        assert not saturated
 
     @pytest.mark.parametrize("p", [power_of_exp(1.1, 0.9), exp_of_exp(1.2, 0.8),
                                    poisson_growth(3.0)], ids=lambda p: p.name)
     def test_infinite_below_zero(self, p):
         # Lambda bounded as v -> -inf: sup_v (n v - Lambda(v)) = +inf for n < 0
-        vals, _ = p.conjugate_at([-1e3, -1.0, -1e-12])
+        vals = p.conjugate_at([-1e3, -1.0, -1e-12])
         assert np.all(vals == np.inf)
-        assert np.isfinite(p.conjugate_at([0.0])[0][0])
+        assert np.isfinite(p.conjugate_at([0.0])[0])
 
     def test_value_at_zero_not_attained(self):
         # sup_v -Lambda(v) is Lambda's infimum: 0, -C5 and lambda
-        assert power_of_exp(2.0, 3.0).conjugate_at(0.0)[0][0] == 0.0
-        assert exp_of_exp(1.2, 0.8).conjugate_at(0.0)[0][0] == -1.2
-        assert poisson_growth(3.0).conjugate_at(0.0)[0][0] == 3.0
+        assert power_of_exp(2.0, 3.0).conjugate_at(0.0)[0] == 0.0
+        assert exp_of_exp(1.2, 0.8).conjugate_at(0.0)[0] == -1.2
+        assert poisson_growth(3.0).conjugate_at(0.0)[0] == 3.0
 
     @pytest.mark.parametrize("p", GROWTH + DECAYS, ids=lambda p: p.name)
     def test_biconjugate_is_the_profile(self, p):
         # conjugate() swaps the pair: Lambda** = Lambda bit for bit on the
         # domain, +inf below domain_min
         v = np.linspace(-6.0, 6.0, 97)
-        back, saturated = p.conjugate().conjugate_at(v)
+        back = p.conjugate().conjugate_at(v)
         ok = v >= (p.domain_min if p.domain_min is not None else -np.inf)
         assert np.array_equal(back[ok], p(v[ok]))
         assert np.all(back[~ok] == np.inf)
-        assert not saturated
-        np.testing.assert_array_equal(p.conjugate().fn(v), p.conjugate_at(v)[0])
+        np.testing.assert_array_equal(p.conjugate().fn(v), p.conjugate_at(v))
 
     def test_user_profile_conjugate_pair(self):
         # without conj, conjugate() searches once and carries fn back
@@ -146,7 +144,7 @@ class TestClosedConjugates:
         star = square.conjugate()
         n = np.array([0.0, 2.0, 10.0])
         np.testing.assert_allclose(star(n), n * n / 4.0, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(star.conjugate_at(n)[0], square(n))
+        assert np.array_equal(star.conjugate_at(n), square(n))
 
 
 def _rows_conjugate(la, ys):
@@ -176,10 +174,9 @@ class TestIndexDecay:
             la[:int(rng.integers(0, 6))] = -np.inf
             la[rng.random(size) < 0.1] = -np.inf
             Q = index_decay(table_coefficients(la))
-            got, saturated = Q.conjugate_at(ys)
+            got = Q.conjugate_at(ys)
             np.testing.assert_allclose(got, _rows_conjugate(la, ys)[0],
                                        rtol=1e-12, atol=1e-12)
-            assert not saturated
             # the envelope lies below every row: |c_n| <= exp(-Q(n))
             assert np.all(Q.fn(ns) <= -la)
 
@@ -191,23 +188,20 @@ class TestIndexDecay:
         ys = np.array([-2.0, 0.0, 0.5, 1.0, 3.0, 6.0])
         want, arg = _rows_conjugate(la, ys)
         assert np.all(arg < MAX_TERMS)
-        got, saturated = index_decay(f).conjugate_at(ys)
+        got = index_decay(f).conjugate_at(ys)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert not saturated
 
     @pytest.mark.parametrize("f", RULES, ids=lambda f: f.name)
     def test_rule_infinite_past_last_slope(self, f):
         # the argmax lies past n = MAX_TERMS: Q* = +inf, a valid bound
         la = f.log_abs_array(np.array([MAX_TERMS - 1.0, MAX_TERMS]))
         last_slope = la[0] - la[1]
-        vals, saturated = index_decay(f).conjugate_at(
-            [last_slope - 1e-3, last_slope + 1e-3, 1e3])
+        vals = index_decay(f).conjugate_at([last_slope - 1e-3, last_slope + 1e-3, 1e3])
         assert np.isfinite(vals[0]) and np.all(vals[1:] == np.inf)
-        assert not saturated
 
     def test_table_exact_past_last_row(self):
         la = np.log([1.0, 0.5, 0.1, 0.02])
-        vals, _ = index_decay(table_coefficients(la)).conjugate_at([50.0, 1e6])
+        vals = index_decay(table_coefficients(la)).conjugate_at([50.0, 1e6])
         np.testing.assert_array_equal(vals, 3.0 * np.array([50.0, 1e6]) + la[3])
 
     @pytest.mark.parametrize("f", [exp_coefficients(),
@@ -544,6 +538,42 @@ class TestZoomLevel:
         assert cut == {"k_sum": 799_744, "u_sum": 359_168}
         assert cut["u_sum"] <= 0.55 * full["u_sum"]
 
+    @pytest.mark.parametrize("Q, vs", [
+        (stirling_decay(), [-1.0, -0.5, 0.0, 0.5]),
+        (index_decay(exp_coefficients()), list(np.linspace(1.0, 4.0, 7))),
+        (dataclasses.replace(quadratic_decay(0.5), conj=None), [-1.0, 0.0, 1.0]),
+    ], ids=["stirling", "index_exp", "no_conj"])
+    def test_level_is_ln_k(self, Q, vs, monkeypatch):
+        # each zoom stage's u_sum stops its rows at ln K = ln K0 - eps
+        # Q*(v/(1-eps)), K0 from the k_sum call at the same points just
+        # before it, bit for bit.  At these v a lower level moves no bound
+        # bit, only the terms summed, so the scan's digests cannot see it
+        from entire_growth import bounds
+        calls = []
+
+        def k(decay, eps):
+            calls.append(("k", np.array(eps), bounds_k_sum(decay, eps)))
+            return calls[-1][2]
+
+        def u(decay, eps, level=None):
+            calls.append(("u", np.array(eps), level))
+            return bounds_u_sum(decay, eps, level)
+
+        bounds_k_sum, bounds_u_sum = bounds.k_sum, bounds.u_sum
+        monkeypatch.setattr(bounds, "k_sum", k)
+        monkeypatch.setattr(bounds, "u_sum", u)
+        max_function_upper_bounds(Q, vs, eps_points=19)
+        # the grid's U rows are exact; every zoom stage's rows stop at a level
+        assert [c[0] for c in calls] == ["k", "u"] * (1 + bounds.ZOOM_STAGES)
+        assert calls[1][2] is None
+        D, vs = Q if Q.conj is not None else _integer_decay(Q), np.asarray(vs)
+        for (_, eps, ln_k0), (_, eps_u, level) in zip(calls[2::2], calls[3::2]):
+            assert eps_u.tobytes() == eps.tobytes()
+            qstar = D.conj((vs[:, None] / (1.0 - eps.reshape(vs.size, -1))).ravel())
+            with np.errstate(invalid="ignore"):  # K0 and Q* both +inf
+                want = np.where(np.isfinite(qstar), ln_k0 - eps * qstar, np.inf)
+            assert np.asarray(level).tobytes() == want.tobytes()
+
 
 def _scan_digest(Q, vs, eps_points):
     """sha-256 of every number of max_function_upper_bounds(Q, vs)."""
@@ -697,11 +727,11 @@ class TestMaxFunctionUpperBound:
         D = Q if Q.conj is not None else _integer_decay(Q)
         bound, rep = max_function_upper_bound(Q, v)
         assert bound <= golden + 1e-12
-        qstar, _ = D.conjugate_at(v / (1.0 - rep.eps_grid))
+        qstar = D.conjugate_at(v / (1.0 - rep.eps_grid))
         assert bound <= np.min(rep.ln_y + qstar)
         # bound = ln S0 + Q*(y*), S0 = Y(eps*) = min(K0 e^(-eps* Q*(y*)), U)
         e = rep.eps_star
-        q_star = float(D.conjugate_at(v / (1.0 - e))[0][0])
+        q_star = float(D.conjugate_at(v / (1.0 - e))[0])
         assert bound == pytest.approx(math.log(rep.S0) + q_star, rel=1e-14)
         assert math.log(rep.S0) == pytest.approx(min(k_sum(D.fn, e) - e * q_star,
                                                      u_sum(D.fn, e)), rel=1e-12)

@@ -4,8 +4,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -344,27 +346,124 @@ def test_zoom_level_leaves_upper_bound_trees_unchanged(tmp_path, monkeypatch):
     assert len(level) == 2 * len(SANDWICH) + 2 and level == full
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _run_pinned(name, work):
+    """Run the config whose output tree tests/data/<name>/ stores and whose
+    digests tests/data/<name>.MANIFEST pins, into work/out: all_cfg is
+    configs/all.cfg; every_cfg is tests/data/every.cfg, every family with
+    every analysis its row allows, next to a c.csv of TABLE_LN_C.  Returns
+    the output directory."""
+    config = os.path.join(DATA, "..", "..", "configs", "all.cfg")
+    if name == "every_cfg":
+        config = os.path.join(work, "every.cfg")
+        with open(os.path.join(DATA, "every.cfg")) as fh, open(config, "w") as out:
+            out.write(fh.read())
+        with open(os.path.join(work, "c.csv"), "w") as fh:
+            fh.write("n,ln_abs_c\n" + "".join(
+                f"{n},{float(v)!r}\n" for n, v in enumerate(TABLE_LN_C)))
+    out = os.path.join(work, "out")
+    assert run(config, out, quiet=True) == 0
+    return out
+
+
+def _ulps(x, y):
+    """", k ulps" between two cells that are finite floats, both zeros
+    counting as one float; "" for any other pair."""
+    try:
+        a, b = float(x), float(y)
+    except ValueError:
+        return ""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return ""
+    ia, ib = (int(np.float64(v).view(np.int64)) for v in (a, b))
+    ia, ib = (i if i >= 0 else -(i & (2**63 - 1)) for i in (ia, ib))
+    return f", {abs(ia - ib)} ulps"
+
+
+def _moves(name, out, cells=5):
+    """Each file of the pinned tree <name> whose MANIFEST line moved, with
+    its first moved cells: row, column, old and new value, and the move in
+    ulps."""
+    def manifest(path):
+        with open(path) as fh:
+            return {line.split(",")[0]: line.strip() for line in fh}
+
+    old = manifest(os.path.join(DATA, name + ".MANIFEST"))
+    new = manifest(os.path.join(out, "MANIFEST"))
+    report = []
+    for path in sorted(old.keys() | new.keys()):
+        if old.get(path) == new.get(path):
+            continue
+        report.append(f"{path}: {old.get(path)} -> {new.get(path)}")
+        if path not in old or path not in new:
+            continue
+        with open(os.path.join(DATA, name, path), newline="") as a, \
+                open(os.path.join(out, path), newline="") as b:
+            rows = list(itertools.zip_longest(csv.reader(a), csv.reader(b), fillvalue=[]))
+        header = rows[0][0]
+        moved = [(r, header[c] if c < len(header) else c, x, y)
+                 for r, (ra, rb) in enumerate(rows)
+                 for c, (x, y) in enumerate(itertools.zip_longest(ra, rb, fillvalue=""))
+                 if x != y]
+        report.extend(f"  row {r}, column {col}: {x} -> {y}{_ulps(x, y)}"
+                      for r, col, x, y in moved[:cells])
+    return "\n".join(report)
+
+
+def _check_pinned(name, tmp_path):
+    """The pass/fail check is the byte comparison of the MANIFESTs; a
+    mismatch names the files and cells that moved against the stored tree.
+
+    After a change that moves bits on purpose, regenerate the stored trees
+    and both MANIFESTs from the repository root with
+        PYTHONPATH=src python -c "import sys; sys.path[:0] = ['tests']; \\
+            import test_cli; test_cli._store_pinned()"
+    and say in the change which files moved and why."""
+    out = _run_pinned(name, str(tmp_path))
+    with open(os.path.join(DATA, name + ".MANIFEST"), "rb") as fh:
+        want = fh.read()
+    with open(os.path.join(out, "MANIFEST"), "rb") as fh:
+        assert fh.read() == want, _moves(name, out)
+
+
+def _store_pinned():
+    """Rewrite tests/data/<name>/ and <name>.MANIFEST for both pinned trees."""
+    for name in ("all_cfg", "every_cfg"):
+        with tempfile.TemporaryDirectory() as work:
+            out = _run_pinned(name, work)
+            shutil.rmtree(os.path.join(DATA, name), ignore_errors=True)
+            os.remove(os.path.join(out, "summary.txt"))
+            shutil.move(os.path.join(out, "MANIFEST"), os.path.join(DATA, name + ".MANIFEST"))
+            shutil.copytree(out, os.path.join(DATA, name))
+
+
 def test_all_cfg_manifest_pinned(tmp_path):
     # a change that only makes the CLI faster leaves every digest as it was
-    here = os.path.dirname(__file__)
-    out = tmp_path / "out"
-    assert run(os.path.join(here, "..", "configs", "all.cfg"), str(out), quiet=True) == 0
-    with open(os.path.join(here, "data", "all_cfg.MANIFEST"), "rb") as fh:
-        assert (out / "MANIFEST").read_bytes() == fh.read()
+    _check_pinned("all_cfg", tmp_path)
 
 
 def test_every_cfg_manifest_pinned(tmp_path):
     # every family with every analysis its row allows, upper_bound and gamma
     # of poisson and power_order and the custom_coeff_csv trees included
-    here = os.path.dirname(__file__)
-    with open(os.path.join(here, "data", "every.cfg")) as fh:
-        (tmp_path / "every.cfg").write_text(fh.read())
-    (tmp_path / "c.csv").write_text("n,ln_abs_c\n" + "".join(
-        f"{n},{float(v)!r}\n" for n, v in enumerate(TABLE_LN_C)))
-    out = tmp_path / "out"
-    assert run(str(tmp_path / "every.cfg"), str(out), quiet=True) == 0
-    with open(os.path.join(here, "data", "every_cfg.MANIFEST"), "rb") as fh:
-        assert (out / "MANIFEST").read_bytes() == fh.read()
+    _check_pinned("every_cfg", tmp_path)
+
+
+@pytest.mark.parametrize("name", ["all_cfg", "every_cfg"])
+def test_stored_trees_match_manifests(name):
+    # each stored file is the one its MANIFEST line pins, so a moved digest
+    # can be traced to its cells
+    with open(os.path.join(DATA, name + ".MANIFEST")) as fh:
+        pins = [line.strip().split(",") for line in fh]
+    stored = sorted(os.path.relpath(os.path.join(d, f), os.path.join(DATA, name))
+                    for d, _, files in os.walk(os.path.join(DATA, name)) for f in files)
+    assert stored == sorted(path for path, _, _ in pins)
+    for path, digest, count in pins:
+        with open(os.path.join(DATA, name, path), "rb") as fh:
+            data = fh.read()
+        assert hashlib.sha256(data).hexdigest() == digest, path
+        assert data.count(b"\n") == int(count) + 1, path
 
 
 @pytest.mark.parametrize("x, text", [
@@ -435,6 +534,20 @@ class TestErrorPaths:
     def test_missing_file_exit_two(self, tmp_path):
         assert run(str(tmp_path / "absent.cfg"), str(tmp_path / "out"),
                    quiet=True) == 2
+
+    @pytest.mark.parametrize("table", ["n,ln_abs_c\n", "n,ln_abs_c\n0,ZERO\n1,ZERO\n"],
+                             ids=["empty", "all_zero"])
+    def test_table_without_nonzero_coefficient_exit_two(self, tmp_path, capsys, table):
+        # a table of zeros once printed a NaN coefficient bound and exited 0
+        (tmp_path / "c.csv").write_text(table)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[x]\nfamily = custom_coeff_csv\npath = c.csv\n"
+                       "analyses = coeff_bound\n")
+        out = tmp_path / "out"
+        assert run(str(cfg), str(out), quiet=True) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [x] ") and "no nonzero coefficient" in err
 
     def test_unsupported_analysis_for_family(self, tmp_path, capsys):
         # its two first configs, then every (family, analysis) pair outside

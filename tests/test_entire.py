@@ -537,6 +537,13 @@ class TestCsvRoundTrip:
         with pytest.raises(InputError):
             coefficients_from_csv(p)
 
+    def test_all_zero_rejected(self, tmp_path):
+        # every coefficient zero: no growth, no decay, and no bound to print
+        p = tmp_path / "zero.csv"
+        p.write_text("n,ln_abs_c\n0,ZERO\n1,ZERO\n5,ZERO\n")
+        with pytest.raises(InputError, match="zero.csv: no nonzero coefficient"):
+            coefficients_from_csv(p)
+
     @pytest.mark.parametrize("row", ["1,np.float64(-0.0)", "1", "x,0.0", "-1,0.0",
                                      "1,nan", "1,inf", "1.5,0.0"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):

@@ -14,7 +14,7 @@ from entire_growth.entire import (
     log_max_function,
     table_coefficients,
 )
-from entire_growth.errors import InputError
+from entire_growth.errors import InputError, WindowSaturationWarning
 from entire_growth.multivar import (
     MultiGrowthFunction,
     factorizable_demo,
@@ -79,7 +79,10 @@ class TestMultiMaxBound:
                                             hard_cap=MAX_TERMS).value
                             for p, yj in zip(Q.separable_parts, v / (1.0 - e)))
                         for e in eps_grid])
-        got = -multi_coeff_bound(Q, v[None, :] / (1.0 - eps_grid[:, None]))
+        # the Stirling axis's argmax e^y passes the cap MAX_TERMS = 10^6 once
+        # y = 4/(1-eps) > ln 10^6: those searches warn and return the capped values
+        with pytest.warns(WindowSaturationWarning):
+            got = -multi_coeff_bound(Q, v[None, :] / (1.0 - eps_grid[:, None]))
         np.testing.assert_array_equal(got, ref)
 
     def test_all_infinite_decay_refused(self):
@@ -115,8 +118,7 @@ def _joint_scan(Q, v, eps_points):
     eps = np.arange(1, eps_points + 1) / (eps_points + 1)
     total = 0.0
     for p, vj in zip(Q.separable_parts, v):
-        qstar, saturated = p.conjugate_at(vj / (1.0 - eps))
-        assert not saturated
+        qstar = p.conjugate_at(vj / (1.0 - eps))
         ln_k = np.where(np.isfinite(qstar), k_sum(p.fn, eps) - eps * qstar, np.inf)
         total = total + np.minimum(ln_k, u_sum(p.fn, eps)) + qstar
     return float(np.min(total))

@@ -38,6 +38,22 @@ class TestExample31:
         with pytest.raises(InputError):
             example_31_check(2.0, 1.0, [1.0])
 
+    def test_near_one_fits_the_finite_indices(self):
+        # m = 1.002: Lambda*(n) ~ n^501 overflows past n = 4, so the fit takes
+        # n = 2, 3, 4, and the constant is NaN where Lambda* is +inf (with no
+        # RuntimeWarning, which the suite turns into an error)
+        rep = example_31_check(1.002, 1.0, np.arange(2, 201, dtype=float))
+        assert rep.exponent_fit == pytest.approx(501.0, rel=1e-9)
+        over = np.isinf(rep.lam_star)
+        assert np.count_nonzero(~over) == 3
+        assert np.all(np.isnan(rep.constant_estimates[over]))
+        assert np.isfinite(rep.constant_estimate)
+
+    def test_near_one_without_two_finite_indices_refused(self):
+        # m = 1.0000001: Lambda*(n) overflows at every n >= 2
+        with pytest.raises(InputError, match="overflow"):
+            example_31_check(1.0000001, 1.0, np.arange(2, 201, dtype=float))
+
 
 class TestExample32:
     # the order-rho bound [n/(C rho)]^(-n/rho) e^(n/rho) is -Lambda*(n) of
